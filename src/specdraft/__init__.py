@@ -21,7 +21,6 @@ from .kernel import (
     DraftBatch,
     ReviewOutcome,
     acceptance_probability,
-    sd_step,
     speculative_review,
 )
 from .cascade import (

@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,11 +23,11 @@ from .cascade import (
     GenerationTrace,
     KMatrix,
     autoregressive_generate,
+    csd_step,
     generate,
-    sd_generate,
 )
 from .core import ConfigError, ContractViolation, LanguageModel, RandomSource, Vocab
-from .kernel import DecodeMode, sd_step
+from .kernel import DecodeMode
 from .statlm import (
     BigramModel,
     BigramTable,
@@ -176,17 +176,18 @@ def measure_positional_acceptance(
     steps: int,
     rng: RandomSource,
     mode: DecodeMode = DecodeMode.GREEDY,
-    lenience: float = 1.0,
     max_len: int = 256,
 ) -> PositionalCurve:
-    """Run repeated speculative steps and tally, per draft position, how often
-    it is accepted.  The headline rate is unconditional (position i counts as
-    accepted only in steps where everything before it passed too), matching
-    the product-decay framing; conditional rates are tallied alongside."""
+    """Run repeated one-level cascade steps (vanilla speculative decoding with
+    k-matrix [[k]]) and tally, per draft position, how often it is accepted.
+    The headline rate is unconditional (position i counts as accepted only in
+    steps where everything before it passed too), matching the product-decay
+    framing; conditional rates are tallied alongside."""
     if k < 1 or steps < 1:
         raise ContractViolation("k and steps must be >= 1")
     if not prompts:
         raise ContractViolation("need at least one prompt")
+    k_matrix = KMatrix([[k]])
     accepted_at = [0] * k
     reviewed_at = [0] * k
     seqs = [list(p) for p in prompts]
@@ -194,14 +195,15 @@ def measure_positional_acceptance(
     idx = 0
     for _ in range(steps):
         seq = seqs[idx]
-        outcome = sd_step(target, draft, k, lenience, seq, mode, rng)
-        acc = outcome.accepted_count
+        emitted, _, _ = csd_step(target, [draft], seq, k_matrix, 1.0, True, mode,
+                                 rng, GenerationTrace())
+        acc = len(emitted) - 1  # a review emits its accepted tokens plus one
         for i in range(k):
             if i <= acc - 1:
                 accepted_at[i] += 1
             if i <= acc:
                 reviewed_at[i] += 1
-        seq.extend(outcome.emitted)
+        seq.extend(emitted)
         if len(seq) >= limits[idx]:
             seqs[idx] = list(prompts[idx])
         idx = (idx + 1) % len(prompts)
@@ -221,69 +223,67 @@ def write_curve_csv(curve: PositionalCurve, path: str) -> None:
 # bench runs
 # ---------------------------------------------------------------------------
 
-def _merge_traces(traces: List[GenerationTrace]) -> dict:
-    calls: Dict[str, int] = {}
-    weights: Dict[str, float] = {}
-    tokens = 0
-    cost = 0.0
-    warnings: List[str] = []
-    curve_acc: Dict[int, int] = {}
-    curve_n: Dict[int, int] = {}
+def _merge_traces(traces: List[GenerationTrace], target_descriptor: str) -> GenerationTrace:
+    """One trace holding the calls, tokens, reviews and warnings of many runs."""
+    merged = GenerationTrace(target_descriptor)
     for t in traces:
-        tokens += t.tokens_emitted
-        cost += t.cost_units
+        merged.tokens_emitted += t.tokens_emitted
         for m, n in t.calls_per_model.items():
-            calls[m] = calls.get(m, 0) + n
-        weights.update(t.cost_weights)
+            merged.calls_per_model[m] = merged.calls_per_model.get(m, 0) + n
+        merged.cost_weights.update(t.cost_weights)
+        merged.steps.extend(t.steps)
         for w in t.warnings:
-            if w not in warnings:
-                warnings.append(w)
-        for rec in t.steps:
-            if rec.level != 0:
-                continue
-            for i, bit in enumerate(rec.positional_accept):
-                curve_n[i] = curve_n.get(i, 0) + 1
-                curve_acc[i] = curve_acc.get(i, 0) + bit
-    positions = sorted(curve_n)
-    curve = [{"position": i + 1,
-              "accept_rate": curve_acc[i] / curve_n[i],
-              "n": curve_n[i]} for i in positions]
-    return {"tokens": tokens, "calls": calls, "weights": weights,
-            "cost_units": cost, "warnings": warnings, "curve": curve}
+            if w not in merged.warnings:
+                merged.warnings.append(w)
+    return merged
+
+
+def _positional_curve(trace: GenerationTrace) -> List[dict]:
+    """Per-position acceptance over the outermost reviews: position i of a
+    review counts when more than i tokens were proposed, and is accepted
+    when more than i were accepted."""
+    outer = [s for s in trace.steps if s.level == 0]
+    curve = []
+    for i in range(max((s.proposed for s in outer), default=0)):
+        n = sum(s.proposed > i for s in outer)
+        curve.append({"position": i + 1,
+                      "accept_rate": sum(s.accepted > i for s in outer) / n,
+                      "n": n})
+    return curve
+
+
+def _run_config(run: dict, models: Dict[str, LanguageModel],
+                stop_tokens) -> CascadeConfig:
+    """The cascade a run spec describes: autoregressive decoding has no
+    drafts, plain SD one draft with k-matrix [[k]]."""
+    method = run["method"]
+    if method == "autoregressive":
+        drafts, k_matrix = [], KMatrix([])
+    elif method == "sd":
+        drafts, k_matrix = [models[run["draft"]]], KMatrix([[int(run["k"])]])
+    elif method == "csd":
+        drafts, k_matrix = [models[d] for d in run["drafts"]], KMatrix(run["k_matrix"])
+    else:
+        raise ConfigError(f"unknown run method {method!r}")
+    return CascadeConfig(
+        target=models[run["target"]],
+        drafts=drafts,
+        k_matrix=k_matrix,
+        mode=DecodeMode(run.get("mode", "greedy")),
+        max_new_tokens=int(run["max_new_tokens"]),
+        seed=int(run["seed"]),
+        lenience=float(run.get("lenience", 1.0)),
+        stop_tokens=stop_tokens,
+        allow_inexact_sampling=bool(run.get("allow_inexact_sampling", False)),
+    )
 
 
 def _run_one(run: dict, models: Dict[str, LanguageModel],
              prompts: List[List[int]], stop_tokens) -> Tuple[List[List[int]], List[GenerationTrace]]:
-    method = run["method"]
-    target = models[run["target"]]
-    mode = DecodeMode(run.get("mode", "greedy"))
-    max_new = int(run["max_new_tokens"])
-    seed = int(run["seed"])
+    config = _run_config(run, models, stop_tokens)
     outs, traces = [], []
     for j, prompt in enumerate(prompts):
-        rng = RandomSource(seed + j)
-        if method == "autoregressive":
-            out, trace = autoregressive_generate(target, prompt, max_new, mode,
-                                                 rng, stop_tokens)
-        elif method == "sd":
-            out, trace = sd_generate(target, models[run["draft"]], int(run["k"]),
-                                     float(run.get("lenience", 1.0)), prompt,
-                                     max_new, mode, rng, stop_tokens)
-        elif method == "csd":
-            cfg = CascadeConfig(
-                target=target,
-                drafts=[models[d] for d in run["drafts"]],
-                k_matrix=KMatrix(run["k_matrix"]),
-                mode=mode,
-                max_new_tokens=max_new,
-                seed=seed + j,
-                lenience=float(run.get("lenience", 1.0)),
-                stop_tokens=stop_tokens,
-                allow_inexact_sampling=bool(run.get("allow_inexact_sampling", False)),
-            )
-            out, trace = generate(cfg, prompt)
-        else:
-            raise ConfigError(f"unknown run method {method!r}")
+        out, trace = generate(replace(config, seed=config.seed + j), prompt)
         outs.append(out)
         traces.append(trace)
     return outs, traces
@@ -317,9 +317,9 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
         t0 = time.perf_counter()
         outs, traces = _run_one(run, models, prompts, stop_tokens)
         elapsed = time.perf_counter() - t0
-        merged = _merge_traces(traces)
-
         target = models[run["target"]]
+        merged = _merge_traces(traces, target.descriptor)
+
         mode = DecodeMode(run.get("mode", "greedy"))
         greedy_ok: Optional[bool] = None
         if mode is DecodeMode.GREEDY:
@@ -343,36 +343,32 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
                         f"got {outs[j][len(prompts[j]):][:20]} vs "
                         f"target {refs[j][len(prompts[j]):][:20]}"
                     )
-                merged["warnings"].append(
+                merged.warnings.append(
                     f"greedy mismatch tolerated: target {target.descriptor!r} "
                     "is non-deterministic"
                 )
 
         swi_values = {}
         for preset, mapping in sorted(cost_models.items()):
-            price = dict(merged["weights"]) if mapping is None else dict(mapping)
-            fake = GenerationTrace(target.descriptor)
-            fake.calls_per_model = merged["calls"]
-            fake.cost_weights = merged["weights"]
-            fake.tokens_emitted = merged["tokens"]
-            swi_values[preset] = swi(fake, price)
+            price = dict(merged.cost_weights) if mapping is None else dict(mapping)
+            swi_values[preset] = swi(merged, price)
 
         entry = {
             "name": run["name"],
             "method": run["method"],
             "target": target.descriptor,
             "mode": mode.value,
-            "tokens_emitted": merged["tokens"],
-            "calls_per_model": dict(sorted(merged["calls"].items())),
-            "cost_units": merged["cost_units"],
+            "tokens_emitted": merged.tokens_emitted,
+            "calls_per_model": dict(sorted(merged.calls_per_model.items())),
+            "cost_units": merged.cost_units,
             "swi": swi_values,
             "greedy_equivalent": greedy_ok,
-            "positional_acceptance": merged["curve"],
-            "warnings": merged["warnings"],
+            "positional_acceptance": _positional_curve(merged),
+            "warnings": merged.warnings,
         }
         report_runs.append(entry)
         if not quiet:
-            print(f"[{run['name']}] tokens={merged['tokens']} "
+            print(f"[{run['name']}] tokens={merged.tokens_emitted} "
                   f"swi={ {k: round(v, 3) for k, v in swi_values.items()} } "
                   f"wall={elapsed:.2f}s", file=sys.stderr)
 
@@ -420,24 +416,19 @@ def _cmd_run(args) -> int:
     if target.vocab != tok.vocab:
         raise ConfigError("run currently supports byte-level models only")
     prompt = [tok.vocab.bos_id] + tok.encode(args.prompt)
-    mode = DecodeMode(args.mode)
-    rng = RandomSource(args.seed)
-    stop = frozenset({tok.vocab.eos_id})
     if args.drafts:
         if not args.k_matrix:
             raise ConfigError("--drafts requires --k-matrix")
-        cfg = CascadeConfig(target, [load_model(p) for p in args.drafts],
-                            KMatrix(json.loads(args.k_matrix)), mode,
-                            args.max_new_tokens, args.seed,
-                            lenience=args.lenience, stop_tokens=stop)
-        out, trace = generate(cfg, prompt)
+        drafts = [load_model(p) for p in args.drafts]
+        k_matrix = KMatrix(json.loads(args.k_matrix))
     elif args.draft:
-        out, trace = sd_generate(target, load_model(args.draft), args.k,
-                                 args.lenience, prompt, args.max_new_tokens,
-                                 mode, rng, stop)
+        drafts, k_matrix = [load_model(args.draft)], KMatrix([[args.k]])
     else:
-        out, trace = autoregressive_generate(target, prompt, args.max_new_tokens,
-                                             mode, rng, stop)
+        drafts, k_matrix = [], KMatrix([])
+    cfg = CascadeConfig(target, drafts, k_matrix, DecodeMode(args.mode),
+                        args.max_new_tokens, args.seed, lenience=args.lenience,
+                        stop_tokens=frozenset({tok.vocab.eos_id}))
+    out, trace = generate(cfg, prompt)
     print(tok.decode(out))
     print(f"-- tokens={trace.tokens_emitted} calls={trace.calls_per_model} "
           f"cost={trace.cost_units:.1f}", file=sys.stderr)
@@ -479,7 +470,7 @@ def _cmd_accept_curve(args) -> int:
     prompts = [s[:max(1, args.prompt_tokens)] for s in seqs[:args.num_prompts]]
     curve = measure_positional_acceptance(
         target, draft, args.k, prompts, args.steps, RandomSource(args.seed),
-        DecodeMode(args.mode), args.lenience)
+        DecodeMode(args.mode))
     write_curve_csv(curve, args.out)
     print(f"curve over {args.steps} steps written to {args.out}")
     return 0
@@ -535,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--num-prompts", type=int, default=20)
     c.add_argument("--prompt-tokens", type=int, default=32)
     c.add_argument("--mode", choices=["greedy", "sampling"], default="greedy")
-    c.add_argument("--lenience", type=float, default=1.0)
     c.add_argument("--seed", type=int, required=True)
     c.add_argument("--out", required=True)
     c.set_defaults(func=_cmd_accept_curve)

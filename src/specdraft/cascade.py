@@ -1,14 +1,18 @@
 """Recursive cascade drafting: vertical cascade via recursion, horizontal
-cascade via the per-level stage loop, plus outer generation loops and full
+cascade via the per-level stage loop, the one outer generation loop, and full
 per-run trace accounting.
+
+Vanilla speculative decoding is the one-level cascade (k-matrix [[k]]) and
+target-only decoding the zero-level one (no drafts); both run through
+`csd_step` and the same outer loop as any deeper cascade.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import ConfigError, ContractViolation, LanguageModel, RandomSource
-from .kernel import DecodeMode, DraftBatch, ReviewOutcome, sd_step, speculative_review
+from .kernel import DecodeMode, DraftBatch, speculative_review
 
 
 class KMatrix:
@@ -66,7 +70,6 @@ class StageRecord:
     model: str
     proposed: int
     accepted: int
-    positional_accept: Tuple[int, ...]
 
 
 class GenerationTrace:
@@ -89,9 +92,8 @@ class GenerationTrace:
                    accepted: int) -> None:
         stage = self._stage_counters.get(level, 0)
         self._stage_counters[level] = stage + 1
-        bits = tuple(1 if i < accepted else 0 for i in range(proposed))
         self.steps.append(StageRecord(level, stage, model.descriptor, proposed,
-                                      accepted, bits))
+                                      accepted))
 
     @property
     def cost_units(self) -> float:
@@ -119,6 +121,12 @@ class CascadeConfig:
             raise ConfigError(
                 f"k-matrix has {self.k_matrix.n} levels for {len(self.drafts)} drafts"
             )
+        for d in self.drafts:
+            if d.vocab.size != self.target.vocab.size:
+                raise ConfigError(
+                    f"draft {d.descriptor!r} has vocabulary size {d.vocab.size}, "
+                    f"target {self.target.descriptor!r} has {self.target.vocab.size}"
+                )
         if (self.mode is DecodeMode.SAMPLING and self.lenience > 1.0
                 and not self.allow_inexact_sampling):
             raise ConfigError(
@@ -149,7 +157,8 @@ def csd_step(
 
     Base case (no drafts left): the model proposes directly; a span drafter
     emits its whole span in one call, anything else generates `budget`
-    tokens autoregressively.
+    tokens autoregressively.  Target-only decoding is this base case at the
+    top, with the default budget of one token per call.
     """
     if not prefix:
         raise ContractViolation("prefix must be non-empty")
@@ -203,58 +212,17 @@ def _check_determinism(trace: GenerationTrace, models: Sequence[LanguageModel],
             )
 
 
-def _autoregressive_into(model: LanguageModel, prompt: Sequence[int],
-                         max_new_tokens: int, mode: DecodeMode,
-                         rng: RandomSource, stop_tokens,
-                         trace: GenerationTrace):
-    from .core import greedy_token, sample  # local to avoid polluting module API
-
-    cur = list(prompt)
-    for _ in range(max_new_tokens):
-        d = model.evaluate(cur, len(cur) + 1)[0]
-        trace.record_call(model)
-        tok = greedy_token(d) if mode is DecodeMode.GREEDY else sample(d, rng)
-        cur.append(tok)
-        trace.tokens_emitted += 1
-        if tok in stop_tokens:
-            break
-    return cur, trace
-
-
-def autoregressive_generate(model: LanguageModel, prompt: Sequence[int],
-                            max_new_tokens: int,
-                            mode: DecodeMode = DecodeMode.GREEDY,
-                            rng: Optional[RandomSource] = None,
-                            stop_tokens=frozenset()):
-    """Plain one-token-at-a-time generation; the baseline every comparison
-    is anchored to.  One model call per emitted token."""
-    if not prompt:
-        raise ContractViolation("prompt must be non-empty")
-    trace = GenerationTrace(model.descriptor)
-    _check_determinism(trace, [model], mode)
-    if rng is None:
-        rng = RandomSource(0)
-    return _autoregressive_into(model, prompt, max_new_tokens, mode, rng,
-                                stop_tokens, trace)
-
-
-def generate(config: CascadeConfig, prompt: Sequence[int]):
-    """Full cascade generation: outermost reviews until the budget or a stop
-    token; output truncated at the first stop token."""
+def _decode(config: CascadeConfig, prompt: Sequence[int], rng: RandomSource):
+    """The outer generation loop: outermost cascade steps until the budget or
+    a stop token; output truncated at the first stop token."""
     config.validate()
     if not prompt:
         raise ContractViolation("prompt must be non-empty")
-    rng = RandomSource(config.seed)
     trace = GenerationTrace(config.target.descriptor)
     _check_determinism(trace, [config.target] + list(config.drafts), config.mode)
-    if config.max_new_tokens <= 0:
-        return list(prompt), trace
-    if not config.drafts:
-        return _autoregressive_into(config.target, prompt, config.max_new_tokens,
-                                    config.mode, rng, config.stop_tokens, trace)
     cur = list(prompt)
     emitted = 0
-    while True:
+    while emitted < config.max_new_tokens:
         new, _, _ = csd_step(config.target, config.drafts, cur, config.k_matrix,
                              config.lenience, True, config.mode, rng, trace)
         for tok in new:
@@ -263,27 +231,38 @@ def generate(config: CascadeConfig, prompt: Sequence[int]):
             trace.tokens_emitted += 1
             if tok in config.stop_tokens or emitted >= config.max_new_tokens:
                 return cur, trace
+    return cur, trace
+
+
+def generate(config: CascadeConfig, prompt: Sequence[int]):
+    """Cascade generation with the random stream seeded from `config.seed`."""
+    return _decode(config, prompt, RandomSource(config.seed))
 
 
 def sd_generate(target: LanguageModel, draft: LanguageModel, k: int,
                 lenience: float, prompt: Sequence[int], max_new_tokens: int,
                 mode: DecodeMode, rng: Optional[RandomSource] = None,
                 stop_tokens=frozenset()):
-    """Outer loop over vanilla speculative-decoding steps."""
-    if not prompt:
-        raise ContractViolation("prompt must be non-empty")
+    """Vanilla speculative decoding: the one-level cascade with k-matrix [[k]].
+    The target is the only reviewer, so `lenience` never applies; it is
+    validated as for any cascade."""
     if rng is None:
         rng = RandomSource(0)
-    trace = GenerationTrace(target.descriptor)
-    _check_determinism(trace, [target, draft], mode)
-    cur = list(prompt)
-    emitted = 0
-    while emitted < max_new_tokens:
-        outcome = sd_step(target, draft, k, lenience, cur, mode, rng, trace)
-        for tok in outcome.emitted:
-            cur.append(tok)
-            emitted += 1
-            trace.tokens_emitted += 1
-            if tok in stop_tokens or emitted >= max_new_tokens:
-                return cur, trace
-    return cur, trace
+    config = CascadeConfig(target, [draft], KMatrix([[k]]), mode, max_new_tokens,
+                           rng.seed, lenience, stop_tokens)
+    return _decode(config, prompt, rng)
+
+
+def autoregressive_generate(model: LanguageModel, prompt: Sequence[int],
+                            max_new_tokens: int,
+                            mode: DecodeMode = DecodeMode.GREEDY,
+                            rng: Optional[RandomSource] = None,
+                            stop_tokens=frozenset()):
+    """Plain one-token-at-a-time generation, the zero-level cascade; the
+    baseline every comparison is anchored to.  One model call per emitted
+    token (per emitted span, for a span drafter)."""
+    if rng is None:
+        rng = RandomSource(0)
+    config = CascadeConfig(model, [], KMatrix([]), mode, max_new_tokens, rng.seed,
+                           stop_tokens=stop_tokens)
+    return _decode(config, prompt, rng)

@@ -140,7 +140,8 @@ class RandomSource:
 
     def __init__(self, seed: int, _seq: Optional[np.random.SeedSequence] = None):
         self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(_seq if _seq is not None else self.seed))
+        self._seq = _seq if _seq is not None else np.random.SeedSequence(self.seed)
+        self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
     def uniform(self) -> float:
         """Next uniform draw on [0, 1)."""
@@ -150,13 +151,15 @@ class RandomSource:
         return self._gen.random(shape)
 
     def split(self, n: int) -> list:
-        """n independent child streams derived from the master seed.
+        """n independent child streams derived from this stream's seed sequence.
 
-        Children are produced by SeedSequence.spawn on the master seed, so the
-        split is deterministic and order-stable.
+        Children are produced by SeedSequence.spawn on a fresh copy of this
+        stream's sequence, so the split is deterministic, order-stable and
+        idempotent, and a child's children differ from its siblings.
         """
-        children = np.random.SeedSequence(self.seed).spawn(n)
-        return [RandomSource(self.seed, _seq=c) for c in children]
+        seq = np.random.SeedSequence(self._seq.entropy, spawn_key=self._seq.spawn_key,
+                                     pool_size=self._seq.pool_size)
+        return [RandomSource(self.seed, _seq=c) for c in seq.spawn(n)]
 
 
 def sample(dist: np.ndarray, rng: RandomSource) -> int:

@@ -8,7 +8,7 @@ acceptance).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     ContractViolation,
     DegenerateDistribution,
-    LanguageModel,
     RandomSource,
     greedy_token,
     residual,
@@ -142,34 +141,3 @@ def acceptance_probability(p_target: np.ndarray, p_draft: np.ndarray,
         raise ContractViolation("distributions live on different vocabularies")
     return min(1.0, float(np.minimum(q, l * p).sum()))
 
-
-def sd_step(
-    target: LanguageModel,
-    draft: LanguageModel,
-    k: int,
-    lenience: float,
-    prefix: Sequence[int],
-    mode: DecodeMode,
-    rng: RandomSource,
-    trace=None,
-) -> ReviewOutcome:
-    """One vanilla speculative-decoding step: propose k, review once.
-
-    Exactly k draft calls and one target call.  The target is the outermost
-    reviewer here, so greedy mode reviews argmax-only.
-    """
-    if k < 1:
-        raise ContractViolation("k must be >= 1")
-    greedy = mode is DecodeMode.GREEDY
-    tokens, probs, dists, calls = draft.propose(prefix, k, rng, greedy)
-    if trace is not None:
-        trace.record_call(draft, calls)
-    batch = DraftBatch(tokens, probs, dists)
-    reviewer_dists = target.evaluate(list(prefix) + tokens, len(prefix) + 1)
-    if trace is not None:
-        trace.record_call(target)
-    outcome = speculative_review(reviewer_dists, batch, lenience, mode, rng,
-                                 argmax_only=greedy)
-    if trace is not None:
-        trace.add_review(0, target, len(tokens), outcome.accepted_count)
-    return outcome

@@ -99,7 +99,8 @@ class RemoteModel(LanguageModel):
         out = []
         for i, row in enumerate(rows):
             v = np.asarray(row, dtype=np.float64)
-            if v.shape != (self.spec.vocab_size,) or np.any(v < 0):
+            if (v.shape != (self.spec.vocab_size,) or not np.all(np.isfinite(v))
+                    or np.any(v < 0)):
                 raise ProtocolError(f"malformed distribution at row {i}")
             total = float(v.sum())
             if abs(total - 1.0) > ROW_SUM_TOL:

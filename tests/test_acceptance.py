@@ -26,9 +26,16 @@ from specdraft.analytics import (
     vertical_ewif,
 )
 from specdraft.bench import measure_positional_acceptance, run_bench, write_report
-from specdraft.cascade import CascadeConfig, KMatrix, autoregressive_generate, generate
+from specdraft.cascade import (
+    CascadeConfig,
+    GenerationTrace,
+    KMatrix,
+    autoregressive_generate,
+    csd_step,
+    generate,
+)
 from specdraft.core import ContextConditionedModel, RandomSource, Vocab, normalize, residual
-from specdraft.kernel import DecodeMode, sd_step
+from specdraft.kernel import DecodeMode
 from specdraft.remote import RemoteModel, RemoteModelSpec, serve_model
 from specdraft.statlm import mag_propose, train_ngram
 
@@ -165,9 +172,11 @@ def test_criterion_04_live_sd_speedup():
         rng = RandomSource(int(alpha * 1000) + k)
         steps = 100_000
         emitted = 0
+        k_matrix = KMatrix([[k]])  # plain SD: the one-level cascade
         for _ in range(steps):
-            out = sd_step(target, draft, k, 1.0, [0], DecodeMode.SAMPLING, rng)
-            emitted += len(out.emitted)
+            new, _, _ = csd_step(target, [draft], [0], k_matrix, 1.0, True,
+                                 DecodeMode.SAMPLING, rng, GenerationTrace())
+            emitted += len(new)
         got = emitted / steps  # one target call per step
         details.append(f"alpha={alpha},k={k}: {got:.4f} vs {want}")
         ok = ok and abs(got - want) / want < 0.01

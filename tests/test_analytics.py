@@ -19,9 +19,9 @@ from specdraft.analytics import (
     t_alpha_expectation,
     vertical_ewif,
 )
-from specdraft.cascade import GenerationTrace
+from specdraft.cascade import GenerationTrace, KMatrix, csd_step
 from specdraft.core import ConstructionError, ContractViolation, RandomSource
-from specdraft.kernel import DecodeMode, acceptance_probability, sd_step
+from specdraft.kernel import DecodeMode, acceptance_probability
 
 
 def _enumerate_accept_lengths(alpha, k):
@@ -254,9 +254,11 @@ def test_synthetic_pair_emitted_length_distribution():
     rng = RandomSource(77)
     counts = np.zeros(k + 2)
     steps = 20_000
+    k_matrix = KMatrix([[k]])
     for _ in range(steps):
-        out = sd_step(target, draft, k, 1.0, [0], DecodeMode.SAMPLING, rng)
-        counts[len(out.emitted)] += 1
+        emitted, _, _ = csd_step(target, [draft], [0], k_matrix, 1.0, True,
+                                 DecodeMode.SAMPLING, rng, GenerationTrace())
+        counts[len(emitted)] += 1
     expected = gen_fn_coeffs(alpha, k) * steps
     keep = expected > 0
     _, p_value = stats.chisquare(counts[keep], expected[keep])

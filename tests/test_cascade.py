@@ -1,6 +1,8 @@
 """K-matrix handling, the recursive cascade step, and the generation loops."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdraft.analytics import ConstantModel, synthetic_pair
 from specdraft.cascade import (
@@ -14,7 +16,7 @@ from specdraft.cascade import (
 )
 from specdraft.core import ConfigError, ContractViolation, RandomSource, Vocab, normalize
 from specdraft.kernel import DecodeMode
-from specdraft.statlm import BigramTable, MagModel
+from specdraft.statlm import BigramTable, MagModel, train_ngram
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +144,26 @@ def test_config_rejects_mismatched_kmatrix():
         cfg.validate()
 
 
+def test_config_rejects_mismatched_vocab_size():
+    target = ConstantModel(np.ones(4), descriptor="t")
+    draft = ConstantModel(np.ones(5), descriptor="d")
+    with pytest.raises(ConfigError, match="vocabulary size"):
+        CascadeConfig(target, [draft], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0).validate()
+    with pytest.raises(ConfigError, match="vocabulary size"):
+        sd_generate(target, draft, 2, 1.0, [0], 4, DecodeMode.GREEDY)
+    # sizes are compared, not pieces: a remote client's placeholder pieces pass
+    renamed = ConstantModel(np.ones(4), vocab=Vocab(("a", "b", "c", "d")))
+    CascadeConfig(target, [renamed], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0).validate()
+
+
+def test_sd_generate_validates_like_any_cascade():
+    m = ConstantModel([0.5, 0.5])
+    with pytest.raises(ConfigError, match="exactness"):
+        sd_generate(m, m, 2, 2.0, [0], 4, DecodeMode.SAMPLING)
+    with pytest.raises(ConfigError):
+        sd_generate(m, m, 2, 0.5, [0], 4, DecodeMode.GREEDY)
+
+
 def test_stop_token_truncates_mid_review():
     # target deterministically emits token 1; stopping on it ends the run
     m = ConstantModel([0.1, 0.8, 0.1])
@@ -198,3 +220,57 @@ def test_greedy_cascade_matches_target_small(models, eval_prompts):
                         max_new_tokens=48, seed=9, lenience=3.0)
     out, trace = generate(cfg, prompt)
     assert out == ref
+
+
+# ---------------------------------------------------------------------------
+# property: every cascade shape, SD and target-only decoding share one core
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _cascade_runs(draw):
+    v = draw(st.integers(2, 6))
+    vocab = Vocab(tuple(f"<{i}>" for i in range(v)))
+    tokens = st.integers(0, v - 1)
+
+    def model(descriptor):
+        corpus = draw(st.lists(tokens, min_size=2, max_size=30))
+        return train_ngram(corpus, draw(st.integers(1, 4)), vocab, descriptor=descriptor)
+
+    target = model("t")
+    n = draw(st.integers(0, 3))
+    drafts = [model(f"d{i}") for i in range(n)]
+    k_matrix = [[draw(st.integers(1, 4)) if j >= i else 0 for j in range(n)]
+                for i in range(n)]
+    mode = draw(st.sampled_from(DecodeMode))
+    config = CascadeConfig(target, drafts, KMatrix(k_matrix), mode,
+                           max_new_tokens=draw(st.integers(1, 24)),
+                           seed=draw(st.integers(0, 2**16)),
+                           lenience=draw(st.floats(1.0, 4.0)),
+                           stop_tokens=frozenset({draw(tokens)}),
+                           allow_inexact_sampling=True)
+    return config, draw(st.lists(tokens, min_size=1, max_size=6))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_cascade_runs())
+def test_one_core_invariants(run):
+    config, prompt = run
+    out, trace = generate(config, prompt)
+    new = out[len(prompt):]
+    if config.mode is DecodeMode.GREEDY:
+        ref, _ = autoregressive_generate(config.target, prompt, config.max_new_tokens,
+                                         DecodeMode.GREEDY,
+                                         stop_tokens=config.stop_tokens)
+        assert out == ref
+    per_review = [s.accepted + 1 for s in trace.steps if s.level == 0]
+    if config.drafts:
+        # every outermost review but the last emits accepted + 1 tokens; the
+        # last may be cut by the budget or a stop token
+        assert sum(per_review[:-1]) < len(new) <= sum(per_review)
+        assert trace.calls_per_model["t"] == len(per_review)
+    else:
+        # target-only decoding: one proposal per call, no review
+        assert per_review == []
+        assert trace.calls_per_model["t"] == len(new)
+    weights = {m.descriptor: m.cost_weight for m in [config.target] + config.drafts}
+    assert trace.cost_units == sum(n * weights[m] for m, n in trace.calls_per_model.items())

@@ -149,6 +149,22 @@ def test_random_source_split_stable():
     assert kids1[0].uniform() != kids1[1].uniform()
 
 
+def test_random_source_split_child_streams():
+    def draws(sources):
+        return [s.uniforms(4).tolist() for s in sources]
+
+    # a root splits by SeedSequence.spawn on its seed, as it always has
+    roots = [np.random.Generator(np.random.PCG64(c)).random(4).tolist()
+             for c in np.random.SeedSequence(7).spawn(2)]
+    assert draws(RandomSource(7).split(2)) == roots
+    # a child splits from its own sequence, not the master seed, and
+    # splitting it twice gives the same grandchildren
+    child = RandomSource(7).split(2)[0]
+    grandkids = draws(child.split(2))
+    assert grandkids == draws(child.split(2))
+    assert grandkids != roots
+
+
 # ---------------------------------------------------------------------------
 # Vocab
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""The accept/reject/resample review primitive and the plain SD step."""
+"""The accept/reject/resample review primitive, and the plain SD step as the
+one-level cascade step csd_step(target, [draft], k-matrix [[k]])."""
 import numpy as np
 import pytest
 
+from specdraft.cascade import GenerationTrace, KMatrix, csd_step
 from specdraft.core import (
     ContextConditionedModel,
     ContractViolation,
@@ -15,7 +17,6 @@ from specdraft.kernel import (
     DraftBatch,
     acceptance_probability,
     check_lenience,
-    sd_step,
     speculative_review,
 )
 
@@ -187,29 +188,38 @@ def test_monotone_lenience():
 
 
 # ---------------------------------------------------------------------------
-# sd_step
+# SD step: one-draft csd_step
 # ---------------------------------------------------------------------------
+
+def _sd_step(target, draft, k, prefix, mode, rng):
+    """One outermost review of k drafted tokens: (emitted tokens, accepted)."""
+    trace = GenerationTrace()
+    emitted, _, _ = csd_step(target, [draft], prefix, KMatrix([[k]]), 1.0, True,
+                             mode, rng, trace)
+    return emitted, trace.steps[-1].accepted
+
 
 def test_sd_step_self_agreement():
     m = _const_model([0.2, 0.5, 0.3])
-    out = sd_step(m, m, 4, 1.0, [0], DecodeMode.GREEDY, RandomSource(0))
-    assert out.accepted_count == 4
-    assert out.emitted == [1, 1, 1, 1, 1]
+    emitted, accepted = _sd_step(m, m, 4, [0], DecodeMode.GREEDY, RandomSource(0))
+    assert accepted == 4
+    assert emitted == [1, 1, 1, 1, 1]
 
 
 def test_sd_step_guaranteed_rejection():
     target = _const_model([1.0, 0.0])
     draft = _const_model([0.0, 1.0])
-    out = sd_step(target, draft, 1, 1.0, [0], DecodeMode.SAMPLING, RandomSource(0))
-    assert out.accepted_count == 0
-    assert len(out.emitted) == 1
-    assert out.emitted == [0]
+    emitted, accepted = _sd_step(target, draft, 1, [0], DecodeMode.SAMPLING,
+                                 RandomSource(0))
+    assert accepted == 0
+    assert len(emitted) == 1
+    assert emitted == [0]
 
 
 def test_sd_step_budget_accounting():
     target = _CountingModel([0.2, 0.8], "t")
     draft = _CountingModel([0.5, 0.5], "d")
-    sd_step(target, draft, 6, 1.0, [0], DecodeMode.GREEDY, RandomSource(0))
+    _sd_step(target, draft, 6, [0], DecodeMode.GREEDY, RandomSource(0))
     assert target.n_evaluate == 1
     assert draft.n_evaluate == 6
 
@@ -220,12 +230,12 @@ def test_sd_step_greedy_exactness_any_draft():
     target = _const_model(normalize(rng.random(6)))
     for _ in range(10):
         draft = _const_model(normalize(rng.random(6)))
-        out = sd_step(target, draft, 5, 1.0, [0], DecodeMode.GREEDY, RandomSource(1))
+        emitted, _ = _sd_step(target, draft, 5, [0], DecodeMode.GREEDY, RandomSource(1))
         am = int(np.argmax(target.distribution([])))
-        assert all(t == am for t in out.emitted)
+        assert all(t == am for t in emitted)
 
 
 def test_sd_step_k_validation():
     m = _const_model([0.5, 0.5])
     with pytest.raises(ContractViolation):
-        sd_step(m, m, 0, 1.0, [0], DecodeMode.GREEDY, RandomSource(0))
+        _sd_step(m, m, 0, [0], DecodeMode.GREEDY, RandomSource(0))

@@ -74,6 +74,13 @@ class _BadRowModel(ConstantModel):
         return [np.full(self.vocab.size, 0.3) for _ in super().evaluate(tokens, start)]
 
 
+class _NanRowModel(ConstantModel):
+    """Returns rows with a NaN entry; the finite entries sum to 1."""
+
+    def evaluate(self, tokens, start):
+        return [np.array([np.nan, 0.5, 0.5]) for _ in super().evaluate(tokens, start)]
+
+
 class _WrongCountModel(ConstantModel):
     def evaluate(self, tokens, start):
         return super().evaluate(tokens, start)[:-1] or [self._dist]
@@ -84,6 +91,14 @@ def test_protocol_error_on_bad_rows():
     with serve_model(model) as server:
         remote = RemoteModel(RemoteModelSpec(server.url, vocab_size=4))
         with pytest.raises(ProtocolError, match="sums to"):
+            remote.evaluate([0], 1)
+
+
+def test_protocol_error_on_nan_rows():
+    model = _NanRowModel(np.ones(3))
+    with serve_model(model) as server:
+        remote = RemoteModel(RemoteModelSpec(server.url, vocab_size=3))
+        with pytest.raises(ProtocolError, match="malformed"):
             remote.evaluate([0], 1)
 
 
