@@ -22,6 +22,10 @@ class KMatrix:
     the i-th model from the top; entries below the diagonal are padding and
     ignored.  Constructed from a full square list-of-lists, e.g.
     [[2, 10], [0, 10]].
+
+    A stage drafts until it has taken at least its entry k.  For a span
+    drafter (`MagModel`), which drafts its whole span per call, the entry is
+    therefore a minimum: a stage of k = 4 over a span-10 drafter takes 10.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]]):

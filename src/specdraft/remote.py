@@ -4,7 +4,8 @@ the same wire protocol for testing.
 
 Protocol: GET /v1/info -> {"vocab_size": int, "name": str, "deterministic":
 bool}; POST /v1/score with {"tokens": [...], "start": int} ->
-{"dists": [[...], ...]}.  Errors carry {"error": str}.
+{"dists": [[...], ...]}.  Errors carry {"error": str}.  Replies are strict
+JSON: a non-finite row from the served model becomes a 500 error.
 """
 from __future__ import annotations
 
@@ -122,13 +123,16 @@ class ScoringServer:
             def log_message(self, *args):
                 pass
 
-            def _reply(self, code: int, payload: dict):
-                body = json.dumps(payload).encode("utf-8")
+            def _send(self, code: int, body: str):
+                data = body.encode("utf-8")
                 self.send_response(code)
                 self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
+                self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
-                self.wfile.write(body)
+                self.wfile.write(data)
+
+            def _reply(self, code: int, payload: dict):
+                self._send(code, json.dumps(payload))
 
             def do_GET(self):
                 if self.path != "/v1/info":
@@ -146,11 +150,19 @@ class ScoringServer:
                     length = int(self.headers.get("Content-Length", 0))
                     req = json.loads(self.rfile.read(length))
                     dists = model.evaluate(req["tokens"], req["start"])
+                    try:
+                        # NaN and Infinity have no JSON spelling
+                        body = json.dumps({"dists": [[float(x) for x in d] for d in dists]},
+                                          allow_nan=False)
+                    except ValueError:
+                        bad = next(i for i, d in enumerate(dists) if not np.all(np.isfinite(d)))
+                        return self._reply(500, {"error": f"malformed distribution at row "
+                                                          f"{bad}: non-finite value"})
                 except ContractViolation as err:
                     return self._reply(400, {"error": str(err)})
                 except Exception as err:  # noqa: BLE001 - wire boundary
                     return self._reply(500, {"error": str(err)})
-                self._reply(200, {"dists": [[float(x) for x in d] for d in dists]})
+                self._send(200, body)
 
         self._httpd = ThreadingHTTPServer((host, port), Handler)
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)

@@ -254,13 +254,17 @@ class MagModel(ContextConditionedModel):
         self.span = span
         self.policy = policy
         self.prompt_len = prompt_len
+        self._one_hot: Dict[int, np.ndarray] = {}
         super().__init__(fallback.vocab, cost_weight, descriptor)
 
     def with_prompt_len(self, prompt_len: int) -> "MagModel":
         return MagModel(self.fallback, self.span, self.policy, prompt_len,
                         self.cost_weight, self.descriptor)
 
-    def _next_token(self, context: Sequence[int]) -> Optional[int]:
+    def _copy_pos(self, context: Sequence[int]) -> Optional[int]:
+        """Index in `context` of the token the suffix copy emits next, or None
+        when the drafter falls back to the bigram row.  The match corpus is a
+        prefix of the context under either policy."""
         if not context:
             return None
         if self.policy == MATCH_PROMPT_ONLY:
@@ -274,32 +278,64 @@ class MagModel(ContextConditionedModel):
         if hit is None:
             return None
         start, m = hit
-        if start + m >= len(corpus):
-            return None
-        return corpus[start + m]
+        return start + m if start + m < len(corpus) else None
+
+    def _copy_row(self, token: int) -> np.ndarray:
+        row = self._one_hot.get(token)
+        if row is None:
+            row = np.zeros(self.vocab.size)
+            row[token] = 1.0
+            self._one_hot[token] = row
+        return row
+
+    def _fallback_row(self, context: Sequence[int]) -> np.ndarray:
+        if not context:
+            return self.fallback._uniform
+        return self.fallback.row(context[-1])
 
     def distribution(self, context: Sequence[int]) -> np.ndarray:
-        nxt = self._next_token(context)
-        if nxt is None:
-            if not context:
-                return self.fallback._uniform
-            return self.fallback.row(context[-1])
-        v = np.zeros(self.vocab.size)
-        v[nxt] = 1.0
-        return v
+        pos = self._copy_pos(context)
+        if pos is None:
+            return self._fallback_row(context)
+        return self._copy_row(context[pos])
 
     def propose(self, tokens: Sequence[int], budget: int, rng: RandomSource,
                 greedy: bool):
-        """Emit one span of up to `span` tokens, counted as a single call."""
+        """Emit one span of `span` tokens, counted as a single call.
+
+        `budget` is not a cap: a span drafter always drafts its whole span,
+        so a cascade stage it fills may take more tokens than its k-matrix
+        entry (see `KMatrix`).
+
+        Tokens, probabilities and rows equal drawing each token from
+        `distribution` in turn, with one suffix search per span: once the
+        token at `pos` after the first longest match is copied, that match
+        grown by one is the new first longest match, so the next copy is
+        `pos + 1`.  Only a fallback token, or a prompt-only corpus running
+        out, needs a fresh search.  A sampled copy still consumes one
+        uniform draw, which a one-hot row always maps to its token.
+        """
         cur = list(tokens)
         out, probs, dists = [], [], []
+        pos = self._copy_pos(cur)
         for _ in range(self.span):
-            d = self.distribution(cur)
-            tok = greedy_token(d) if greedy else sample(d, rng)
+            if pos is None:
+                d = self._fallback_row(cur)
+                tok = greedy_token(d) if greedy else sample(d, rng)
+            else:
+                tok = cur[pos]
+                d = self._copy_row(tok)
+                if not greedy:
+                    rng.uniform()
             out.append(tok)
             probs.append(float(d[tok]))
             dists.append(d)
             cur.append(tok)
+            if pos is None or (self.policy == MATCH_PROMPT_ONLY
+                               and pos + 1 >= self.prompt_len):
+                pos = self._copy_pos(cur)
+            else:
+                pos += 1
         return out, probs, dists, 1
 
 

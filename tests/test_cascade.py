@@ -62,6 +62,17 @@ def test_base_case_mag_span_copy():
     assert trace.calls_per_model["mag"] == 1
 
 
+def test_span_drafter_stage_entry_is_a_minimum(models, eval_prompts):
+    # the stage loop runs until taken >= k, and a span drafter drafts its
+    # whole span per call, so a [[4]] stage over a span-10 drafter reviews 10
+    cfg = CascadeConfig(models["n7"], [models["mag"]], KMatrix([[4]]),
+                        DecodeMode.GREEDY, max_new_tokens=64, seed=0)
+    out, trace = generate(cfg, eval_prompts[0])
+    outer = [s for s in trace.steps if s.level == 0]
+    assert outer and all(s.proposed == 10 for s in outer)
+    assert trace.calls_per_model["mag"] == len(outer)
+
+
 def test_one_level_cascade_matches_sd(models, eval_prompts):
     target, draft = models["n7"], models["n3"]
     prompt = eval_prompts[0]
@@ -239,6 +250,12 @@ def _cascade_runs(draw):
     target = model("t")
     n = draw(st.integers(0, 3))
     drafts = [model(f"d{i}") for i in range(n)]
+    if n and draw(st.booleans()):
+        # a span drafter at the bottom; its span may fall below, equal or
+        # exceed the stage budgets it fills
+        table = BigramTable.from_corpus(draw(st.lists(tokens, min_size=2, max_size=30)),
+                                        vocab)
+        drafts[-1] = MagModel(table, span=draw(st.integers(1, 5)), descriptor=f"d{n - 1}")
     k_matrix = [[draw(st.integers(1, 4)) if j >= i else 0 for j in range(n)]
                 for i in range(n)]
     mode = draw(st.sampled_from(DecodeMode))

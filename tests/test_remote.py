@@ -1,6 +1,11 @@
 """HTTP scoring client, stub server, and wire-transparency checks."""
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import numpy as np
 import pytest
+import requests
 
 from specdraft.analytics import ConstantModel
 from specdraft.cascade import CascadeConfig, KMatrix, generate
@@ -100,6 +105,57 @@ def test_protocol_error_on_nan_rows():
         remote = RemoteModel(RemoteModelSpec(server.url, vocab_size=3))
         with pytest.raises(ProtocolError, match="malformed"):
             remote.evaluate([0], 1)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_server_replies_strict_json_on_nan_rows():
+    with serve_model(_NanRowModel(np.ones(3))) as server:
+        resp = requests.post(server.url + "/v1/score", json={"tokens": [0], "start": 1},
+                             timeout=10)
+    assert resp.status_code == 500
+    payload = json.loads(resp.text, parse_constant=_reject_constant)
+    assert payload["error"].startswith("malformed distribution")
+
+
+class _NanWireHandler(BaseHTTPRequestHandler):
+    """A non-compliant server: writes NaN into the score rows."""
+
+    def log_message(self, *args):
+        pass
+
+    def _send(self, body):
+        data = body.encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def do_GET(self):
+        self._send(json.dumps({"vocab_size": 3, "name": "nan", "deterministic": True}))
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self._send('{"dists": [[NaN, 0.5, 0.5], [NaN, 0.5, 0.5]]}')
+
+
+def test_client_rejects_nan_on_the_wire():
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _NanWireHandler)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        url = f"http://127.0.0.1:{httpd.server_address[1]}"
+        remote = RemoteModel(RemoteModelSpec(url, vocab_size=3))
+        with pytest.raises(ProtocolError, match="malformed distribution at row 0"):
+            remote.evaluate([0], 1)
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_protocol_error_on_row_count():

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdraft.core import ConstructionError, ContractViolation, RandomSource, TrainingError, Vocab
+from specdraft.core import (
+    ConstructionError,
+    ContractViolation,
+    RandomSource,
+    TrainingError,
+    Vocab,
+    greedy_token,
+    sample,
+)
 from specdraft.statlm import (
     MATCH_PROMPT_ONLY,
     BigramModel,
@@ -179,6 +187,51 @@ def test_mag_model_propose_emits_span_as_one_call():
     assert calls == 1
     assert len(out) == 5
     assert out[0] == 3 and probs[0] == 1.0
+
+
+def _per_token_propose(model, tokens, rng, greedy):
+    """Reference span loop: one `distribution` call, a full suffix search, per
+    drafted token."""
+    cur = list(tokens)
+    out, probs, dists = [], [], []
+    for _ in range(model.span):
+        d = model.distribution(cur)
+        tok = greedy_token(d) if greedy else sample(d, rng)
+        out.append(tok)
+        probs.append(float(d[tok]))
+        dists.append(d)
+        cur.append(tok)
+    return out, probs, dists
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_mag_propose_span_matches_per_token_loop(data):
+    v = data.draw(st.integers(2, 5))
+    vocab = Vocab(tuple(f"<{i}>" for i in range(v)))
+    tokens = st.integers(0, v - 1)
+    # a repeated block makes long periodic copies; one copy is a plain context
+    block = data.draw(st.lists(tokens, min_size=1, max_size=40))
+    context = (block * data.draw(st.integers(1, 4)))[:80]
+    table = BigramTable.from_corpus(data.draw(st.lists(tokens, min_size=2, max_size=20)),
+                                    vocab)
+    span = data.draw(st.integers(1, 12))
+    if data.draw(st.booleans()):
+        model = MagModel(table, span, MATCH_PROMPT_ONLY,
+                         prompt_len=data.draw(st.integers(1, len(context))))
+    else:
+        model = MagModel(table, span)
+    greedy = data.draw(st.booleans())
+    seed = data.draw(st.integers(0, 2**16))
+    rng, ref_rng = RandomSource(seed), RandomSource(seed)
+    out, probs, dists, calls = model.propose(context, 1, rng, greedy)
+    ref_out, ref_probs, ref_dists = _per_token_propose(model, context, ref_rng, greedy)
+    assert calls == 1
+    assert out == ref_out and probs == ref_probs
+    assert len(dists) == len(ref_dists) == span
+    assert all(np.array_equal(a, b) for a, b in zip(dists, ref_dists))
+    # the same number of uniform draws was consumed
+    assert rng.uniform() == ref_rng.uniform()
 
 
 def test_mag_determinism():
