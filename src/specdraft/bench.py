@@ -29,6 +29,7 @@ from .cascade import (
 from .core import ConfigError, ContractViolation, LanguageModel, RandomSource, Vocab
 from .kernel import DecodeMode
 from .statlm import (
+    MATCH_PROMPT_AND_GENERATION,
     BigramModel,
     BigramTable,
     MagModel,
@@ -141,8 +142,10 @@ def build_model(name: str, spec: dict, train_seqs, vocab: Vocab) -> LanguageMode
     if kind == "bigram":
         return BigramModel(table, cost_weight if cost_weight is not None else 1.0, name)
     if kind == "mag":
+        policy = spec.get("policy", MATCH_PROMPT_AND_GENERATION)
+        if policy != MATCH_PROMPT_AND_GENERATION:
+            raise ConfigError(f"unknown match policy {policy!r} for model {name!r}")
         return MagModel(table, span=int(spec.get("span", 10)),
-                        policy=spec.get("policy", "prompt+generation"),
                         cost_weight=cost_weight if cost_weight is not None else 0.0,
                         descriptor=name)
     raise ConfigError(f"unknown model type {kind!r} for model {name!r}")

@@ -99,12 +99,6 @@ class Vocab:
         return f"Vocab(size={self.size})"
 
 
-def check_token_seq(tokens: Sequence[int], vocab_size: int) -> None:
-    for t in tokens:
-        if not 0 <= t < vocab_size:
-            raise ContractViolation(f"token {t} outside vocabulary of size {vocab_size}")
-
-
 def normalize(weights) -> np.ndarray:
     """Scale a non-negative weight vector to sum to 1."""
     w = np.asarray(weights, dtype=np.float64)

@@ -1,5 +1,6 @@
 """Statistical language models: interpolated n-grams, a bigram table, and the
-longest-suffix-copy drafter with bigram fallback.
+longest-suffix-copy drafter, which copies from the context itself and falls
+back to the bigram table.
 
 All models here are deterministic, immutable after training, and serialize to
 a single JSON document (format_version 1) whose probabilities round-trip
@@ -28,7 +29,7 @@ FORMAT_VERSION = 1
 
 DEFAULT_INTERPOLATION = 0.75
 
-MATCH_PROMPT_ONLY = "prompt-only"
+# the match corpus of a MagModel, written to saved files as their "policy"
 MATCH_PROMPT_AND_GENERATION = "prompt+generation"
 
 
@@ -153,6 +154,12 @@ class BigramTable:
         self._cache[token] = v
         return v
 
+    def distribution(self, context: Sequence[int]) -> np.ndarray:
+        """Row of the context's last token; uniform for an empty context."""
+        if not context:
+            return self._uniform
+        return self.row(context[-1])
+
     @classmethod
     def from_corpus(cls, corpus, vocab: Vocab) -> "BigramTable":
         seqs = _as_sequences(corpus)
@@ -176,33 +183,21 @@ class BigramModel(ContextConditionedModel):
         super().__init__(table.vocab, cost_weight, descriptor)
 
     def distribution(self, context: Sequence[int]) -> np.ndarray:
-        if not context:
-            return self.table._uniform
-        return self.table.row(context[-1])
+        return self.table.distribution(context)
 
 
 def _longest_suffix_starts(generated: Sequence[int], corpus: Sequence[int],
-                           require_continuation: bool) -> Optional[Tuple[int, int]]:
+                           ) -> Optional[Tuple[int, int]]:
     """(first_start, match_len) of the longest suffix of `generated` occurring
-    in `corpus`, or None if even the last token never occurs.
-
-    With require_continuation, occurrences ending at the corpus boundary are
-    ignored, which excludes the trivial self-match when corpus ends with
-    `generated`.
-    """
-    L = len(corpus)
+    in `corpus`, or None if even the last token never occurs."""
     last = generated[-1]
-    starts = [j for j in range(L) if corpus[j] == last]
-    if require_continuation:
-        starts = [j for j in starts if j + 1 < L]
+    starts = [j for j in range(len(corpus)) if corpus[j] == last]
     if not starts:
         return None
     m = 1
     while m < len(generated):
         tok = generated[-(m + 1)]
         new = [j - 1 for j in starts if j - 1 >= 0 and corpus[j - 1] == tok]
-        if require_continuation:
-            new = [j for j in new if j + m + 1 < L]
         if not new:
             break
         starts = new
@@ -223,7 +218,7 @@ def mag_propose(generated: Sequence[int], corpus: Sequence[int], n: int = 1,
         raise ContractViolation("n must be >= 1")
     if not generated:
         raise ContractViolation("generated sequence must be non-empty")
-    hit = _longest_suffix_starts(generated, corpus, require_continuation=False)
+    hit = _longest_suffix_starts(generated, corpus)
     if hit is None:
         return None
     start, m = hit
@@ -231,54 +226,33 @@ def mag_propose(generated: Sequence[int], corpus: Sequence[int], n: int = 1,
 
 
 class MagModel(ContextConditionedModel):
-    """Suffix-copy drafter: point mass on the copied token when the context's
-    suffix reappears in the match corpus, bigram fallback otherwise.
+    """Suffix-copy drafter: point mass on the token that followed the first
+    occurrence of the context's longest suffix earlier in the context (prompt
+    plus generation so far); the bigram row when the last token is new.
 
-    The default policy matches against the whole context (prompt plus
-    generation so far), skipping the context's trivial match against itself;
-    prompt-only restricts matching to the first `prompt_len` tokens, which
-    mirrors drafting against a fixed encoder input.
+    The match corpus is `context[:-1]`, which skips the context's trivial
+    match against itself and leaves every match a following token to copy.
     """
 
     def __init__(self, fallback: BigramTable, span: int = 10,
-                 policy: str = MATCH_PROMPT_AND_GENERATION,
-                 prompt_len: Optional[int] = None,
                  cost_weight: float = 0.0, descriptor: str = "mag"):
         if span < 1:
             raise ConstructionError("span must be >= 1")
-        if policy not in (MATCH_PROMPT_ONLY, MATCH_PROMPT_AND_GENERATION):
-            raise ConstructionError(f"unknown match policy {policy!r}")
-        if policy == MATCH_PROMPT_ONLY and prompt_len is None:
-            raise ConstructionError("prompt-only policy requires prompt_len")
         self.fallback = fallback
         self.span = span
-        self.policy = policy
-        self.prompt_len = prompt_len
         self._one_hot: Dict[int, np.ndarray] = {}
         super().__init__(fallback.vocab, cost_weight, descriptor)
 
-    def with_prompt_len(self, prompt_len: int) -> "MagModel":
-        return MagModel(self.fallback, self.span, self.policy, prompt_len,
-                        self.cost_weight, self.descriptor)
-
     def _copy_pos(self, context: Sequence[int]) -> Optional[int]:
         """Index in `context` of the token the suffix copy emits next, or None
-        when the drafter falls back to the bigram row.  The match corpus is a
-        prefix of the context under either policy."""
+        when the drafter falls back to the bigram row."""
         if not context:
             return None
-        if self.policy == MATCH_PROMPT_ONLY:
-            corpus = context[:self.prompt_len]
-            if not corpus:
-                return None
-            hit = _longest_suffix_starts(context, corpus, require_continuation=False)
-        else:
-            hit = _longest_suffix_starts(context, context, require_continuation=True)
-            corpus = context
+        hit = _longest_suffix_starts(context, context[:-1])
         if hit is None:
             return None
         start, m = hit
-        return start + m if start + m < len(corpus) else None
+        return start + m
 
     def _copy_row(self, token: int) -> np.ndarray:
         row = self._one_hot.get(token)
@@ -288,15 +262,10 @@ class MagModel(ContextConditionedModel):
             self._one_hot[token] = row
         return row
 
-    def _fallback_row(self, context: Sequence[int]) -> np.ndarray:
-        if not context:
-            return self.fallback._uniform
-        return self.fallback.row(context[-1])
-
     def distribution(self, context: Sequence[int]) -> np.ndarray:
         pos = self._copy_pos(context)
         if pos is None:
-            return self._fallback_row(context)
+            return self.fallback.distribution(context)
         return self._copy_row(context[pos])
 
     def propose(self, tokens: Sequence[int], budget: int, rng: RandomSource,
@@ -311,16 +280,16 @@ class MagModel(ContextConditionedModel):
         `distribution` in turn, with one suffix search per span: once the
         token at `pos` after the first longest match is copied, that match
         grown by one is the new first longest match, so the next copy is
-        `pos + 1`.  Only a fallback token, or a prompt-only corpus running
-        out, needs a fresh search.  A sampled copy still consumes one
-        uniform draw, which a one-hot row always maps to its token.
+        `pos + 1`.  Only a fallback token needs a fresh search.  A sampled
+        copy still consumes one uniform draw, which a one-hot row always
+        maps to its token.
         """
         cur = list(tokens)
         out, probs, dists = [], [], []
         pos = self._copy_pos(cur)
         for _ in range(self.span):
             if pos is None:
-                d = self._fallback_row(cur)
+                d = self.fallback.distribution(cur)
                 tok = greedy_token(d) if greedy else sample(d, rng)
             else:
                 tok = cur[pos]
@@ -331,11 +300,7 @@ class MagModel(ContextConditionedModel):
             probs.append(float(d[tok]))
             dists.append(d)
             cur.append(tok)
-            if pos is None or (self.policy == MATCH_PROMPT_ONLY
-                               and pos + 1 >= self.prompt_len):
-                pos = self._copy_pos(cur)
-            else:
-                pos += 1
+            pos = self._copy_pos(cur) if pos is None else pos + 1
         return out, probs, dists, 1
 
 
@@ -396,7 +361,7 @@ def model_to_dict(model) -> dict:
             "tables": _tables_to_json({(a,): row for a, row in model.fallback.rows.items()}),
             "smoothing": None,
             "span": model.span,
-            "policy": model.policy,
+            "policy": MATCH_PROMPT_AND_GENERATION,
             "cost_weight": repr(model.cost_weight),
             "descriptor": model.descriptor,
         }
@@ -418,8 +383,9 @@ def model_from_dict(obj: dict):
     if kind == "bigram":
         return BigramModel(table, cost_weight, descriptor)
     if kind == "mag":
-        return MagModel(table, int(obj["span"]), obj["policy"],
-                        cost_weight=cost_weight, descriptor=descriptor)
+        if obj["policy"] != MATCH_PROMPT_AND_GENERATION:
+            raise ConstructionError(f"unknown match policy {obj['policy']!r}")
+        return MagModel(table, int(obj["span"]), cost_weight, descriptor)
     raise ConstructionError(f"unknown model type {kind!r}")
 
 

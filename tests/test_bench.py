@@ -183,6 +183,18 @@ def test_build_model_vocab_mismatch(tmp_path, corpus):
         build_model("m", {"file": str(path)}, train_seqs, vocab)
 
 
+def test_bench_rejects_unknown_mag_policy(tmp_path, corpus, capsys):
+    train_seqs, _, vocab, _ = corpus
+    spec = {"type": "mag", "policy": "prompt-only"}
+    with pytest.raises(ConfigError, match="prompt-only"):
+        build_model("mag", spec, train_seqs, vocab)
+    # a config error, so the CLI exits 2
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(_tiny_config(models={"mag": spec}, runs=[])))
+    assert cli(["bench", "--config", str(cfg_path)]) == 2
+    assert "prompt-only" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """N-gram training, the bigram table, suffix-copy drafting, serialization."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from specdraft.core import (
     sample,
 )
 from specdraft.statlm import (
-    MATCH_PROMPT_ONLY,
     BigramModel,
     BigramTable,
     MagModel,
@@ -166,18 +167,36 @@ def test_mag_model_fallback_on_novel_suffix():
     assert d[5] == 1.0  # bigram row of the last token
 
 
-def test_mag_model_prompt_only_policy():
-    table = BigramTable(V6, {})
-    with pytest.raises(ConstructionError):
-        MagModel(table, policy=MATCH_PROMPT_ONLY)
-    m = MagModel(table, span=4, policy=MATCH_PROMPT_ONLY, prompt_len=3)
-    # generation suffix [1,2] matches inside the prompt [0,1,2], but the
-    # prompt ends there, so there is nothing to copy -> fallback
-    d = m.distribution([0, 1, 2, 5, 1, 2])
-    assert np.allclose(d, np.full(6, 1 / 6))
-    # prompt [0,1,2] with generation ending in [0,1] copies 2
-    d2 = m.distribution([0, 1, 2, 5, 0, 1])
-    assert d2[2] == 1.0
+def _brute_force_mag_distribution(table, context):
+    """Independent oracle for `MagModel.distribution`: the one-hot of the token
+    after the first occurrence, inside context[:-1], of the longest suffix of
+    `context`; otherwise the bigram row of the last token."""
+    corpus = bytes(context[:-1])
+    for m in range(len(context), 0, -1):
+        i = corpus.find(bytes(context[-m:]))
+        if i >= 0:
+            row = np.zeros(table.vocab.size)
+            row[context[i + m]] = 1.0
+            return row
+    return table.row(context[-1])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_mag_model_distribution_matches_oracle(data):
+    v = data.draw(st.integers(2, 5))
+    vocab = Vocab(tuple(f"<{i}>" for i in range(v)))
+    tokens = st.integers(0, v - 1)
+    # repeated blocks give long matches with several occurrences to tie-break;
+    # the tail lets the suffix leave the period
+    block = data.draw(st.lists(tokens, min_size=1, max_size=40))
+    tail = data.draw(st.lists(tokens, max_size=10))
+    context = (block * data.draw(st.integers(1, 4)) + tail)[:80]
+    table = BigramTable.from_corpus(data.draw(st.lists(tokens, min_size=2, max_size=20)),
+                                    vocab)
+    model = MagModel(table, span=4)
+    assert np.array_equal(model.distribution(context),
+                          _brute_force_mag_distribution(table, context))
 
 
 def test_mag_model_propose_emits_span_as_one_call():
@@ -215,12 +234,7 @@ def test_mag_propose_span_matches_per_token_loop(data):
     context = (block * data.draw(st.integers(1, 4)))[:80]
     table = BigramTable.from_corpus(data.draw(st.lists(tokens, min_size=2, max_size=20)),
                                     vocab)
-    span = data.draw(st.integers(1, 12))
-    if data.draw(st.booleans()):
-        model = MagModel(table, span, MATCH_PROMPT_ONLY,
-                         prompt_len=data.draw(st.integers(1, len(context))))
-    else:
-        model = MagModel(table, span)
+    model = MagModel(table, span=data.draw(st.integers(1, 12)))
     greedy = data.draw(st.booleans())
     seed = data.draw(st.integers(0, 2**16))
     rng, ref_rng = RandomSource(seed), RandomSource(seed)
@@ -228,7 +242,7 @@ def test_mag_propose_span_matches_per_token_loop(data):
     ref_out, ref_probs, ref_dists = _per_token_propose(model, context, ref_rng, greedy)
     assert calls == 1
     assert out == ref_out and probs == ref_probs
-    assert len(dists) == len(ref_dists) == span
+    assert len(dists) == len(ref_dists) == model.span
     assert all(np.array_equal(a, b) for a, b in zip(dists, ref_dists))
     # the same number of uniform draws was consumed
     assert rng.uniform() == ref_rng.uniform()
@@ -287,3 +301,23 @@ def test_unknown_model_type(models):
     obj["type"] = "transformer"
     with pytest.raises(ConstructionError):
         model_from_dict(obj)
+
+
+def test_save_mag_model_bytes(tmp_path):
+    # the saved format is unchanged: format_version 1 with the one match policy
+    path = tmp_path / "mag.json"
+    save_model(MagModel(BigramTable.from_corpus([1, 2, 1, 3], V6), span=4), path)
+    assert path.read_text() == (
+        '{"cost_weight":"0.0","descriptor":"mag","format_version":1,"order":2,'
+        '"policy":"prompt+generation","smoothing":null,"span":4,'
+        '"tables":{"1":[[2,"0.5"],[3,"0.5"]],"2":[[1,"1.0"]]},"type":"mag",'
+        '"vocab":["<0>","<1>","<2>","<3>","<4>","<5>"]}')
+
+
+def test_load_rejects_unknown_mag_policy(tmp_path, models):
+    obj = model_to_dict(models["mag"])
+    obj["policy"] = "prompt-only"
+    path = tmp_path / "mag.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConstructionError, match="prompt-only"):
+        load_model(path)
