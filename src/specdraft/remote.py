@@ -3,13 +3,20 @@ server, plus a threaded stub server that exposes any in-process model over
 the same wire protocol for testing.
 
 Protocol: GET /v1/info -> {"vocab_size": int, "name": str, "deterministic":
-bool}; POST /v1/score with {"tokens": [...], "start": int} ->
-{"dists": [[...], ...]}.  Errors carry {"error": str}.  Replies are strict
-JSON: a non-finite row from the served model becomes a 500 error.
+bool, "encodings": ["json", "f64le"]}; POST /v1/score with {"tokens": [...],
+"start": int} -> {"dists": [[...], ...]}.  A client whose server announces
+"f64le" adds "encoding": "f64le" to the score request and gets
+{"f64le": <base64 of the row-major little-endian float64 matrix>} instead;
+JSON "dists" is the baseline for peers that announce or ask for nothing.
+Errors carry {"error": str}.  Replies are strict JSON: a non-finite row from
+the served model becomes a 500 error.  The stub speaks HTTP/1.1, so a client
+keeps one connection alive across calls.
 """
 from __future__ import annotations
 
+import base64
 import json
+import socket
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -21,6 +28,8 @@ import requests
 from .core import ConfigError, ContractViolation, LanguageModel, Vocab
 
 ROW_SUM_TOL = 1e-6
+#: row encodings of a score reply, baseline first
+ENCODINGS = ("json", "f64le")
 
 
 class RemoteUnavailable(RuntimeError):
@@ -41,22 +50,86 @@ class RemoteModelSpec:
     descriptor: str = "remote"
 
 
+def _pinned_session(url: str) -> requests.Session:
+    """A session holding the proxies, CA bundle and netrc auth the
+    environment gives `url`, read once here instead of on every request."""
+    session = requests.Session()
+    settings = session.merge_environment_settings(url, {}, None, None, None)
+    session.proxies = settings["proxies"]
+    session.verify = settings["verify"]
+    session.auth = requests.utils.get_netrc_auth(url)
+    session.trust_env = False
+    return session
+
+
+def _json_rows(rows, width: int):
+    """(leading rows of `width` numbers as one float64 matrix, row count or
+    the payload's type name)."""
+    if not isinstance(rows, list):
+        return None, type(rows).__name__
+    good = []
+    for row in rows:
+        try:
+            v = np.asarray(row, dtype=np.float64)
+        except (ValueError, TypeError):
+            break
+        if v.shape != (width,):
+            break
+        good.append(v)
+    return np.array(good, dtype=np.float64).reshape(len(good), width), len(rows)
+
+
+def _f64le_rows(data, width: int):
+    """As `_json_rows`, for base64 of little-endian float64s; a short last
+    row counts as a row."""
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError):  # not a string, or not base64
+        return None, type(data).__name__
+    row_bytes = 8 * width
+    full = len(raw) // row_bytes
+    m = np.frombuffer(raw, dtype="<f8", count=full * width).reshape(full, width)
+    return m, -(-len(raw) // row_bytes)
+
+
+def _checked_rows(m, count, expected: int) -> list:
+    """Checks the decoded rows in order and returns them renormalized."""
+    if count != expected:
+        raise ProtocolError(f"expected {expected} distributions, got {count}")
+    malformed = ~(np.isfinite(m) & (m >= 0)).all(axis=1)
+    totals = m.sum(axis=1)
+    bad = np.flatnonzero(malformed | (np.abs(totals - 1.0) > ROW_SUM_TOL))
+    if bad.size:
+        i = int(bad[0])
+        if malformed[i]:
+            raise ProtocolError(f"malformed distribution at row {i}")
+        raise ProtocolError(f"row {i} sums to {float(totals[i])}, outside tolerance")
+    if len(m) < count:
+        raise ProtocolError(f"malformed distribution at row {len(m)}")
+    return list(m / totals[:, None])
+
+
 class RemoteModel(LanguageModel):
     """Scores token sequences by calling a remote server; one request per
-    evaluate call, retried per the spec's budget (scoring is idempotent)."""
+    evaluate call over one kept-alive connection, retried per the spec's
+    budget (scoring is idempotent).  Rows travel as binary when the server
+    announces it."""
 
     def __init__(self, spec: RemoteModelSpec, vocab: Optional[Vocab] = None):
         self.spec = spec
-        self._session = requests.Session()
+        self._url = spec.base_url.rstrip("/")
+        self._session = _pinned_session(self._url)
         info = self.handshake()
         if vocab is None:
             vocab = Vocab(tuple(f"<{i}>" for i in range(spec.vocab_size)))
         super().__init__(vocab, spec.cost_weight, spec.descriptor)
         self.deterministic = bool(info.get("deterministic", True))
         self.server_name = info.get("name", "")
+        encodings = info.get("encodings")
+        self._binary = isinstance(encodings, list) and "f64le" in encodings
 
     def _request(self, method: str, path: str, body=None) -> dict:
-        url = self.spec.base_url.rstrip("/") + path
+        url = self._url + path
         last_err = None
         for _ in range(self.spec.retries + 1):
             try:
@@ -88,51 +161,80 @@ class RemoteModel(LanguageModel):
 
     def evaluate(self, tokens: Sequence[int], start: int) -> list:
         self._check_start(tokens, start)
-        payload = self._request("POST", "/v1/score",
-                                {"tokens": list(tokens), "start": start})
-        rows = payload.get("dists")
-        expected = len(tokens) - start + 2
-        if not isinstance(rows, list) or len(rows) != expected:
-            raise ProtocolError(
-                f"expected {expected} distributions, got "
-                f"{len(rows) if isinstance(rows, list) else type(rows).__name__}"
-            )
-        out = []
-        for i, row in enumerate(rows):
-            v = np.asarray(row, dtype=np.float64)
-            if (v.shape != (self.spec.vocab_size,) or not np.all(np.isfinite(v))
-                    or np.any(v < 0)):
-                raise ProtocolError(f"malformed distribution at row {i}")
-            total = float(v.sum())
-            if abs(total - 1.0) > ROW_SUM_TOL:
-                raise ProtocolError(f"row {i} sums to {total}, outside tolerance")
-            out.append(v / total)
-        return out
+        body = {"tokens": list(tokens), "start": start}
+        if self._binary:
+            body["encoding"] = "f64le"
+        payload = self._request("POST", "/v1/score", body)
+        if self._binary:
+            m, count = _f64le_rows(payload.get("f64le"), self.spec.vocab_size)
+        else:
+            m, count = _json_rows(payload.get("dists"), self.spec.vocab_size)
+        return _checked_rows(m, count, len(tokens) - start + 2)
+
+
+def _hang_up(conn: socket.socket) -> None:
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:  # already closed by the peer
+        pass
 
 
 class ScoringServer:
-    """Threaded HTTP server wrapping an in-process model."""
+    """Threaded HTTP/1.1 server wrapping an in-process model."""
 
     def __init__(self, model: LanguageModel, host: str = "127.0.0.1",
                  port: int = 0, deterministic: Optional[bool] = None):
         if deterministic is None:
             deterministic = getattr(model, "deterministic", True)
+        self._lock = threading.Lock()
+        #: connections whose handler is running
+        self._open: set = set()
+        #: handler threads, the finished ones dropped as new ones start
+        self._handlers: list = []
+        self._closing = False
         server = self
 
+        class Server(ThreadingHTTPServer):
+            def process_request(self, request, client_address):
+                # runs on the serving thread, so once shutdown() returns
+                # every handler thread is on the list
+                thread = threading.Thread(target=self.process_request_thread,
+                                          args=(request, client_address), daemon=True)
+                server._handlers = [t for t in server._handlers if t.is_alive()]
+                server._handlers.append(thread)
+                thread.start()
+
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # headers and body go out in two writes; with Nagle on, the
+            # second waits for the client's delayed ACK
+            disable_nagle_algorithm = True
+
+            def setup(self):
+                super().setup()
+                with server._lock:
+                    server._open.add(self.connection)
+                    closing = server._closing
+                if closing:
+                    _hang_up(self.connection)
+
+            def finish(self):
+                with server._lock:
+                    server._open.discard(self.connection)
+                super().finish()
+
             def log_message(self, *args):
                 pass
 
-            def _send(self, code: int, body: str):
-                data = body.encode("utf-8")
+            def _reply(self, code: int, payload: dict):
+                data = json.dumps(payload).encode("utf-8")
                 self.send_response(code)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                if self.close_connection:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(data)
-
-            def _reply(self, code: int, payload: dict):
-                self._send(code, json.dumps(payload))
 
             def do_GET(self):
                 if self.path != "/v1/info":
@@ -141,36 +243,64 @@ class ScoringServer:
                     "vocab_size": model.vocab.size,
                     "name": model.descriptor,
                     "deterministic": deterministic,
+                    "encodings": list(ENCODINGS),
                 })
 
             def do_POST(self):
+                # read the body first: left unread on a kept-alive
+                # connection it would be parsed as the next request
+                try:
+                    length = int(self.headers.get("Content-Length", 0))
+                    if length < 0:
+                        raise ValueError(length)
+                except ValueError:
+                    # the body has no known end: answer, then hang up
+                    self.close_connection = True
+                    return self._reply(400, {"error": "invalid Content-Length"})
+                data = self.rfile.read(length)
                 if self.path != "/v1/score":
                     return self._reply(404, {"error": "unknown endpoint"})
                 try:
-                    length = int(self.headers.get("Content-Length", 0))
-                    req = json.loads(self.rfile.read(length))
-                    dists = model.evaluate(req["tokens"], req["start"])
-                    try:
+                    req = json.loads(data)
+                    encoding = req.get("encoding", "json")
+                    if encoding not in ENCODINGS:
+                        raise ContractViolation(f"unknown encoding {encoding!r}")
+                    m = np.array(model.evaluate(req["tokens"], req["start"]),
+                                 dtype=np.float64)
+                    finite = np.isfinite(m).all(axis=1)
+                    if not finite.all():
                         # NaN and Infinity have no JSON spelling
-                        body = json.dumps({"dists": [[float(x) for x in d] for d in dists]},
-                                          allow_nan=False)
-                    except ValueError:
-                        bad = next(i for i, d in enumerate(dists) if not np.all(np.isfinite(d)))
+                        bad = int(np.argmin(finite))
                         return self._reply(500, {"error": f"malformed distribution at row "
                                                           f"{bad}: non-finite value"})
+                    if encoding == "f64le":
+                        raw = np.ascontiguousarray(m, dtype="<f8").tobytes()
+                        reply = {"f64le": base64.b64encode(raw).decode("ascii")}
+                    else:
+                        reply = {"dists": m.tolist()}
                 except ContractViolation as err:
                     return self._reply(400, {"error": str(err)})
                 except Exception as err:  # noqa: BLE001 - wire boundary
                     return self._reply(500, {"error": str(err)})
-                self._send(200, body)
+                self._reply(200, reply)
 
-        self._httpd = ThreadingHTTPServer((host, port), Handler)
+        self._httpd = Server((host, port), Handler)
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
         self._thread.start()
         self.url = f"http://{host}:{self._httpd.server_address[1]}"
 
     def close(self):
+        """Stops accepting, hangs up every kept-alive connection and waits
+        for every handler thread."""
         self._httpd.shutdown()
+        with self._lock:
+            # a handler not yet set up sees this and hangs up itself
+            self._closing = True
+            open_now = list(self._open)
+        for conn in open_now:
+            _hang_up(conn)
+        for thread in self._handlers:
+            thread.join()
         self._httpd.server_close()
         self._thread.join()
 

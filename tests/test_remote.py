@@ -1,11 +1,20 @@
 """HTTP scoring client, stub server, and wire-transparency checks."""
+import base64
+import http.client
 import json
+import socket
+import socketserver
+import statistics
 import threading
+import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
 import requests
+import urllib3
 
 from specdraft.analytics import ConstantModel
 from specdraft.cascade import CascadeConfig, KMatrix, generate
@@ -211,3 +220,284 @@ def test_wire_transparency_generation():
     assert trace_remote.calls_per_model == trace_local.calls_per_model
     assert [(s.level, s.proposed, s.accepted) for s in trace_remote.steps] == \
            [(s.level, s.proposed, s.accepted) for s in trace_local.steps]
+
+
+@contextmanager
+def _stub(handler):
+    """Runs a test-local HTTP/1.0 handler; yields its base URL."""
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _canned(info, reply, paths=None):
+    """A stub that answers /v1/info with `info` and every score request
+    with `reply`, recording each request path in `paths`."""
+
+    class Handler(_NanWireHandler):
+        def do_GET(self):
+            if paths is not None:
+                paths.append(self.path)
+            self._send(json.dumps(info))
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            if paths is not None:
+                paths.append(self.path)
+            self._send(json.dumps(reply))
+    return Handler
+
+
+def _json_only(model, seen):
+    """A peer of the baseline protocol: announces no encodings and always
+    replies JSON rows; every score request body is recorded in `seen`."""
+
+    class Handler(_NanWireHandler):
+        def do_GET(self):
+            self._send(json.dumps({"vocab_size": model.vocab.size, "name": "legacy",
+                                   "deterministic": True}))
+
+        def do_POST(self):
+            req = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            seen.append(req)
+            rows = model.evaluate(req["tokens"], req["start"])
+            self._send(json.dumps({"dists": [[float(x) for x in r] for r in rows]}))
+    return Handler
+
+
+def test_binary_and_json_rows_are_bit_equal(monkeypatch):
+    model = _toy_model()
+    tokens = [0, 1, 2, 3, 0, 1, 2, 4, 0, 1]
+    replies = []
+    post = requests.Session.post
+
+    def recording_post(self, *args, **kwargs):
+        resp = post(self, *args, **kwargs)
+        replies.append(resp.json())
+        return resp
+    monkeypatch.setattr(requests.Session, "post", recording_post)
+    with serve_model(model) as server:
+        binary = RemoteModel(RemoteModelSpec(server.url, vocab_size=V.size), vocab=V)
+        rows_binary = [binary.evaluate(tokens, s) for s in range(1, len(tokens) + 2)]
+    assert all(set(r) == {"f64le"} for r in replies)
+    seen = []
+    with _stub(_json_only(model, seen)) as url:
+        plain = RemoteModel(RemoteModelSpec(url, vocab_size=V.size), vocab=V)
+        rows_json = [plain.evaluate(tokens, s) for s in range(1, len(tokens) + 2)]
+    assert seen and all("encoding" not in req for req in seen)
+    for a, b in zip(rows_binary, rows_json):
+        assert np.array_equal(np.stack(a), np.stack(b))
+    local = [model.evaluate(tokens, s) for s in range(1, len(tokens) + 2)]
+    for a, b in zip(rows_binary, local):
+        assert np.array_equal(np.stack(a), np.stack(b) / np.stack(b).sum(axis=1)[:, None])
+
+
+def test_server_encodes_rows_as_asked():
+    model = _toy_model()
+    body = {"tokens": [0, 1, 2], "start": 1}
+    with serve_model(model) as server:
+        info = requests.get(server.url + "/v1/info", timeout=10).json()
+        plain = requests.post(server.url + "/v1/score", json=body, timeout=10)
+        binary = requests.post(server.url + "/v1/score", json=dict(body, encoding="f64le"),
+                               timeout=10)
+        unknown = requests.post(server.url + "/v1/score", json=dict(body, encoding="f32"),
+                                timeout=10)
+    assert info["encodings"] == ["json", "f64le"]
+    want = np.stack(model.evaluate(body["tokens"], body["start"]))
+    assert np.array_equal(np.array(plain.json()["dists"]), want)
+    raw = base64.b64decode(binary.json()["f64le"])
+    assert np.array_equal(np.frombuffer(raw, dtype="<f8").reshape(want.shape), want)
+    assert unknown.status_code == 400 and "f32" in unknown.json()["error"]
+
+
+def _b64(rows, cut=0):
+    raw = np.array(rows, dtype="<f8").tobytes()
+    return base64.b64encode(raw[:len(raw) - cut]).decode("ascii")
+
+
+_ROW = [0.25, 0.25, 0.5]
+
+
+@pytest.mark.parametrize("dists, f64le, message", [
+    ("!!not base64!!", "!!not base64!!", "expected 2 distributions, got str"),
+    ([_ROW], _b64([_ROW]), "expected 2 distributions, got 1"),
+    ([_ROW, _ROW[:2]], _b64([_ROW, _ROW], cut=8), "malformed distribution at row 1"),
+    ([[float("nan"), 0.5, 0.5], _ROW], _b64([[float("nan"), 0.5, 0.5], _ROW]),
+     "malformed distribution at row 0"),
+    ([_ROW, [-0.5, 1.0, 0.5]], _b64([_ROW, [-0.5, 1.0, 0.5]]),
+     "malformed distribution at row 1"),
+    ([_ROW, [0.3, 0.3, 0.3]], _b64([_ROW, [0.3, 0.3, 0.3]]),
+     "row 1 sums to 0.8999999999999999, outside tolerance"),
+], ids=["base64", "missing-row", "short-row", "nan", "negative", "off-sum"])
+def test_hostile_f64le_reply_fails_like_its_json_counterpart(dists, f64le, message):
+    info = {"vocab_size": 3, "name": "hostile", "deterministic": True}
+    errors = []
+    for handler in (_canned(info, {"dists": dists}),
+                    _canned(dict(info, encodings=["json", "f64le"]), {"f64le": f64le})):
+        with _stub(handler) as url:
+            remote = RemoteModel(RemoteModelSpec(url, vocab_size=3))
+            with pytest.raises(ProtocolError) as err:
+                remote.evaluate([0], 1)
+            errors.append(str(err.value))
+    assert errors == [message, message]
+
+
+def test_unknown_post_path_consumes_its_body():
+    body = json.dumps({"tokens": [0, 1, 2], "start": 1})
+    headers = {"Content-Type": "application/json"}
+    with serve_model(ConstantModel(np.ones(4))) as server:
+        url = urlsplit(server.url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            conn.request("POST", "/v1/nope", body=body, headers=headers)
+            resp = conn.getresponse()
+            assert resp.status == 404
+            assert json.loads(resp.read()) == {"error": "unknown endpoint"}
+            sock = conn.sock
+            assert sock is not None  # the server kept the connection open
+            conn.request("POST", "/v1/score", body=body, headers=headers)
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert len(json.loads(resp.read())["dists"]) == 4
+            assert conn.sock is sock  # the same kept-alive connection
+        finally:
+            conn.close()
+
+
+def test_evaluate_calls_share_one_connection(monkeypatch):
+    opened = []
+    create = urllib3.util.connection.create_connection
+
+    def counting_create(*args, **kwargs):
+        opened.append(args[0])
+        return create(*args, **kwargs)
+    monkeypatch.setattr(urllib3.util.connection, "create_connection", counting_create)
+    with serve_model(_toy_model()) as server:
+        remote = RemoteModel(RemoteModelSpec(server.url, vocab_size=V.size), vocab=V)
+        for _ in range(20):
+            remote.evaluate([0, 1, 2], 1)
+    assert len(opened) == 1
+
+
+class _ThreadRecordingModel(ConstantModel):
+    """Records the server threads that score with it."""
+
+    def evaluate(self, tokens, start):
+        self.threads.add(threading.current_thread())
+        return super().evaluate(tokens, start)
+
+
+def test_close_hangs_up_kept_alive_connections():
+    model = _ThreadRecordingModel(np.ones(4))
+    model.threads = set()
+    server = serve_model(model)
+    remote = RemoteModel(RemoteModelSpec(server.url, vocab_size=4, timeout=2, retries=1))
+    remote.evaluate([0], 1)
+    closer = threading.Thread(target=server.close, daemon=True)
+    closer.start()
+    closer.join(timeout=10)
+    assert not closer.is_alive()
+    assert model.threads and not any(t.is_alive() for t in model.threads)
+    with pytest.raises(RemoteUnavailable):
+        remote.evaluate([0], 1)
+
+
+def test_close_waits_for_late_handler_threads(monkeypatch):
+    def handlers():
+        return {t for t in threading.enumerate() if "process_request_thread" in t.name}
+    setup = socketserver.StreamRequestHandler.setup
+
+    def slow_setup(self):
+        # the handler thread is running but not yet registered when
+        # close() returns from shutdown(), which polls every 0.5 s
+        time.sleep(1.0)
+        setup(self)
+    monkeypatch.setattr(socketserver.StreamRequestHandler, "setup", slow_setup)
+    before = handlers()
+    server = serve_model(ConstantModel(np.ones(4)))
+    url = urlsplit(server.url)
+    socks = [socket.create_connection((url.hostname, url.port), timeout=10)
+             for _ in range(4)]
+    try:
+        deadline = time.monotonic() + 10
+        while len(handlers() - before) < len(socks) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        started = handlers() - before
+        assert len(started) == len(socks)
+        server.close()
+        assert not any(t.is_alive() for t in started)
+    finally:
+        for sock in socks:
+            sock.close()
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_invalid_content_length_gets_a_json_error(length):
+    body = json.dumps({"tokens": [0, 1], "start": 1})
+    headers = {"Content-Type": "application/json", "Content-Length": length}
+    with serve_model(ConstantModel(np.ones(4))) as server:
+        url = urlsplit(server.url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            conn.request("POST", "/v1/score", body=body, headers=headers)
+            resp = conn.getresponse()
+            assert resp.status == 400
+            # the body has no known end, so the server hangs up after it
+            assert resp.getheader("Connection") == "close"
+            assert json.loads(resp.read()) == {"error": "invalid Content-Length"}
+        finally:
+            conn.close()
+
+
+def test_score_calls_do_not_stall():
+    # a reply held back by Nagle's algorithm until the client's delayed
+    # ACK took about 45 ms on every call but the first; the lower
+    # quartile keeps a loaded machine's slow calls out of the check
+    with serve_model(ConstantModel(np.ones(259))) as server:
+        remote = RemoteModel(RemoteModelSpec(server.url, vocab_size=259))
+        times = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            remote.evaluate(list(range(8)), 1)
+            times.append(time.perf_counter() - t0)
+    assert statistics.quantiles(times, n=4)[0] < 0.020
+
+
+def test_environment_is_read_once(monkeypatch):
+    calls = []
+    for name in ("get_environ_proxies", "get_netrc_auth"):
+        def counted(*args, _real=getattr(requests.utils, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(requests.utils, name, counted)
+        monkeypatch.setattr(requests.sessions, name, counted)
+    with serve_model(ConstantModel(np.ones(4))) as server:
+        remote = RemoteModel(RemoteModelSpec(server.url, vocab_size=4))
+        built = len(calls)
+        for _ in range(10):
+            remote.evaluate([0, 1], 1)
+    assert len(calls) == built
+
+
+def test_environment_proxy_is_kept_after_construction(monkeypatch):
+    for var in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(var, raising=False)
+        monkeypatch.delenv(var.upper(), raising=False)
+    info = {"vocab_size": 3, "name": "proxy", "deterministic": True}
+    paths = []
+    with _stub(_canned(info, {"dists": [_ROW, _ROW]}, paths)) as proxy:
+        monkeypatch.setenv("http_proxy", proxy)
+        # nothing listens on port 9: every request must go through the proxy
+        remote = RemoteModel(RemoteModelSpec("http://127.0.0.1:9", vocab_size=3,
+                                             timeout=2, retries=0))
+        monkeypatch.delenv("http_proxy")
+        assert remote._session.proxies["http"] == proxy
+        remote.evaluate([0], 1)
+    assert paths == ["http://127.0.0.1:9/v1/info", "http://127.0.0.1:9/v1/score"]
