@@ -8,9 +8,10 @@ bool, "encodings": ["json", "f64le"]}; POST /v1/score with {"tokens": [...],
 "f64le" adds "encoding": "f64le" to the score request and gets
 {"f64le": <base64 of the row-major little-endian float64 matrix>} instead;
 JSON "dists" is the baseline for peers that announce or ask for nothing.
-Errors carry {"error": str}.  Replies are strict JSON: a non-finite row from
-the served model becomes a 500 error.  The stub speaks HTTP/1.1, so a client
-keeps one connection alive across calls.
+Errors carry {"error": str}; a score request that is not an object with
+"tokens" and "start" gets a 400.  Replies are strict JSON: a non-finite row
+from the served model becomes a 500 error.  The stub speaks HTTP/1.1, so a
+client keeps one connection alive across calls.
 """
 from __future__ import annotations
 
@@ -146,6 +147,8 @@ class RemoteModel(LanguageModel):
             payload = resp.json()
         except ValueError as err:
             raise ProtocolError(f"{url}: non-JSON response") from err
+        if not isinstance(payload, dict):
+            raise ProtocolError(f"{url}: HTTP {resp.status_code}: non-object JSON reply")
         if resp.status_code != 200:
             raise ProtocolError(f"{url}: HTTP {resp.status_code}: {payload.get('error')}")
         return payload
@@ -172,36 +175,27 @@ class RemoteModel(LanguageModel):
         return _checked_rows(m, count, len(tokens) - start + 2)
 
 
-def _hang_up(conn: socket.socket) -> None:
-    try:
-        conn.shutdown(socket.SHUT_RDWR)
-    except OSError:  # already closed by the peer
-        pass
-
-
 class ScoringServer:
-    """Threaded HTTP/1.1 server wrapping an in-process model."""
+    """Threaded HTTP/1.1 server wrapping an in-process model.  It records
+    every connection it accepts, so `close()` can end each one."""
 
     def __init__(self, model: LanguageModel, host: str = "127.0.0.1",
                  port: int = 0, deterministic: Optional[bool] = None):
         if deterministic is None:
             deterministic = getattr(model, "deterministic", True)
-        self._lock = threading.Lock()
-        #: connections whose handler is running
-        self._open: set = set()
-        #: handler threads, the finished ones dropped as new ones start
-        self._handlers: list = []
-        self._closing = False
+        #: (handler thread, request socket) per connection, the finished
+        #: ones dropped as new ones start
+        self._connections: list = []
         server = self
 
         class Server(ThreadingHTTPServer):
             def process_request(self, request, client_address):
                 # runs on the serving thread, so once shutdown() returns
-                # every handler thread is on the list
+                # every connection is on the list
                 thread = threading.Thread(target=self.process_request_thread,
                                           args=(request, client_address), daemon=True)
-                server._handlers = [t for t in server._handlers if t.is_alive()]
-                server._handlers.append(thread)
+                server._connections = [(t, s) for t, s in server._connections if t.is_alive()]
+                server._connections.append((thread, request))
                 thread.start()
 
         class Handler(BaseHTTPRequestHandler):
@@ -209,19 +203,6 @@ class ScoringServer:
             # headers and body go out in two writes; with Nagle on, the
             # second waits for the client's delayed ACK
             disable_nagle_algorithm = True
-
-            def setup(self):
-                super().setup()
-                with server._lock:
-                    server._open.add(self.connection)
-                    closing = server._closing
-                if closing:
-                    _hang_up(self.connection)
-
-            def finish(self):
-                with server._lock:
-                    server._open.discard(self.connection)
-                super().finish()
 
             def log_message(self, *args):
                 pass
@@ -262,11 +243,16 @@ class ScoringServer:
                     return self._reply(404, {"error": "unknown endpoint"})
                 try:
                     req = json.loads(data)
+                    tokens, start = req["tokens"], req["start"]
+                except (ValueError, RecursionError, TypeError, KeyError):
+                    # not JSON, nested too deep to parse, not an object, or a key missing
+                    return self._reply(400, {"error": "a score request is a JSON "
+                                                      "object with tokens and start"})
+                try:
                     encoding = req.get("encoding", "json")
                     if encoding not in ENCODINGS:
                         raise ContractViolation(f"unknown encoding {encoding!r}")
-                    m = np.array(model.evaluate(req["tokens"], req["start"]),
-                                 dtype=np.float64)
+                    m = np.array(model.evaluate(tokens, start), dtype=np.float64)
                     finite = np.isfinite(m).all(axis=1)
                     if not finite.all():
                         # NaN and Infinity have no JSON spelling
@@ -285,21 +271,24 @@ class ScoringServer:
                 self._reply(200, reply)
 
         self._httpd = Server((host, port), Handler)
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # shutdown() waits for the loop's next poll
+        self._thread = threading.Thread(target=self._httpd.serve_forever, args=(0.05,),
+                                        daemon=True)
         self._thread.start()
         self.url = f"http://{host}:{self._httpd.server_address[1]}"
 
     def close(self):
-        """Stops accepting, hangs up every kept-alive connection and waits
-        for every handler thread."""
+        """Stops accepting, which takes at most one 0.05 s poll of the serving
+        loop, hangs up every kept-alive connection and waits for every
+        handler thread."""
         self._httpd.shutdown()
-        with self._lock:
-            # a handler not yet set up sees this and hangs up itself
-            self._closing = True
-            open_now = list(self._open)
-        for conn in open_now:
-            _hang_up(conn)
-        for thread in self._handlers:
+        for _, conn in self._connections:
+            # a handler still setting up reads EOF at once
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed
+                pass
+        for thread, _ in self._connections:
             thread.join()
         self._httpd.server_close()
         self._thread.join()

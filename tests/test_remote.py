@@ -152,19 +152,10 @@ class _NanWireHandler(BaseHTTPRequestHandler):
 
 
 def test_client_rejects_nan_on_the_wire():
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _NanWireHandler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    try:
-        url = f"http://127.0.0.1:{httpd.server_address[1]}"
+    with _stub(_NanWireHandler) as url:
         remote = RemoteModel(RemoteModelSpec(url, vocab_size=3))
         with pytest.raises(ProtocolError, match="malformed distribution at row 0"):
             remote.evaluate([0], 1)
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
 
 
 def test_protocol_error_on_row_count():
@@ -349,6 +340,46 @@ def test_hostile_f64le_reply_fails_like_its_json_counterpart(dists, f64le, messa
     assert errors == [message, message]
 
 
+_INFO = {"vocab_size": 3, "name": "hostile", "deterministic": True}
+
+
+@pytest.mark.parametrize("info, reply", [
+    ([_INFO], {"dists": [_ROW, _ROW]}),
+    (_INFO, [_ROW, _ROW]),
+    (_INFO, "dists"),
+], ids=["info-list", "score-list", "score-string"])
+def test_non_object_json_reply_is_a_protocol_error(info, reply):
+    with _stub(_canned(info, reply)) as url:
+        with pytest.raises(ProtocolError, match="non-object JSON reply"):
+            RemoteModel(RemoteModelSpec(url, vocab_size=3)).evaluate([0], 1)
+
+
+@pytest.mark.parametrize("body", [
+    "{not json", "[" * 100_000, "[0, 1]", '"tokens"', '{"start": 1}', '{"tokens": [0, 1]}',
+], ids=["not-json", "too-deep", "list", "string", "no-tokens", "no-start"])
+def test_malformed_score_request_gets_400_and_keeps_the_connection(body):
+    headers = {"Content-Type": "application/json"}
+    with serve_model(ConstantModel(np.ones(4))) as server:
+        url = urlsplit(server.url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            conn.request("POST", "/v1/score", body=body, headers=headers)
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert json.loads(resp.read()) == {
+                "error": "a score request is a JSON object with tokens and start"}
+            sock = conn.sock
+            assert sock is not None
+            conn.request("POST", "/v1/score", body=json.dumps({"tokens": [0, 1], "start": 1}),
+                         headers=headers)
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert len(json.loads(resp.read())["dists"]) == 3
+            assert conn.sock is sock
+        finally:
+            conn.close()
+
+
 def test_unknown_post_path_consumes_its_body():
     body = json.dumps({"tokens": [0, 1, 2], "start": 1})
     headers = {"Content-Type": "application/json"}
@@ -415,8 +446,8 @@ def test_close_waits_for_late_handler_threads(monkeypatch):
     setup = socketserver.StreamRequestHandler.setup
 
     def slow_setup(self):
-        # the handler thread is running but not yet registered when
-        # close() returns from shutdown(), which polls every 0.5 s
+        # the handler thread is still setting up when close() hangs up
+        # its connection, so only the join makes close() wait for it
         time.sleep(1.0)
         setup(self)
     monkeypatch.setattr(socketserver.StreamRequestHandler, "setup", slow_setup)
@@ -436,6 +467,15 @@ def test_close_waits_for_late_handler_threads(monkeypatch):
     finally:
         for sock in socks:
             sock.close()
+
+
+def test_close_is_prompt():
+    # each close() waits for one poll of serve_forever, 0.5 s by default
+    t0 = time.perf_counter()
+    for _ in range(10):
+        with serve_model(ConstantModel(np.ones(4))) as server:
+            RemoteModel(RemoteModelSpec(server.url, vocab_size=4))
+    assert time.perf_counter() - t0 < 2.0
 
 
 @pytest.mark.parametrize("length", ["abc", "-1"])
