@@ -1,6 +1,8 @@
 """Experiment harness and CLI: corpus ingestion, model training, side-by-side
 generation runs, standardized-speedup reporting, and positional acceptance
-measurement.
+measurement.  `positional_curve` is the one per-position acceptance tally:
+it reads a run's review trace, for the bench report and the accept-curve
+CSV alike.
 
 Report files are fully deterministic for a fixed config (wall-clock timings
 are printed to the console only, never written to the report).
@@ -12,7 +14,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,22 +157,6 @@ def build_model(name: str, spec: dict, train_seqs, vocab: Vocab) -> LanguageMode
 # positional acceptance measurement
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PositionalCurve:
-    """Unconditional and conditional per-position acceptance rates."""
-
-    k: int
-    steps: int
-    accepted_at: List[int]      # accepted_at[i]: steps where position i passed
-    reviewed_at: List[int]      # reviewed_at[i]: steps where all before i passed
-
-    def rate(self, i: int) -> float:
-        return self.accepted_at[i] / self.steps
-
-    def cond_rate(self, i: int) -> float:
-        return self.accepted_at[i] / self.reviewed_at[i] if self.reviewed_at[i] else 0.0
-
-
 def measure_positional_acceptance(
     target: LanguageModel,
     draft: LanguageModel,
@@ -180,46 +166,45 @@ def measure_positional_acceptance(
     rng: RandomSource,
     mode: DecodeMode = DecodeMode.GREEDY,
     max_len: int = 256,
-) -> PositionalCurve:
+) -> GenerationTrace:
     """Run repeated one-level cascade steps (vanilla speculative decoding with
-    k-matrix [[k]]) and tally, per draft position, how often it is accepted.
-    The headline rate is unconditional (position i counts as accepted only in
-    steps where everything before it passed too), matching the product-decay
-    framing; conditional rates are tallied alongside."""
+    k-matrix [[k]]), round-robin over the prompts, each restarted from its
+    prompt once it has grown by `max_len`, and return the trace of every
+    review.  `positional_curve` of the trace is the per-position acceptance
+    curve, the same tally a bench run reports."""
     if k < 1 or steps < 1:
         raise ContractViolation("k and steps must be >= 1")
     if not prompts:
         raise ContractViolation("need at least one prompt")
     k_matrix = KMatrix([[k]])
-    accepted_at = [0] * k
-    reviewed_at = [0] * k
+    CascadeConfig(target, [draft], k_matrix, mode, max_len, rng.seed).validate()
+    trace = GenerationTrace(target.descriptor)
     seqs = [list(p) for p in prompts]
     limits = [len(p) + max_len for p in prompts]
     idx = 0
     for _ in range(steps):
         seq = seqs[idx]
-        emitted, _, _ = csd_step(target, [draft], seq, k_matrix, 1.0, True, mode,
-                                 rng, GenerationTrace())
-        acc = len(emitted) - 1  # a review emits its accepted tokens plus one
-        for i in range(k):
-            if i <= acc - 1:
-                accepted_at[i] += 1
-            if i <= acc:
-                reviewed_at[i] += 1
+        emitted, _, _ = csd_step(target, [draft], seq, k_matrix, 1.0, mode, rng, trace)
         seq.extend(emitted)
         if len(seq) >= limits[idx]:
             seqs[idx] = list(prompts[idx])
         idx = (idx + 1) % len(prompts)
-    return PositionalCurve(k, steps, accepted_at, reviewed_at)
+    return trace
 
 
-def write_curve_csv(curve: PositionalCurve, path: str) -> None:
+def write_curve_csv(trace: GenerationTrace, path: str) -> None:
+    """One row per position of `positional_curve(trace)`.  The conditional
+    columns count position i only in the reviews that accepted every
+    position before it."""
+    outer = [s for s in trace.steps if s.level == 0]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(CURVE_COLUMNS)
-        for i in range(curve.k):
-            w.writerow([i + 1, repr(curve.rate(i)), curve.steps,
-                        repr(curve.cond_rate(i)), curve.reviewed_at[i]])
+        for i, row in enumerate(positional_curve(trace)):
+            accepted = sum(s.accepted > i for s in outer)
+            cond_n = sum(s.accepted >= i and s.proposed > i for s in outer)
+            w.writerow([row["position"], repr(row["accept_rate"]), row["n"],
+                        repr(accepted / cond_n if cond_n else 0.0), cond_n])
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +226,7 @@ def _merge_traces(traces: List[GenerationTrace], target_descriptor: str) -> Gene
     return merged
 
 
-def _positional_curve(trace: GenerationTrace) -> List[dict]:
+def positional_curve(trace: GenerationTrace) -> List[dict]:
     """Per-position acceptance over the outermost reviews: position i of a
     review counts when more than i tokens were proposed, and is accepted
     when more than i were accepted."""
@@ -366,7 +351,7 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
             "cost_units": merged.cost_units,
             "swi": swi_values,
             "greedy_equivalent": greedy_ok,
-            "positional_acceptance": _positional_curve(merged),
+            "positional_acceptance": positional_curve(merged),
             "warnings": merged.warnings,
         }
         report_runs.append(entry)
@@ -471,10 +456,10 @@ def _cmd_accept_curve(args) -> int:
     draft = load_model(args.draft)
     seqs, _, _ = ingest_corpus(args.corpus, args.tokenizer)
     prompts = [s[:max(1, args.prompt_tokens)] for s in seqs[:args.num_prompts]]
-    curve = measure_positional_acceptance(
+    trace = measure_positional_acceptance(
         target, draft, args.k, prompts, args.steps, RandomSource(args.seed),
         DecodeMode(args.mode))
-    write_curve_csv(curve, args.out)
+    write_curve_csv(trace, args.out)
     print(f"curve over {args.steps} steps written to {args.out}")
     return 0
 

@@ -145,7 +145,6 @@ def csd_step(
     prefix: Sequence[int],
     k_matrix: KMatrix,
     lenience: float,
-    is_outermost: bool,
     mode: DecodeMode,
     rng: RandomSource,
     trace: GenerationTrace,
@@ -158,6 +157,9 @@ def csd_step(
     drafts plus one correction or bonus token), the reviewer's scalar
     probability of each, and the reviewer's full distribution at each
     position, which the caller's own review consumes as its proposal batch.
+
+    The outermost reviewer (`level` 0, the target) reviews strictly; the
+    `lenience` applies only to the inner reviews of deeper levels.
 
     Base case (no drafts left): the model proposes directly; a span drafter
     emits its whole span in one call, anything else generates `budget`
@@ -185,8 +187,7 @@ def csd_step(
         taken = 0
         while taken < k_i:
             t2, p2, d2 = csd_step(drafts[i], stage_drafts, cur, sub_k, lenience,
-                                  False, mode, rng, trace, level + 1,
-                                  budget=k_i - taken)
+                                  mode, rng, trace, level + 1, budget=k_i - taken)
             cur.extend(t2)
             probs.extend(p2)
             dists.extend(d2)
@@ -195,10 +196,10 @@ def csd_step(
     n_draft = len(cur) - len(prefix)
     reviewer_dists = reviewer.evaluate(cur, len(prefix) + 1)
     trace.record_call(reviewer)
-    l = 1.0 if is_outermost else lenience
+    l = 1.0 if level == 0 else lenience
     batch = DraftBatch(cur[len(prefix):], probs, dists)
     outcome = speculative_review(reviewer_dists, batch, l, mode, rng,
-                                 argmax_only=is_outermost and greedy)
+                                 argmax_only=level == 0 and greedy)
     trace.add_review(level, reviewer, n_draft, outcome.accepted_count)
     return (outcome.emitted, outcome.emitted_probs,
             reviewer_dists[:outcome.accepted_count + 1])
@@ -228,7 +229,7 @@ def _decode(config: CascadeConfig, prompt: Sequence[int], rng: RandomSource):
     emitted = 0
     while emitted < config.max_new_tokens:
         new, _, _ = csd_step(config.target, config.drafts, cur, config.k_matrix,
-                             config.lenience, True, config.mode, rng, trace)
+                             config.lenience, config.mode, rng, trace)
         for tok in new:
             cur.append(tok)
             emitted += 1

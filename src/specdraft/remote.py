@@ -9,7 +9,8 @@ bool, "encodings": ["json", "f64le"]}; POST /v1/score with {"tokens": [...],
 {"f64le": <base64 of the row-major little-endian float64 matrix>} instead;
 JSON "dists" is the baseline for peers that announce or ask for nothing.
 Errors carry {"error": str}; a score request that is not an object with
-"tokens" and "start" gets a 400.  Replies are strict JSON: a non-finite row
+"tokens", a list of token ids in [0, vocab_size), and "start", an int in
+[1, len(tokens) + 1], gets a 400.  Replies are strict JSON: a non-finite row
 from the served model becomes a 500 error.  The stub speaks HTTP/1.1, so a
 client keeps one connection alive across calls.
 """
@@ -187,6 +188,7 @@ class ScoringServer:
         #: ones dropped as new ones start
         self._connections: list = []
         server = self
+        size = model.vocab.size
 
         class Server(ThreadingHTTPServer):
             def process_request(self, request, client_address):
@@ -248,6 +250,13 @@ class ScoringServer:
                     # not JSON, nested too deep to parse, not an object, or a key missing
                     return self._reply(400, {"error": "a score request is a JSON "
                                                       "object with tokens and start"})
+                # bools are ints to Python but not token ids or positions
+                if not (type(tokens) is list
+                        and all(type(t) is int and 0 <= t < size for t in tokens)):
+                    return self._reply(400, {"error": f"tokens must be a list of "
+                                                      f"token ids in [0, {size})"})
+                if type(start) is not int:
+                    return self._reply(400, {"error": "start must be an int"})
                 try:
                     encoding = req.get("encoding", "json")
                     if encoding not in ENCODINGS:

@@ -25,7 +25,12 @@ from specdraft.analytics import (
     synthetic_pair,
     vertical_ewif,
 )
-from specdraft.bench import measure_positional_acceptance, run_bench, write_report
+from specdraft.bench import (
+    measure_positional_acceptance,
+    positional_curve,
+    run_bench,
+    write_report,
+)
 from specdraft.cascade import (
     CascadeConfig,
     GenerationTrace,
@@ -174,7 +179,7 @@ def test_criterion_04_live_sd_speedup():
         emitted = 0
         k_matrix = KMatrix([[k]])  # plain SD: the one-level cascade
         for _ in range(steps):
-            new, _, _ = csd_step(target, [draft], [0], k_matrix, 1.0, True,
+            new, _, _ = csd_step(target, [draft], [0], k_matrix, 1.0,
                                  DecodeMode.SAMPLING, rng, GenerationTrace())
             emitted += len(new)
         got = emitted / steps  # one target call per step
@@ -254,17 +259,17 @@ def test_criterion_06_horizontal_closed_form():
 def test_criterion_07_positional_decay(models, eval_prompts):
     alpha, k, steps = 0.8, 30, 20_000
     target, draft = synthetic_pair([0.5, 0.3, 0.2], alpha)
-    curve = measure_positional_acceptance(target, draft, k, [[0]], steps,
-                                          RandomSource(700), DecodeMode.SAMPLING)
+    curve = positional_curve(measure_positional_acceptance(
+        target, draft, k, [[0]], steps, RandomSource(700), DecodeMode.SAMPLING))
     synth_ok = True
     for i in range(k):
         want = alpha ** (i + 1)
         ci = 1.96 * np.sqrt(want * (1 - want) / steps)
-        synth_ok = synth_ok and abs(curve.rate(i) - want) <= 3 * ci
+        synth_ok = synth_ok and abs(curve[i]["accept_rate"] - want) <= 3 * ci
 
-    real = measure_positional_acceptance(models["n7"], models["n2"], 30,
-                                         eval_prompts[:20], 10_000, RandomSource(701))
-    rates = [real.rate(i) for i in range(30)]
+    real = positional_curve(measure_positional_acceptance(
+        models["n7"], models["n2"], 30, eval_prompts[:20], 10_000, RandomSource(701)))
+    rates = [real[i]["accept_rate"] for i in range(30)]
     rho, p_value = stats.spearmanr(np.arange(30), rates)
     _report(7, f"synthetic curve tracks {alpha}^i within 3*CI over {steps} steps; "
                f"real-model curve decays (spearman rho={rho:.3f}, p={p_value:.2e})",

@@ -15,12 +15,14 @@ from specdraft.bench import (
     cli,
     ingest_corpus,
     measure_positional_acceptance,
+    positional_curve,
     run_bench,
     write_curve_csv,
     write_report,
 )
 from specdraft.core import ConfigError, RandomSource
 from specdraft.kernel import DecodeMode
+from specdraft.statlm import BigramTable, MagModel
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -70,26 +72,48 @@ def test_ingest_corpus_unknown_tokenizer():
 
 def test_curve_self_agreement():
     m = ConstantModel([0.2, 0.8])
-    curve = measure_positional_acceptance(m, m, 5, [[0]], 50, RandomSource(0))
-    assert all(curve.rate(i) == 1.0 for i in range(5))
+    curve = positional_curve(measure_positional_acceptance(m, m, 5, [[0]], 50,
+                                                           RandomSource(0)))
+    assert all(curve[i]["accept_rate"] == 1.0 for i in range(5))
 
 
 def test_curve_disjoint_pair():
     target = ConstantModel([1.0, 0.0])
     draft = ConstantModel([0.0, 1.0])
-    curve = measure_positional_acceptance(target, draft, 5, [[0]], 50,
-                                          RandomSource(0), DecodeMode.SAMPLING)
-    assert all(curve.rate(i) == 0.0 for i in range(5))
+    curve = positional_curve(measure_positional_acceptance(
+        target, draft, 5, [[0]], 50, RandomSource(0), DecodeMode.SAMPLING))
+    assert all(curve[i]["accept_rate"] == 0.0 for i in range(5))
+
+
+@pytest.mark.parametrize("target_size, draft_size", [(3, 2), (2, 3)])
+def test_curve_rejects_mismatched_vocabularies(target_size, draft_size):
+    target = ConstantModel([1.0] * target_size)
+    draft = ConstantModel([1.0] * draft_size)
+    with pytest.raises(ConfigError, match="vocabulary size"):
+        measure_positional_acceptance(target, draft, 3, [[0]], 10, RandomSource(0))
 
 
 def test_curve_csv_schema(tmp_path):
     m = ConstantModel([0.5, 0.5])
-    curve = measure_positional_acceptance(m, m, 3, [[0]], 10, RandomSource(0))
+    trace = measure_positional_acceptance(m, m, 3, [[0]], 10, RandomSource(0))
     out = tmp_path / "curve.csv"
-    write_curve_csv(curve, out)
+    write_curve_csv(trace, out)
     rows = list(csv.reader(out.open()))
     assert rows[0] == list(CURVE_COLUMNS)
     assert len(rows) == 4
+
+
+def test_curve_rows_run_to_a_span_drafters_span(tmp_path):
+    # a span drafter drafts its whole span whatever k is, and the curve has a
+    # row for every position it proposed, as a bench report's does
+    target = ConstantModel([0.2, 0.3, 0.5])
+    draft = MagModel(BigramTable.from_corpus([[0, 1, 2]], target.vocab), span=5)
+    trace = measure_positional_acceptance(target, draft, 2, [[0]], 10, RandomSource(0))
+    out = tmp_path / "curve.csv"
+    write_curve_csv(trace, out)
+    rows = list(csv.reader(out.open()))
+    assert [r[0] for r in rows[1:]] == ["1", "2", "3", "4", "5"]
+    assert [r[2] for r in rows[1:]] == ["10"] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +287,17 @@ def test_cli_accept_curve(tmp_path):
     rows = list(csv.reader(out.open()))
     assert rows[0] == list(CURVE_COLUMNS)
     assert len(rows) == 9
+
+
+def test_cli_accept_curve_rejects_mismatched_vocabularies(tmp_path, capsys):
+    target_path = tmp_path / "t.json"
+    draft_path = tmp_path / "d.json"
+    cli(["train", "--corpus", str(DATA / "eval.txt"), "--order", "2",
+         "--out", str(target_path)])
+    cli(["train", "--corpus", str(DATA / "eval.txt"), "--order", "2",
+         "--tokenizer", "word", "--out", str(draft_path)])
+    rc = cli(["accept-curve", "--target", str(target_path), "--draft", str(draft_path),
+              "--k", "4", "--steps", "10", "--corpus", str(DATA / "eval.txt"),
+              "--num-prompts", "2", "--seed", "1", "--out", str(tmp_path / "curve.csv")])
+    assert rc == 2
+    assert "vocabulary size" in capsys.readouterr().err

@@ -54,7 +54,7 @@ def test_base_case_mag_span_copy():
     tok = lambda ch: vocab.id_of(ch)
     prefix = [tok(c) for c in "abcdefg"] + [tok(c) for c in "abc"]
     trace = GenerationTrace("mag")
-    tokens, probs, dists = csd_step(mag, [], prefix, KMatrix([[10]]), 1.0, False,
+    tokens, probs, dists = csd_step(mag, [], prefix, KMatrix([[10]]), 1.0,
                                     DecodeMode.GREEDY, RandomSource(0), trace)
     assert len(tokens) == 10
     assert [vocab.piece_of(t) for t in tokens[:4]] == ["d", "e", "f", "g"]
@@ -88,7 +88,7 @@ def test_one_level_cascade_matches_sd(models, eval_prompts):
 def test_self_agreement_collapses_cascade():
     m = ConstantModel([0.1, 0.7, 0.2], descriptor="m")
     trace = GenerationTrace("m")
-    tokens, _, _ = csd_step(m, [m, m], [0], KMatrix([[2, 3], [0, 3]]), 1.0, True,
+    tokens, _, _ = csd_step(m, [m, m], [0], KMatrix([[2, 3], [0, 3]]), 1.0,
                             DecodeMode.GREEDY, RandomSource(0), trace)
     # everything agrees, so the outer review accepts all stages plus a bonus
     outer = [s for s in trace.steps if s.level == 0]
@@ -101,7 +101,7 @@ def test_self_agreement_collapses_cascade():
 def test_csd_step_requires_prefix():
     m = ConstantModel([0.5, 0.5])
     with pytest.raises(ContractViolation):
-        csd_step(m, [], [], KMatrix([[1]]), 1.0, True, DecodeMode.GREEDY,
+        csd_step(m, [], [], KMatrix([[1]]), 1.0, DecodeMode.GREEDY,
                  RandomSource(0), GenerationTrace())
 
 
@@ -274,6 +274,13 @@ def test_one_core_invariants(run):
     config, prompt = run
     out, trace = generate(config, prompt)
     new = out[len(prompt):]
+    # the rules perfbench's check_sampled applies, here in both modes
+    assert out[:len(prompt)] == prompt
+    stops = [i for i, t in enumerate(new) if t in config.stop_tokens]
+    assert not stops or stops[0] == len(new) - 1
+    assert len(new) == config.max_new_tokens or (stops and len(new) < config.max_new_tokens)
+    assert trace.tokens_emitted == len(new)
+    assert all(s.accepted <= s.proposed for s in trace.steps)
     if config.mode is DecodeMode.GREEDY:
         ref, _ = autoregressive_generate(config.target, prompt, config.max_new_tokens,
                                          DecodeMode.GREEDY,

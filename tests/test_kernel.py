@@ -194,7 +194,7 @@ def test_monotone_lenience():
 def _sd_step(target, draft, k, prefix, mode, rng):
     """One outermost review of k drafted tokens: (emitted tokens, accepted)."""
     trace = GenerationTrace()
-    emitted, _, _ = csd_step(target, [draft], prefix, KMatrix([[k]]), 1.0, True,
+    emitted, _, _ = csd_step(target, [draft], prefix, KMatrix([[k]]), 1.0,
                              mode, rng, trace)
     return emitted, trace.steps[-1].accepted
 

@@ -354,10 +354,29 @@ def test_non_object_json_reply_is_a_protocol_error(info, reply):
             RemoteModel(RemoteModelSpec(url, vocab_size=3)).evaluate([0], 1)
 
 
-@pytest.mark.parametrize("body", [
-    "{not json", "[" * 100_000, "[0, 1]", '"tokens"', '{"start": 1}', '{"tokens": [0, 1]}',
-], ids=["not-json", "too-deep", "list", "string", "no-tokens", "no-start"])
-def test_malformed_score_request_gets_400_and_keeps_the_connection(body):
+_NOT_A_REQUEST = "a score request is a JSON object with tokens and start"
+_NOT_TOKENS = "tokens must be a list of token ids in [0, 4)"
+
+
+@pytest.mark.parametrize("body, error", [
+    ("{not json", _NOT_A_REQUEST),
+    ("[" * 100_000, _NOT_A_REQUEST),
+    ("[0, 1]", _NOT_A_REQUEST),
+    ('"tokens"', _NOT_A_REQUEST),
+    ('{"start": 1}', _NOT_A_REQUEST),
+    ('{"tokens": [0, 1]}', _NOT_A_REQUEST),
+    ('{"tokens": "ab", "start": 1}', _NOT_TOKENS),
+    ('{"tokens": [0, 99], "start": 1}', _NOT_TOKENS),
+    ('{"tokens": [0.5], "start": 1}', _NOT_TOKENS),
+    ('{"tokens": [true, 1], "start": 1}', _NOT_TOKENS),
+    ('{"tokens": [-1], "start": 1}', _NOT_TOKENS),
+    ('{"tokens": [0, 1], "start": true}', "start must be an int"),
+    ('{"tokens": [0, 1], "start": "1"}', "start must be an int"),
+    ('{"tokens": [0, 1], "start": 1.0}', "start must be an int"),
+], ids=["not-json", "too-deep", "list", "string", "no-tokens", "no-start",
+        "tokens-string", "token-out-of-vocab", "token-float", "token-bool", "token-negative",
+        "start-bool", "start-string", "start-float"])
+def test_malformed_score_request_gets_400_and_keeps_the_connection(body, error):
     headers = {"Content-Type": "application/json"}
     with serve_model(ConstantModel(np.ones(4))) as server:
         url = urlsplit(server.url)
@@ -366,8 +385,7 @@ def test_malformed_score_request_gets_400_and_keeps_the_connection(body):
             conn.request("POST", "/v1/score", body=body, headers=headers)
             resp = conn.getresponse()
             assert resp.status == 400
-            assert json.loads(resp.read()) == {
-                "error": "a score request is a JSON object with tokens and start"}
+            assert json.loads(resp.read()) == {"error": error}
             sock = conn.sock
             assert sock is not None
             conn.request("POST", "/v1/score", body=json.dumps({"tokens": [0, 1], "start": 1}),
