@@ -18,7 +18,6 @@ from .core import (
 )
 from .kernel import (
     DecodeMode,
-    DraftBatch,
     ReviewOutcome,
     acceptance_probability,
     speculative_review,

@@ -184,7 +184,7 @@ def measure_positional_acceptance(
     idx = 0
     for _ in range(steps):
         seq = seqs[idx]
-        emitted, _, _ = csd_step(target, [draft], seq, k_matrix, 1.0, mode, rng, trace)
+        emitted, _ = csd_step(target, [draft], seq, k_matrix, 1.0, mode, rng, trace)
         seq.extend(emitted)
         if len(seq) >= limits[idx]:
             seqs[idx] = list(prompts[idx])
@@ -244,17 +244,22 @@ def _run_config(run: dict, models: Dict[str, LanguageModel],
                 stop_tokens) -> CascadeConfig:
     """The cascade a run spec describes: autoregressive decoding has no
     drafts, plain SD one draft with k-matrix [[k]]."""
+    def pick(name: str) -> LanguageModel:
+        if name not in models:
+            raise ConfigError(f"run {run.get('name')!r} names unknown model {name!r}")
+        return models[name]
+
     method = run["method"]
     if method == "autoregressive":
         drafts, k_matrix = [], KMatrix([])
     elif method == "sd":
-        drafts, k_matrix = [models[run["draft"]]], KMatrix([[int(run["k"])]])
+        drafts, k_matrix = [pick(run["draft"])], KMatrix([[int(run["k"])]])
     elif method == "csd":
-        drafts, k_matrix = [models[d] for d in run["drafts"]], KMatrix(run["k_matrix"])
+        drafts, k_matrix = [pick(d) for d in run["drafts"]], KMatrix(run["k_matrix"])
     else:
         raise ConfigError(f"unknown run method {method!r}")
     return CascadeConfig(
-        target=models[run["target"]],
+        target=pick(run["target"]),
         drafts=drafts,
         k_matrix=k_matrix,
         mode=DecodeMode(run.get("mode", "greedy")),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import ConfigError, ContractViolation, LanguageModel, RandomSource
-from .kernel import DecodeMode, DraftBatch, speculative_review
+from .kernel import DecodeMode, speculative_review
 
 
 class KMatrix:
@@ -153,10 +153,10 @@ def csd_step(
 ):
     """One recursive cascade step.
 
-    Returns (new_tokens, probs, dists): tokens beyond `prefix` (accepted
-    drafts plus one correction or bonus token), the reviewer's scalar
-    probability of each, and the reviewer's full distribution at each
-    position, which the caller's own review consumes as its proposal batch.
+    Returns (new_tokens, dists): tokens beyond `prefix` (accepted drafts
+    plus one correction or bonus token) and the reviewer's distribution row
+    at each position, which the caller's own review reads as the proposal
+    rows of these tokens.
 
     The outermost reviewer (`level` 0, the target) reviews strictly; the
     `lenience` applies only to the inner reviews of deeper levels.
@@ -170,26 +170,24 @@ def csd_step(
         raise ContractViolation("prefix must be non-empty")
     greedy = mode is DecodeMode.GREEDY
     if not drafts:
-        tokens, probs, dists, calls = reviewer.propose(prefix, budget, rng, greedy)
+        tokens, dists, calls = reviewer.propose(prefix, budget, rng, greedy)
         trace.record_call(reviewer, calls)
-        return tokens, probs, dists
+        return tokens, dists
 
     if k_matrix.n != len(drafts):
         raise ContractViolation(
             f"k-matrix level count {k_matrix.n} != number of drafts {len(drafts)}"
         )
     cur = list(prefix)
-    probs: List[float] = []
     dists: List = []
     for i, k_i in enumerate(k_matrix.top_row()):
         stage_drafts = drafts[i + 1:]
         sub_k = k_matrix.submatrix(i + 1)
         taken = 0
         while taken < k_i:
-            t2, p2, d2 = csd_step(drafts[i], stage_drafts, cur, sub_k, lenience,
-                                  mode, rng, trace, level + 1, budget=k_i - taken)
+            t2, d2 = csd_step(drafts[i], stage_drafts, cur, sub_k, lenience,
+                              mode, rng, trace, level + 1, budget=k_i - taken)
             cur.extend(t2)
-            probs.extend(p2)
             dists.extend(d2)
             taken += len(t2)
 
@@ -197,12 +195,10 @@ def csd_step(
     reviewer_dists = reviewer.evaluate(cur, len(prefix) + 1)
     trace.record_call(reviewer)
     l = 1.0 if level == 0 else lenience
-    batch = DraftBatch(cur[len(prefix):], probs, dists)
-    outcome = speculative_review(reviewer_dists, batch, l, mode, rng,
-                                 argmax_only=level == 0 and greedy)
+    outcome = speculative_review(reviewer_dists, cur[len(prefix):], dists, l, mode,
+                                 rng, argmax_only=level == 0 and greedy)
     trace.add_review(level, reviewer, n_draft, outcome.accepted_count)
-    return (outcome.emitted, outcome.emitted_probs,
-            reviewer_dists[:outcome.accepted_count + 1])
+    return outcome.emitted, reviewer_dists[:outcome.accepted_count + 1]
 
 
 def _check_determinism(trace: GenerationTrace, models: Sequence[LanguageModel],
@@ -228,8 +224,8 @@ def _decode(config: CascadeConfig, prompt: Sequence[int], rng: RandomSource):
     cur = list(prompt)
     emitted = 0
     while emitted < config.max_new_tokens:
-        new, _, _ = csd_step(config.target, config.drafts, cur, config.k_matrix,
-                             config.lenience, config.mode, rng, trace)
+        new, _ = csd_step(config.target, config.drafts, cur, config.k_matrix,
+                          config.lenience, config.mode, rng, trace)
         for tok in new:
             cur.append(tok)
             emitted += 1

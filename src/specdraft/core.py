@@ -83,11 +83,7 @@ class Vocab:
     @classmethod
     def from_words(cls, words: Sequence[str]) -> "Vocab":
         specials = (BOS_PIECE, EOS_PIECE, UNK_PIECE)
-        seen = []
-        for w in words:
-            if w not in seen and w not in specials:
-                seen.append(w)
-        return cls(specials + tuple(sorted(seen)))
+        return cls(specials + tuple(sorted(set(words).difference(specials))))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocab) and self.pieces == other.pieces
@@ -157,11 +153,17 @@ class RandomSource:
 
 
 def sample(dist: np.ndarray, rng: RandomSource) -> int:
-    """Inverse-CDF sample over ascending token-id order."""
+    """Inverse-CDF sample over ascending token-id order.
+
+    A draw at or past the last CDF value (a row summing to just under 1)
+    lands on the last token with positive mass, never on a zero-mass one.
+    """
     u = rng.uniform()
     cdf = np.cumsum(dist)
     idx = int(np.searchsorted(cdf, u, side="right"))
-    return min(idx, len(dist) - 1)
+    if idx < len(dist):
+        return idx
+    return int(np.flatnonzero(dist > 0)[-1])
 
 
 def greedy_token(dist: np.ndarray) -> int:
@@ -205,21 +207,20 @@ class LanguageModel(ABC):
                 greedy: bool):
         """Autoregressively extend `tokens` by `budget` tokens.
 
-        Returns (new_tokens, probs, dists, n_calls).  Overridden by drafters
-        that emit a whole span per invocation.
+        Returns (new_tokens, dists, n_calls): the drafted tokens, this model's
+        distribution row at each (its proposal probability for a token is the
+        token's entry in the row), and the number of model calls.  Overridden
+        by drafters that emit a whole span per invocation.
         """
         cur = list(tokens)
-        out, probs, dists = [], [], []
-        calls = 0
+        out, dists = [], []
         for _ in range(budget):
             d = self.evaluate(cur, len(cur) + 1)[0]
-            calls += 1
             tok = greedy_token(d) if greedy else sample(d, rng)
             out.append(tok)
-            probs.append(float(d[tok]))
             dists.append(d)
             cur.append(tok)
-        return out, probs, dists, calls
+        return out, dists, len(out)
 
 
 class ContextConditionedModel(LanguageModel):

@@ -1,9 +1,9 @@
 """Single-review speculative sampling: the accept/reject/resample primitive.
 
-A review takes k proposed tokens with their proposal probabilities, scans them
-against the reviewer's parallel distributions, and emits the accepted prefix
-plus either a correction token (on rejection) or a bonus token (on full
-acceptance).
+A review takes k proposed tokens with the proposer's distribution row at each,
+scans them against the reviewer's parallel distributions, and emits the
+accepted prefix plus either a correction token (on rejection) or a bonus token
+(on full acceptance).
 """
 from __future__ import annotations
 
@@ -35,74 +35,60 @@ def check_lenience(l: float) -> float:
 
 
 @dataclass
-class DraftBatch:
-    """k proposed tokens with the proposer's probabilities (and, in sampling
-    mode, the proposer's full distributions, needed for residual resampling)."""
-
-    tokens: list
-    proposal_probs: list
-    proposal_dists: Optional[list] = None
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.proposal_probs):
-            raise ContractViolation("tokens and proposal_probs length mismatch")
-        if self.proposal_dists is not None and len(self.proposal_dists) != len(self.tokens):
-            raise ContractViolation("proposal_dists length mismatch")
-        for q in self.proposal_probs:
-            if not 0.0 < q <= 1.0:
-                raise ContractViolation(f"proposal probability {q} outside (0, 1]")
-
-
-@dataclass
 class ReviewOutcome:
     """Result of one speculative review: len(emitted) == accepted_count + 1."""
 
     accepted_count: int
     emitted: list
-    emitted_probs: list
     rejected: bool
 
 
 def speculative_review(
     reviewer_dists: Sequence[np.ndarray],
-    draft: DraftBatch,
+    tokens: Sequence[int],
+    proposal_dists: Sequence[np.ndarray],
     lenience: float = 1.0,
     mode: DecodeMode = DecodeMode.SAMPLING,
     rng: Optional[RandomSource] = None,
     argmax_only: bool = False,
 ) -> ReviewOutcome:
-    """Review a draft batch against the reviewer's distributions.
+    """Review drafted `tokens` against the reviewer's distributions.
 
-    `reviewer_dists` holds one distribution per draft position plus one for
-    the bonus position.  `argmax_only` restricts greedy acceptance to exact
-    argmax matches; it is what the outermost target review uses so that
-    greedy output is byte-identical to target-only decoding.
+    `proposal_dists` holds the proposer's row at each draft position; the
+    proposal probability q(x) of a token is its entry in that row, and the
+    row itself gives the residual on a sampled rejection.  `reviewer_dists`
+    holds one distribution per draft position plus one for the bonus
+    position.  `argmax_only` restricts greedy acceptance to exact argmax
+    matches; it is what the outermost target review uses so that greedy
+    output is byte-identical to target-only decoding.
     """
     l = check_lenience(lenience)
-    k = len(draft.tokens)
+    k = len(tokens)
+    if len(proposal_dists) != k:
+        raise ContractViolation(
+            f"{k} draft tokens but {len(proposal_dists)} proposal distributions"
+        )
     if len(reviewer_dists) != k + 1:
         raise ContractViolation(
             f"need {k + 1} reviewer distributions for {k} draft tokens, got {len(reviewer_dists)}"
         )
-    if mode is DecodeMode.SAMPLING and draft.proposal_dists is None:
-        raise ContractViolation("sampling-mode review requires proposal distributions")
+    q = [float(row[tok]) for row, tok in zip(proposal_dists, tokens)]
+    for q_tok in q:
+        if not 0.0 < q_tok <= 1.0:
+            raise ContractViolation(f"proposal probability {q_tok} outside (0, 1]")
 
     emitted: list = []
-    emitted_probs: list = []
-    for i, tok in enumerate(draft.tokens):
+    for i, (tok, q_tok) in enumerate(zip(tokens, q)):
         p = reviewer_dists[i]
         p_tok = float(p[tok])
-        q_tok = float(draft.proposal_probs[i])
         if mode is DecodeMode.GREEDY:
             am = greedy_token(p)
             ok = tok == am or (not argmax_only and q_tok <= l * p_tok)
             if ok:
                 emitted.append(tok)
-                emitted_probs.append(p_tok)
                 continue
             emitted.append(am)
-            emitted_probs.append(float(p[am]))
-            return ReviewOutcome(i, emitted, emitted_probs, rejected=True)
+            return ReviewOutcome(i, emitted, rejected=True)
         # sampling mode
         if q_tok <= l * p_tok:
             accept = True
@@ -112,23 +98,19 @@ def speculative_review(
             accept = rng.uniform() >= reject_p
         if accept:
             emitted.append(tok)
-            emitted_probs.append(p_tok)
             continue
         try:
-            res = residual(p, draft.proposal_dists[i])
+            res = residual(p, proposal_dists[i])
         except DegenerateDistribution:
             res = p  # identical distributions: any draw from p is exact
-        corr = sample(res, rng)
-        emitted.append(corr)
-        emitted_probs.append(float(p[corr]))
-        return ReviewOutcome(i, emitted, emitted_probs, rejected=True)
+        emitted.append(sample(res, rng))
+        return ReviewOutcome(i, emitted, rejected=True)
 
     # full acceptance: bonus token from the trailing distribution
     bonus_dist = reviewer_dists[k]
-    bonus = greedy_token(bonus_dist) if mode is DecodeMode.GREEDY else sample(bonus_dist, rng)
-    emitted.append(bonus)
-    emitted_probs.append(float(bonus_dist[bonus]))
-    return ReviewOutcome(k, emitted, emitted_probs, rejected=False)
+    emitted.append(greedy_token(bonus_dist) if mode is DecodeMode.GREEDY
+                   else sample(bonus_dist, rng))
+    return ReviewOutcome(k, emitted, rejected=False)
 
 
 def acceptance_probability(p_target: np.ndarray, p_draft: np.ndarray,

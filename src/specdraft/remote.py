@@ -118,6 +118,10 @@ class RemoteModel(LanguageModel):
     announces it."""
 
     def __init__(self, spec: RemoteModelSpec, vocab: Optional[Vocab] = None):
+        if vocab is not None and vocab.size != spec.vocab_size:
+            raise ConfigError(
+                f"vocab has {vocab.size} pieces but the spec says {spec.vocab_size}"
+            )
         self.spec = spec
         self._url = spec.base_url.rstrip("/")
         self._session = _pinned_session(self._url)

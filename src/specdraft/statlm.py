@@ -276,16 +276,15 @@ class MagModel(ContextConditionedModel):
         so a cascade stage it fills may take more tokens than its k-matrix
         entry (see `KMatrix`).
 
-        Tokens, probabilities and rows equal drawing each token from
-        `distribution` in turn, with one suffix search per span: once the
-        token at `pos` after the first longest match is copied, that match
-        grown by one is the new first longest match, so the next copy is
-        `pos + 1`.  Only a fallback token needs a fresh search.  A sampled
-        copy still consumes one uniform draw, which a one-hot row always
-        maps to its token.
+        Tokens and rows equal drawing each token from `distribution` in
+        turn, with one suffix search per span: once the token at `pos` after
+        the first longest match is copied, that match grown by one is the new
+        first longest match, so the next copy is `pos + 1`.  Only a fallback
+        token needs a fresh search.  A sampled copy still consumes one
+        uniform draw, which a one-hot row always maps to its token.
         """
         cur = list(tokens)
-        out, probs, dists = [], [], []
+        out, dists = [], []
         pos = self._copy_pos(cur)
         for _ in range(self.span):
             if pos is None:
@@ -297,11 +296,10 @@ class MagModel(ContextConditionedModel):
                 if not greedy:
                     rng.uniform()
             out.append(tok)
-            probs.append(float(d[tok]))
             dists.append(d)
             cur.append(tok)
             pos = self._copy_pos(cur) if pos is None else pos + 1
-        return out, probs, dists, 1
+        return out, dists, 1
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,8 @@ def test_criterion_04_live_sd_speedup():
         emitted = 0
         k_matrix = KMatrix([[k]])  # plain SD: the one-level cascade
         for _ in range(steps):
-            new, _, _ = csd_step(target, [draft], [0], k_matrix, 1.0,
-                                 DecodeMode.SAMPLING, rng, GenerationTrace())
+            new, _ = csd_step(target, [draft], [0], k_matrix, 1.0,
+                              DecodeMode.SAMPLING, rng, GenerationTrace())
             emitted += len(new)
         got = emitted / steps  # one target call per step
         details.append(f"alpha={alpha},k={k}: {got:.4f} vs {want}")

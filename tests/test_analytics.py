@@ -256,8 +256,8 @@ def test_synthetic_pair_emitted_length_distribution():
     steps = 20_000
     k_matrix = KMatrix([[k]])
     for _ in range(steps):
-        emitted, _, _ = csd_step(target, [draft], [0], k_matrix, 1.0,
-                                 DecodeMode.SAMPLING, rng, GenerationTrace())
+        emitted, _ = csd_step(target, [draft], [0], k_matrix, 1.0,
+                              DecodeMode.SAMPLING, rng, GenerationTrace())
         counts[len(emitted)] += 1
     expected = gen_fn_coeffs(alpha, k) * steps
     keep = expected > 0

@@ -243,6 +243,21 @@ def test_cli_unknown_subcommand():
     assert cli(["defragment"]) == 2
 
 
+@pytest.mark.parametrize("run", [
+    {"method": "autoregressive", "target": "nope"},
+    {"method": "sd", "target": "n2", "draft": "nope", "k": 2},
+    {"method": "csd", "target": "n2", "drafts": ["n2", "nope"], "k_matrix": [[1, 1], [0, 1]]},
+])
+def test_cli_bench_rejects_unknown_model(tmp_path, capsys, run):
+    cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
+                       runs=[dict(run, name="bad", mode="greedy", max_new_tokens=4, seed=1)])
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "'bad'" in err and "'nope'" in err
+
+
 def test_cli_run_drafts_without_kmatrix(tmp_path):
     model_path = tmp_path / "m.json"
     cli(["train", "--corpus", str(DATA / "eval.txt"), "--order", "2",

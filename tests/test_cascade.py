@@ -54,11 +54,11 @@ def test_base_case_mag_span_copy():
     tok = lambda ch: vocab.id_of(ch)
     prefix = [tok(c) for c in "abcdefg"] + [tok(c) for c in "abc"]
     trace = GenerationTrace("mag")
-    tokens, probs, dists = csd_step(mag, [], prefix, KMatrix([[10]]), 1.0,
-                                    DecodeMode.GREEDY, RandomSource(0), trace)
+    tokens, dists = csd_step(mag, [], prefix, KMatrix([[10]]), 1.0,
+                             DecodeMode.GREEDY, RandomSource(0), trace)
     assert len(tokens) == 10
     assert [vocab.piece_of(t) for t in tokens[:4]] == ["d", "e", "f", "g"]
-    assert all(p == 1.0 for p in probs[:4])
+    assert all(d[t] == 1.0 for t, d in zip(tokens[:4], dists))
     assert trace.calls_per_model["mag"] == 1
 
 
@@ -88,8 +88,8 @@ def test_one_level_cascade_matches_sd(models, eval_prompts):
 def test_self_agreement_collapses_cascade():
     m = ConstantModel([0.1, 0.7, 0.2], descriptor="m")
     trace = GenerationTrace("m")
-    tokens, _, _ = csd_step(m, [m, m], [0], KMatrix([[2, 3], [0, 3]]), 1.0,
-                            DecodeMode.GREEDY, RandomSource(0), trace)
+    tokens, _ = csd_step(m, [m, m], [0], KMatrix([[2, 3], [0, 3]]), 1.0,
+                         DecodeMode.GREEDY, RandomSource(0), trace)
     # everything agrees, so the outer review accepts all stages plus a bonus
     outer = [s for s in trace.steps if s.level == 0]
     assert len(outer) == 1

@@ -108,6 +108,15 @@ def test_sample_inverse_cdf_boundary():
     assert sample(np.array([0.5, 0.5]), _FixedRng([0.75])) == 1
 
 
+def test_sample_never_lands_on_zero_mass_tail():
+    # this row sums to just under 1, so the largest uniform draws pass the
+    # last CDF value; the draw must still land on a token with mass
+    dist = normalize([1] * 10 + [0])
+    u = 1 - 2**-53
+    assert np.cumsum(dist)[-1] <= u
+    assert sample(dist, _FixedRng([u])) == 9
+
+
 def test_sample_empirical_frequencies():
     dist = np.array([0.1, 0.2, 0.7])
     rng = RandomSource(12345)
@@ -182,8 +191,25 @@ def test_vocab_rejects_duplicates():
 
 
 def test_vocab_from_words_sorted_and_deduped():
-    v = Vocab.from_words(["cat", "ant", "cat", "bee"])
+    v = Vocab.from_words(["cat", "ant", "<eos>", "cat", "bee"])
     assert v.pieces[3:] == ("ant", "bee", "cat")
+
+
+def test_vocab_from_words_is_linear():
+    # deduplicating against a list compares each word with every earlier one
+    class Word(str):
+        comparisons = 0
+
+        def __eq__(self, other):
+            Word.comparisons += 1
+            return str.__eq__(self, other)
+
+        __hash__ = str.__hash__
+
+    words = [Word(f"w{i}") for i in range(300)]
+    v = Vocab.from_words(words + words)
+    assert v.size == 303
+    assert Word.comparisons < len(words)
 
 
 def test_piece_of_out_of_range():
@@ -245,9 +271,11 @@ def test_evaluate_start_bounds():
 
 def test_propose_budget_and_probs():
     m = _CycleModel()
-    out, probs, dists, calls = m.propose([0], 3, RandomSource(0), greedy=True)
+    out, dists, calls = m.propose([0], 3, RandomSource(0), greedy=True)
     assert out == [1, 2, 3]
     assert calls == 3
-    assert len(probs) == len(dists) == 3
-    for tok, p, d in zip(out, probs, dists):
-        assert p == d[tok]
+    assert len(dists) == 3
+    # each row is the model's distribution where its token was drafted
+    for i, (tok, d) in enumerate(zip(out, dists)):
+        assert np.array_equal(d, m.distribution([0] + out[:i]))
+        assert d[tok] == d.max()

@@ -14,7 +14,6 @@ from specdraft.core import (
 )
 from specdraft.kernel import (
     DecodeMode,
-    DraftBatch,
     acceptance_probability,
     check_lenience,
     speculative_review,
@@ -51,60 +50,61 @@ def test_check_lenience():
 
 
 def test_draft_batch_invariants():
+    # one proposal row per token, and each token's q in (0, 1]
+    u = np.ones(3) / 3
     with pytest.raises(ContractViolation):
-        DraftBatch([1, 2], [0.5])
+        speculative_review([u, u, u], [1, 2], [u], mode=DecodeMode.GREEDY)
     with pytest.raises(ContractViolation):
-        DraftBatch([1], [0.0])
+        speculative_review([u, u], [1], [np.array([1.0, 0.0, 0.0])], mode=DecodeMode.GREEDY)
     with pytest.raises(ContractViolation):
-        DraftBatch([1], [1.5])
+        speculative_review([u, u], [1], [np.array([0.0, 1.5, 0.0])], mode=DecodeMode.GREEDY)
     with pytest.raises(ContractViolation):
-        DraftBatch([1, 2], [0.5, 0.5], proposal_dists=[np.ones(3) / 3])
+        speculative_review([u, u], [1], [u, u], mode=DecodeMode.GREEDY)
 
 
 def test_review_length_mismatch():
+    h = np.array([0.5, 0.5])
     with pytest.raises(ContractViolation):
-        speculative_review([np.array([1.0, 0.0])], DraftBatch([0, 1], [0.5, 0.5]),
+        speculative_review([np.array([1.0, 0.0])], [0, 1], [h, h],
                            mode=DecodeMode.GREEDY)
 
 
 def test_sampling_requires_proposal_dists():
     dists = [np.array([0.5, 0.5]), np.array([0.5, 0.5])]
     with pytest.raises(ContractViolation):
-        speculative_review(dists, DraftBatch([0], [0.5]), rng=RandomSource(0))
+        speculative_review(dists, [0], [], rng=RandomSource(0))
 
 
 def test_greedy_full_acceptance():
     # every draft token equals the reviewer argmax -> k accepted + bonus
     p = np.array([0.1, 0.8, 0.1])
     dists = [p, p, p, p]
-    out = speculative_review(dists, DraftBatch([1, 1, 1], [0.9, 0.9, 0.9]),
-                             mode=DecodeMode.GREEDY)
+    q = np.array([0.05, 0.9, 0.05])
+    out = speculative_review(dists, [1, 1, 1], [q, q, q], mode=DecodeMode.GREEDY)
     assert out.accepted_count == 3
     assert out.emitted == [1, 1, 1, 1]
     assert not out.rejected
-    assert out.emitted_probs == [0.8, 0.8, 0.8, 0.8]
 
 
 def test_greedy_rejection_emits_argmax():
     p = np.array([0.8, 0.1, 0.1])
-    out = speculative_review([p, p], DraftBatch([2], [0.9]),
-                             mode=DecodeMode.GREEDY, argmax_only=True)
+    q = np.array([0.05, 0.05, 0.9])
+    out = speculative_review([p, p], [2], [q], mode=DecodeMode.GREEDY, argmax_only=True)
     assert out.rejected
     assert out.accepted_count == 0
     assert out.emitted == [0]
-    assert out.emitted_probs == [0.8]
 
 
 def test_greedy_lenience_disjunction():
     # draft token is not the argmax, but q <= l*p lets it through internally
     p = np.array([0.5, 0.3, 0.2])
-    batch = DraftBatch([1], [0.6])
-    strict = speculative_review([p, p], batch, lenience=1.0, mode=DecodeMode.GREEDY)
-    lenient = speculative_review([p, p], batch, lenience=3.0, mode=DecodeMode.GREEDY)
+    rows = [np.array([0.4, 0.6, 0.0])]
+    strict = speculative_review([p, p], [1], rows, lenience=1.0, mode=DecodeMode.GREEDY)
+    lenient = speculative_review([p, p], [1], rows, lenience=3.0, mode=DecodeMode.GREEDY)
     assert strict.rejected and strict.emitted[0] == 0
     assert not lenient.rejected and lenient.emitted[0] == 1
     # argmax_only ignores the lenience escape hatch entirely
-    outer = speculative_review([p, p], batch, lenience=3.0, mode=DecodeMode.GREEDY,
+    outer = speculative_review([p, p], [1], rows, lenience=3.0, mode=DecodeMode.GREEDY,
                                argmax_only=True)
     assert outer.rejected
 
@@ -113,8 +113,8 @@ def test_sampling_deterministic_accept_branch():
     # q <= p: accepted without consuming randomness
     p = np.array([0.9, 0.1])
     q = np.array([0.5, 0.5])
-    out = speculative_review([p, p], DraftBatch([0], [0.5], [q]),
-                             mode=DecodeMode.SAMPLING, rng=RandomSource(0))
+    out = speculative_review([p, p], [0], [q], mode=DecodeMode.SAMPLING,
+                             rng=RandomSource(0))
     assert out.emitted[0] == 0
     assert out.accepted_count == 1
 
@@ -137,10 +137,9 @@ def test_review_outcome_shape():
     q = np.array([0.4, 0.6])
     rng = RandomSource(11)
     for _ in range(100):
-        out = speculative_review([p, p, p], DraftBatch([1, 1], [0.6, 0.6], [q, q]),
-                                 mode=DecodeMode.SAMPLING, rng=rng)
+        out = speculative_review([p, p, p], [1, 1], [q, q], mode=DecodeMode.SAMPLING,
+                                 rng=rng)
         assert len(out.emitted) == out.accepted_count + 1
-        assert len(out.emitted_probs) == len(out.emitted)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +161,10 @@ def test_acceptance_probability_monte_carlo():
     rng = RandomSource(2024)
     trials = 1_000_000
     accepted = 0
-    batch0 = DraftBatch([0], [q[0]], [q])
-    batch1 = DraftBatch([1], [q[1]], [q])
     dists = [p, p]
     for _ in range(trials):
         tok = 0 if rng.uniform() < q[0] else 1
-        out = speculative_review(dists, batch0 if tok == 0 else batch1,
-                                 mode=DecodeMode.SAMPLING, rng=rng)
+        out = speculative_review(dists, [tok], [q], mode=DecodeMode.SAMPLING, rng=rng)
         accepted += 1 - out.rejected
     assert abs(accepted / trials - 0.6) < 0.002
 
@@ -194,8 +190,8 @@ def test_monotone_lenience():
 def _sd_step(target, draft, k, prefix, mode, rng):
     """One outermost review of k drafted tokens: (emitted tokens, accepted)."""
     trace = GenerationTrace()
-    emitted, _, _ = csd_step(target, [draft], prefix, KMatrix([[k]]), 1.0,
-                             mode, rng, trace)
+    emitted, _ = csd_step(target, [draft], prefix, KMatrix([[k]]), 1.0,
+                          mode, rng, trace)
     return emitted, trace.steps[-1].accepted
 
 

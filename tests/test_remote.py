@@ -64,6 +64,14 @@ def test_handshake_vocab_mismatch():
             RemoteModel(RemoteModelSpec(server.url, vocab_size=10))
 
 
+def test_vocab_must_match_spec_width():
+    # a 2-piece vocabulary would label a 3-token server's ids 0..1 only
+    model = ConstantModel(np.ones(3))
+    with serve_model(model) as server:
+        with pytest.raises(ConfigError, match="2 pieces"):
+            RemoteModel(RemoteModelSpec(server.url, vocab_size=3), Vocab(("<a>", "<b>")))
+
+
 def test_handshake_reports_determinism():
     model = ConstantModel(np.ones(4))
     with serve_model(model, deterministic=False) as server:
