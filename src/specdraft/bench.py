@@ -240,6 +240,11 @@ def positional_curve(trace: GenerationTrace) -> List[dict]:
     return curve
 
 
+#: the keys every run spec needs, and the ones its method adds
+_RUN_KEYS = ("name", "method", "target", "max_new_tokens", "seed")
+_METHOD_KEYS = {"autoregressive": (), "sd": ("draft", "k"), "csd": ("drafts", "k_matrix")}
+
+
 def _run_config(run: dict, models: Dict[str, LanguageModel],
                 stop_tokens) -> CascadeConfig:
     """The cascade a run spec describes: autoregressive decoding has no
@@ -289,6 +294,10 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
     output before the report is written; a mismatch aborts unless the target
     reports non-deterministic scoring, in which case a warning is recorded.
     """
+    for index, run in enumerate(config["runs"]):
+        for key in _RUN_KEYS + _METHOD_KEYS.get(run.get("method"), ()):
+            if key not in run:
+                raise ConfigError(f"run {run.get('name', index)!r} lacks required key {key!r}")
     corpus = config["corpus"]
     tokenizer = corpus.get("tokenizer", "byte")
     train_seqs, vocab, tok = ingest_corpus(corpus["train"], tokenizer)

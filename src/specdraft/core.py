@@ -159,8 +159,7 @@ def sample(dist: np.ndarray, rng: RandomSource) -> int:
     lands on the last token with positive mass, never on a zero-mass one.
     """
     u = rng.uniform()
-    cdf = np.cumsum(dist)
-    idx = int(np.searchsorted(cdf, u, side="right"))
+    idx = int(dist.cumsum().searchsorted(u, side="right"))
     if idx < len(dist):
         return idx
     return int(np.flatnonzero(dist > 0)[-1])
@@ -168,7 +167,7 @@ def sample(dist: np.ndarray, rng: RandomSource) -> int:
 
 def greedy_token(dist: np.ndarray) -> int:
     """Argmax with ties broken by lowest token id."""
-    return int(np.argmax(dist))
+    return int(dist.argmax())
 
 
 class LanguageModel(ABC):

@@ -51,6 +51,11 @@ class NGramModel(ContextConditionedModel):
     maximum-likelihood next-token probabilities; interpolation recursively
     mixes each order with the one below, bottoming out at uniform, so every
     conditional is normalized and fully supported.
+
+    A context's row depends only on its longest tabled suffix, since shorter
+    untabled suffixes skip their interpolation step.  So one read-only row is
+    built and cached per tabled context, and every context whose longest
+    tabled suffix it is shares that array.
     """
 
     def __init__(self, order: int, vocab: Vocab,
@@ -82,27 +87,42 @@ class NGramModel(ContextConditionedModel):
             v[tok] = p
         return v
 
+    def _row(self, ctx: Tuple[int, ...]) -> np.ndarray:
+        """The row of `ctx`, at most `order - 1` tokens, built once under its
+        longest tabled suffix."""
+        row = self._cache.get(ctx)
+        if row is not None:
+            return row
+        key = next((ctx[i:] for i in range(len(ctx)) if ctx[i:] in self.tables), ())
+        row = self._cache.get(key)
+        if row is None:
+            w = self.interpolation
+            row = np.full(self.vocab.size, 1.0 / self.vocab.size)
+            for n in range(0, len(key) + 1):
+                ml = self._ml_vector(key[len(key) - n:])
+                if ml is not None:
+                    row = w * ml + (1.0 - w) * row
+            row.flags.writeable = False
+            self._cache[key] = row
+        self._cache[ctx] = row
+        return row
+
     def distribution(self, context: Sequence[int]) -> np.ndarray:
-        ctx = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
-        cached = self._cache.get(ctx)
-        if cached is not None:
-            return cached
-        w = self.interpolation
-        dist = np.full(self.vocab.size, 1.0 / self.vocab.size)
-        for n in range(0, len(ctx) + 1):
-            sub = ctx[len(ctx) - n:]
-            ml = self._ml_vector(sub)
-            if ml is not None:
-                dist = w * ml + (1.0 - w) * dist
-        self._cache[ctx] = dist
-        return dist
+        return self._row(tuple(context[max(0, len(context) - self.order + 1):]))
+
+    def evaluate(self, tokens: Sequence[int], start: int) -> list:
+        """Rows as `ContextConditionedModel.evaluate` gives them, each keyed by
+        at most `order - 1` trailing tokens, without copying the prefix."""
+        self._check_start(tokens, start)
+        return [self._row(tuple(tokens[max(0, p - self.order):p - 1]))
+                for p in range(start, len(tokens) + 2)]
 
     def perplexity(self, corpus) -> float:
         seqs = _as_sequences(corpus)
         logp, n = 0.0, 0
         for seq in seqs:
-            for i, tok in enumerate(seq):
-                logp += float(np.log(self.distribution(seq[:i])[tok]))
+            for tok, dist in zip(seq, self.evaluate(seq, 1)):
+                logp += float(np.log(dist[tok]))
                 n += 1
         return float(np.exp(-logp / n))
 

@@ -258,6 +258,36 @@ def test_cli_bench_rejects_unknown_model(tmp_path, capsys, run):
     assert "'bad'" in err and "'nope'" in err
 
 
+_FULL_RUNS = {
+    "autoregressive": {"name": "bad", "method": "autoregressive", "target": "n2",
+                       "max_new_tokens": 4, "seed": 1},
+    "sd": {"name": "bad", "method": "sd", "target": "n2", "draft": "n2", "k": 2,
+           "max_new_tokens": 4, "seed": 1},
+    "csd": {"name": "bad", "method": "csd", "target": "n2", "drafts": ["n2"],
+            "k_matrix": [[2]], "max_new_tokens": 4, "seed": 1},
+}
+
+
+@pytest.mark.parametrize("method,key", [
+    ("autoregressive", "name"), ("autoregressive", "method"), ("autoregressive", "target"),
+    ("autoregressive", "max_new_tokens"), ("autoregressive", "seed"),
+    ("sd", "draft"), ("sd", "k"), ("csd", "drafts"), ("csd", "k_matrix"),
+])
+def test_cli_bench_rejects_run_without_required_key(tmp_path, capsys, method, key):
+    run = dict(_FULL_RUNS[method])
+    del run[key]
+    # the bad run comes second, so the check must come before any run decodes
+    runs = [_FULL_RUNS["autoregressive"] | {"name": "good"}, run]
+    cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}}, runs=runs)
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"'{key}'" in err and (key == "name" or "'bad'" in err)
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_run_drafts_without_kmatrix(tmp_path):
     model_path = tmp_path / "m.json"
     cli(["train", "--corpus", str(DATA / "eval.txt"), "--order", "2",

@@ -89,6 +89,84 @@ def test_ngram_loop_vs_batch():
         assert np.array_equal(d, m.distribution(tokens[: p - 1]))
 
 
+def _textbook_row(model, context):
+    """Uncached interpolation fold over every suffix of the last order-1
+    tokens, shortest first, skipping suffixes without a table."""
+    ctx = tuple(context[max(0, len(context) - model.order + 1):])
+    size = model.vocab.size
+    dist = np.full(size, 1.0 / size)
+    for n in range(len(ctx) + 1):
+        row = model.tables.get(ctx[len(ctx) - n:])
+        if row is not None:
+            ml = np.zeros(size)
+            for tok, p in row.items():
+                ml[tok] = p
+            dist = model.interpolation * ml + (1.0 - model.interpolation) * dist
+    return dist
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_ngram_shared_rows_match_textbook_fold(data):
+    order = data.draw(st.integers(1, 7), label="order")
+    size = data.draw(st.integers(2, 6), label="V")
+    vocab = Vocab(tuple(f"<{i}>" for i in range(size)))
+    # the last token never occurs in training, so queries meet unseen tokens
+    corpus = data.draw(st.lists(st.integers(0, size - 2), min_size=1, max_size=40),
+                       label="corpus")
+    tables = train_ngram(corpus, order, vocab).tables
+    # dropping tables leaves longer contexts tabled whose suffixes are not
+    dropped = data.draw(st.sets(st.sampled_from(sorted(tables))), label="dropped")
+    model = NGramModel(order, vocab, {c: r for c, r in tables.items() if c not in dropped},
+                       data.draw(st.sampled_from([0.3, 0.75, 0.9]), label="w"))
+    seqs = data.draw(st.lists(st.lists(st.integers(0, size - 1), max_size=12),
+                              min_size=1, max_size=4), label="seqs")
+    queries = [(i, start) for i, seq in enumerate(seqs) for start in range(1, len(seq) + 2)]
+    queries += [(i, None) for i in range(len(seqs))]
+    for i, start in data.draw(st.permutations(queries), label="order of queries"):
+        seq = seqs[i]
+        if start is None:
+            for cut in range(len(seq) + 1):
+                row = model.distribution(seq[:cut])
+                assert np.array_equal(row, _textbook_row(model, seq[:cut]))
+        else:
+            rows = model.evaluate(seq, start)
+            assert len(rows) == len(seq) + 2 - start
+            for p, row in enumerate(rows, start=start):
+                assert np.array_equal(row, _textbook_row(model, seq[:p - 1]))
+
+
+def test_ngram_caches_one_row_per_tabled_context(corpus):
+    train_seqs, eval_seqs, vocab, _ = corpus
+    model = train_ngram(train_seqs, 7, vocab)
+    for j, seq in enumerate(eval_seqs[:40]):
+        model.propose(seq[:32], 48, RandomSource(j), greedy=False)
+        model.evaluate(seq, 1)
+    distinct = {id(row) for row in model._cache.values()}
+    assert len(distinct) <= len(model.tables) + 1
+    assert len(model._cache) > len(distinct)  # some rows really are shared
+
+
+def test_ngram_rows_are_read_only():
+    model = train_ngram([1, 2, 3, 1, 2, 4], 3, V6)
+    rows = [model.distribution([1, 2]), model.distribution([5, 5])] + model.evaluate([1, 2], 1)
+    for row in rows:
+        with pytest.raises(ValueError):
+            row[0] = 0.5
+
+
+def test_perplexity_equals_per_prefix_formula(corpus):
+    train_seqs, eval_seqs, vocab, _ = corpus
+    model = train_ngram(train_seqs, 5, vocab)
+    seqs = eval_seqs[:50]
+    logp, n = 0.0, 0
+    for seq in seqs:
+        for i, tok in enumerate(seq):
+            logp += float(np.log(model.distribution(seq[:i])[tok]))
+            n += 1
+    assert model.perplexity(seqs) == float(np.exp(-logp / n))
+
+
 # ---------------------------------------------------------------------------
 # bigram table
 # ---------------------------------------------------------------------------
