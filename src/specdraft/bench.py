@@ -15,7 +15,8 @@ import json
 import sys
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -78,6 +79,8 @@ class WordTokenizer:
     eval words map to the reserved unk id."""
 
     def __init__(self, vocab: Vocab):
+        if vocab == Vocab.byte_level():
+            raise ConfigError("a word tokenizer needs a word vocabulary, not a byte-level one")
         self.vocab = vocab
 
     @classmethod
@@ -128,11 +131,14 @@ def ingest_corpus(path: str, tokenizer: str = "byte", existing=None):
 # model construction
 # ---------------------------------------------------------------------------
 
-def build_model(name: str, spec: dict, train_seqs, vocab: Vocab) -> LanguageModel:
+def build_model(name: str, spec: dict, train_seqs, vocab: Optional[Vocab]) -> LanguageModel:
+    """The one loader of models: a `"file"` spec loads a saved model, which
+    must have `vocab` unless that is None; any other spec trains one."""
     if "file" in spec:
         model = load_model(spec["file"])
-        if model.vocab != vocab:
-            raise ConfigError(f"model {name!r} was trained on a different vocabulary")
+        if vocab is not None and model.vocab != vocab:
+            raise ConfigError(f"model {name!r} was trained on a different vocabulary "
+                              f"(vocabulary size {model.vocab.size}, expected {vocab.size})")
         return model
     kind = spec.get("type", "ngram")
     cost_weight = spec.get("cost_weight")
@@ -211,7 +217,7 @@ def write_curve_csv(trace: GenerationTrace, path: str) -> None:
 # bench runs
 # ---------------------------------------------------------------------------
 
-def _merge_traces(traces: List[GenerationTrace], target_descriptor: str) -> GenerationTrace:
+def _merge_traces(traces: Sequence[GenerationTrace], target_descriptor: str) -> GenerationTrace:
     """One trace holding the calls, tokens, reviews and warnings of many runs."""
     merged = GenerationTrace(target_descriptor)
     for t in traces:
@@ -245,28 +251,37 @@ _RUN_KEYS = ("name", "method", "target", "max_new_tokens", "seed")
 _METHOD_KEYS = {"autoregressive": (), "sd": ("draft", "k"), "csd": ("drafts", "k_matrix")}
 
 
-def _run_config(run: dict, models: Dict[str, LanguageModel],
-                stop_tokens) -> CascadeConfig:
-    """The cascade a run spec describes: autoregressive decoding has no
-    drafts, plain SD one draft with k-matrix [[k]]."""
-    def pick(name: str) -> LanguageModel:
-        if name not in models:
-            raise ConfigError(f"run {run.get('name')!r} names unknown model {name!r}")
-        return models[name]
-
+def _run_config(run: dict, models: Dict[str, LanguageModel], stop_tokens,
+                index: int = 0) -> CascadeConfig:
+    """The validated cascade a run spec describes: autoregressive decoding
+    has no drafts, plain SD one draft with k-matrix [[k]].  A run's calls
+    are counted and priced per descriptor, so two distinct models of one
+    run may not share a descriptor (one model twice may)."""
+    label = run.get("name", index)
+    for key in _RUN_KEYS + _METHOD_KEYS.get(run.get("method"), ()):
+        if key not in run:
+            raise ConfigError(f"run {label!r} lacks required key {key!r}")
     method = run["method"]
-    if method == "autoregressive":
-        drafts, k_matrix = [], KMatrix([])
-    elif method == "sd":
-        drafts, k_matrix = [pick(run["draft"])], KMatrix([[int(run["k"])]])
-    elif method == "csd":
-        drafts, k_matrix = [pick(d) for d in run["drafts"]], KMatrix(run["k_matrix"])
-    else:
+    if method not in _METHOD_KEYS:
         raise ConfigError(f"unknown run method {method!r}")
-    return CascadeConfig(
-        target=pick(run["target"]),
-        drafts=drafts,
-        k_matrix=k_matrix,
+    names = [run["target"], *{"autoregressive": [], "sd": [run.get("draft")],
+                              "csd": run.get("drafts")}[method]]
+    for name in names:
+        if name not in models:
+            raise ConfigError(f"run {label!r} names unknown model {name!r}")
+    picked = [models[n] for n in names]
+    if len({id(m) for m in picked}) > len({m.descriptor for m in picked}):
+        raise ConfigError(f"run {label!r} has distinct models that share a descriptor: "
+                          f"{sorted(m.descriptor for m in picked)}")
+    if run.get("mode", "greedy") not in {m.value for m in DecodeMode}:
+        raise ConfigError(f"run {label!r} has unknown mode {run['mode']!r}")
+    if int(run["max_new_tokens"]) < 1:
+        raise ConfigError(f"run {label!r} has max_new_tokens {run['max_new_tokens']} < 1")
+    k_rows = {"autoregressive": [], "sd": [[run.get("k")]], "csd": run.get("k_matrix")}
+    config = CascadeConfig(
+        target=picked[0],
+        drafts=picked[1:],
+        k_matrix=KMatrix(k_rows[method]),
         mode=DecodeMode(run.get("mode", "greedy")),
         max_new_tokens=int(run["max_new_tokens"]),
         seed=int(run["seed"]),
@@ -274,30 +289,21 @@ def _run_config(run: dict, models: Dict[str, LanguageModel],
         stop_tokens=stop_tokens,
         allow_inexact_sampling=bool(run.get("allow_inexact_sampling", False)),
     )
-
-
-def _run_one(run: dict, models: Dict[str, LanguageModel],
-             prompts: List[List[int]], stop_tokens) -> Tuple[List[List[int]], List[GenerationTrace]]:
-    config = _run_config(run, models, stop_tokens)
-    outs, traces = [], []
-    for j, prompt in enumerate(prompts):
-        out, trace = generate(replace(config, seed=config.seed + j), prompt)
-        outs.append(out)
-        traces.append(trace)
-    return outs, traces
+    config.validate()
+    return config
 
 
 def run_bench(config: dict, quiet: bool = False) -> dict:
-    """Execute every run spec and assemble the report dict.
+    """Build every run's cascade, then execute the runs and assemble the
+    report dict; a malformed run stops the bench before any run decodes.
 
     Greedy runs are verified token-for-token against autoregressive target
     output before the report is written; a mismatch aborts unless the target
     reports non-deterministic scoring, in which case a warning is recorded.
     """
-    for index, run in enumerate(config["runs"]):
-        for key in _RUN_KEYS + _METHOD_KEYS.get(run.get("method"), ()):
-            if key not in run:
-                raise ConfigError(f"run {run.get('name', index)!r} lacks required key {key!r}")
+    for key in ("corpus", "models", "runs"):
+        if key not in config:
+            raise ConfigError(f"bench config lacks required key {key!r}")
     corpus = config["corpus"]
     tokenizer = corpus.get("tokenizer", "byte")
     train_seqs, vocab, tok = ingest_corpus(corpus["train"], tokenizer)
@@ -309,26 +315,30 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
     n_prompts = int(config.get("num_prompts", len(eval_seqs)))
     prompt_tokens = int(config.get("prompt_tokens", 32))
     prompts = [seq[:max(1, prompt_tokens)] for seq in eval_seqs[:n_prompts]]
+    if not prompts:
+        raise ConfigError("bench has no prompts: num_prompts or the eval corpus is empty")
     stop_tokens = frozenset({vocab.eos_id} if config.get("stop_at_eos", True) else set())
+    run_configs = [_run_config(run, models, stop_tokens, i)
+                   for i, run in enumerate(config["runs"])]
 
     cost_models = config.get("cost_models") or {"ms": None}
     greedy_cache: Dict[tuple, List[List[int]]] = {}
 
     report_runs = []
-    for run in config["runs"]:
+    for run, cfg in zip(config["runs"], run_configs):
         t0 = time.perf_counter()
-        outs, traces = _run_one(run, models, prompts, stop_tokens)
+        outs, traces = zip(*[generate(replace(cfg, seed=cfg.seed + j), prompt)
+                             for j, prompt in enumerate(prompts)])
         elapsed = time.perf_counter() - t0
-        target = models[run["target"]]
+        target = cfg.target
         merged = _merge_traces(traces, target.descriptor)
 
-        mode = DecodeMode(run.get("mode", "greedy"))
         greedy_ok: Optional[bool] = None
-        if mode is DecodeMode.GREEDY:
-            key = (run["target"], int(run["max_new_tokens"]))
+        if cfg.mode is DecodeMode.GREEDY:
+            key = (run["target"], cfg.max_new_tokens)
             if key not in greedy_cache:
                 greedy_cache[key] = [
-                    autoregressive_generate(target, p, int(run["max_new_tokens"]),
+                    autoregressive_generate(target, p, cfg.max_new_tokens,
                                             DecodeMode.GREEDY, RandomSource(0),
                                             stop_tokens)[0]
                     for p in prompts
@@ -343,23 +353,21 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
                         f"run {run['name']!r} broke greedy equivalence on "
                         f"{len(diffs)} prompts; first mismatch prompt {j}: "
                         f"got {outs[j][len(prompts[j]):][:20]} vs "
-                        f"target {refs[j][len(prompts[j]):][:20]}"
-                    )
+                        f"target {refs[j][len(prompts[j]):][:20]}")
                 merged.warnings.append(
                     f"greedy mismatch tolerated: target {target.descriptor!r} "
-                    "is non-deterministic"
-                )
+                    "is non-deterministic")
 
         swi_values = {}
         for preset, mapping in sorted(cost_models.items()):
             price = dict(merged.cost_weights) if mapping is None else dict(mapping)
             swi_values[preset] = swi(merged, price)
 
-        entry = {
+        report_runs.append({
             "name": run["name"],
             "method": run["method"],
             "target": target.descriptor,
-            "mode": mode.value,
+            "mode": cfg.mode.value,
             "tokens_emitted": merged.tokens_emitted,
             "calls_per_model": dict(sorted(merged.calls_per_model.items())),
             "cost_units": merged.cost_units,
@@ -367,8 +375,7 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
             "greedy_equivalent": greedy_ok,
             "positional_acceptance": positional_curve(merged),
             "warnings": merged.warnings,
-        }
-        report_runs.append(entry)
+        })
         if not quiet:
             print(f"[{run['name']}] tokens={merged.tokens_emitted} "
                   f"swi={ {k: round(v, 3) for k, v in swi_values.items()} } "
@@ -402,35 +409,22 @@ def write_report(report: dict, json_path: str, csv_path: Optional[str] = None) -
 
 def _cmd_train(args) -> int:
     seqs, vocab, _ = ingest_corpus(args.corpus, args.tokenizer)
-    spec = {"type": args.type, "order": args.order, "span": args.span,
-            "interpolation": args.interpolation}
-    if args.cost_weight is not None:
-        spec["cost_weight"] = args.cost_weight
-    model = build_model(args.name or args.type, spec, seqs, vocab)
+    spec = {k: v for k, v in vars(args).items() if v is not None}
+    model = build_model(args.name or Path(args.out).stem, spec, seqs, vocab)
     save_model(model, args.out)
     print(f"trained {model.descriptor} on {len(seqs)} sequences -> {args.out}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    target = load_model(args.target)
+    """Generate from byte-level model files; the flags are a run spec."""
     tok = ByteTokenizer()
-    if target.vocab != tok.vocab:
-        raise ConfigError("run currently supports byte-level models only")
-    prompt = [tok.vocab.bos_id] + tok.encode(args.prompt)
-    if args.drafts:
-        if not args.k_matrix:
-            raise ConfigError("--drafts requires --k-matrix")
-        drafts = [load_model(p) for p in args.drafts]
-        k_matrix = KMatrix(json.loads(args.k_matrix))
-    elif args.draft:
-        drafts, k_matrix = [load_model(args.draft)], KMatrix([[args.k]])
-    else:
-        drafts, k_matrix = [], KMatrix([])
-    cfg = CascadeConfig(target, drafts, k_matrix, DecodeMode(args.mode),
-                        args.max_new_tokens, args.seed, lenience=args.lenience,
-                        stop_tokens=frozenset({tok.vocab.eos_id}))
-    out, trace = generate(cfg, prompt)
+    paths = dict.fromkeys(p for p in [args.target, args.draft, *(args.drafts or [])] if p)
+    models = {p: build_model(p, {"file": p}, None, tok.vocab) for p in paths}
+    run = dict({k: v for k, v in vars(args).items() if v is not None}, name="run",
+               method="csd" if args.drafts else "sd" if args.draft else "autoregressive")
+    cfg = _run_config(run, models, frozenset({tok.vocab.eos_id}))
+    out, trace = generate(cfg, [tok.vocab.bos_id] + tok.encode(args.prompt))
     print(tok.decode(out))
     print(f"-- tokens={trace.tokens_emitted} calls={trace.calls_per_model} "
           f"cost={trace.cost_units:.1f}", file=sys.stderr)
@@ -439,7 +433,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"bench config {args.config} is not JSON: {err}") from None
     report = run_bench(config)
     json_path = args.out or config.get("report", "report.json")
     csv_path = json_path.rsplit(".", 1)[0] + ".csv"
@@ -466,9 +463,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_accept_curve(args) -> int:
-    target = load_model(args.target)
-    draft = load_model(args.draft)
-    seqs, _, _ = ingest_corpus(args.corpus, args.tokenizer)
+    """Measure over the corpus tokenized in the target's vocabulary."""
+    target = build_model(args.target, {"file": args.target}, None,
+                         Vocab.byte_level() if args.tokenizer == "byte" else None)
+    tok = WordTokenizer(target.vocab) if args.tokenizer == "word" else ByteTokenizer()
+    draft = build_model(args.draft, {"file": args.draft}, None, tok.vocab)
+    seqs, _, _ = ingest_corpus(args.corpus, existing=tok)
     prompts = [s[:max(1, args.prompt_tokens)] for s in seqs[:args.num_prompts]]
     trace = measure_positional_acceptance(
         target, draft, args.k, prompts, args.steps, RandomSource(args.seed),
@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--draft", default=None)
     r.add_argument("--drafts", nargs="*", default=None)
     r.add_argument("--k", type=int, default=8)
-    r.add_argument("--k-matrix", default=None, help="JSON square matrix")
+    r.add_argument("--k-matrix", type=json.loads, default=None, help="JSON square matrix")
     r.add_argument("--lenience", type=float, default=1.0)
     r.add_argument("--prompt", required=True)
     r.add_argument("--mode", choices=["greedy", "sampling"], default="greedy")

@@ -119,7 +119,7 @@ class CascadeConfig:
     allow_inexact_sampling: bool = False
 
     def validate(self) -> None:
-        if self.lenience < 1.0:
+        if not self.lenience >= 1.0:
             raise ConfigError(f"lenience must be >= 1, got {self.lenience}")
         if self.drafts and self.k_matrix.n != len(self.drafts):
             raise ConfigError(

@@ -1,4 +1,5 @@
 """Tokenizers, the positional-acceptance measurement, the bench harness, CLI."""
+import ast
 import csv
 import json
 from pathlib import Path
@@ -346,3 +347,138 @@ def test_cli_accept_curve_rejects_mismatched_vocabularies(tmp_path, capsys):
               "--num-prompts", "2", "--seed", "1", "--out", str(tmp_path / "curve.csv")])
     assert rc == 2
     assert "vocabulary size" in capsys.readouterr().err
+
+
+def _write_config(tmp_path, cfg) -> list:
+    """Write `cfg` as a bench config and return the CLI arguments to run it."""
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return ["bench", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]
+
+
+@pytest.mark.parametrize("bad", [{"mode": "beam"}, {"k_matrix": [[2, 1]]},
+                                 {"k_matrix": [[0]]}, {"k_matrix": [[2, 1], [0, 1]]}])
+def test_cli_bench_checks_every_run_before_any_decodes(tmp_path, capsys, bad):
+    runs = [_FULL_RUNS["autoregressive"] | {"name": "good"}, _FULL_RUNS["csd"] | bad]
+    cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}}, runs=runs)
+    rc = cli(_write_config(tmp_path, cfg))
+    err = capsys.readouterr().err
+    assert (rc, err.startswith("config error:")) == (2, True), err
+    assert "[good]" not in err  # the first run never decoded
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("key,value", [("max_new_tokens", 0), ("max_new_tokens", -3)])
+def test_cli_bench_rejects_run_that_cannot_emit(tmp_path, capsys, key, value):
+    cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
+                       runs=[_FULL_RUNS["sd"] | {key: value}])
+    assert cli(_write_config(tmp_path, cfg)) == 2
+    err = capsys.readouterr().err
+    assert "'bad'" in err and key in err and "price" not in err
+
+
+def test_cli_bench_rejects_zero_prompts(tmp_path, capsys):
+    cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
+                       runs=[_FULL_RUNS["sd"]], num_prompts=0)
+    assert cli(_write_config(tmp_path, cfg)) == 2
+    err = capsys.readouterr().err
+    assert "no prompts" in err and "price" not in err
+
+
+def test_cli_bench_rejects_nan_lenience(tmp_path, capsys):
+    cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
+                       runs=[_FULL_RUNS["sd"] | {"lenience": float("nan")}])
+    assert cli(_write_config(tmp_path, cfg)) == 2
+    assert "lenience" in capsys.readouterr().err
+
+
+def test_cli_bench_rejects_config_that_is_not_json(tmp_path, capsys):
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text("{corpus: 1}")
+    assert cli(["bench", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(cfg_path) in err
+
+
+@pytest.mark.parametrize("key", ["corpus", "models", "runs"])
+def test_cli_bench_rejects_config_without_required_key(tmp_path, capsys, key):
+    cfg = _tiny_config()
+    del cfg[key]
+    assert cli(_write_config(tmp_path, cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{key}'" in err
+
+
+def test_cli_bench_rejects_distinct_models_sharing_a_descriptor(tmp_path, capsys, models):
+    from specdraft.statlm import save_model
+    path = tmp_path / "n2.json"
+    save_model(models["n2"], path)
+    # two loads of one file are two models with one descriptor: their calls
+    # would be counted and priced as one model's
+    cfg = _tiny_config(models={"a": {"file": str(path)}, "b": {"file": str(path)}},
+                       runs=[_FULL_RUNS["sd"] | {"target": "a", "draft": "b"}])
+    assert cli(_write_config(tmp_path, cfg)) == 2
+    err = capsys.readouterr().err
+    assert "'bad'" in err and "descriptor" in err
+    # one model twice is self-agreement, which stays legal
+    cfg["runs"] = [_FULL_RUNS["sd"] | {"target": "a", "draft": "a"}]
+    assert cli(_write_config(tmp_path, cfg)) == 0
+
+
+def _train(tmp_path, name, *flags, corpus="eval.txt"):
+    path = tmp_path / name
+    assert cli(["train", "--corpus", str(DATA / corpus), "--out", str(path), *flags]) == 0
+    return str(path)
+
+
+def test_cli_readme_quick_start_prices_target_and_draft_apart(tmp_path, capsys):
+    # trained without --name, each model is named after its file
+    target = _train(tmp_path, "n3.json", "--order", "3")
+    draft = _train(tmp_path, "n2.json", "--order", "2")
+    assert "trained n3 " in capsys.readouterr().out
+    assert cli(["run", "--target", target, "--draft", draft, "--k", "4",
+                "--prompt", "the scheduler", "--seed", "1", "--max-new-tokens", "24"]) == 0
+    calls = capsys.readouterr().err.split("calls=")[1].split(" cost=")[0]
+    assert set(ast.literal_eval(calls)) == {"n3", "n2"}
+
+
+def test_cli_run_rejects_distinct_models_sharing_a_descriptor(tmp_path, capsys):
+    target = _train(tmp_path, "a.json", "--order", "3", "--name", "ngram")
+    draft = _train(tmp_path, "b.json", "--order", "2", "--name", "ngram")
+    capsys.readouterr()
+    assert cli(["run", "--target", target, "--draft", draft, "--prompt", "x",
+                "--seed", "1"]) == 2
+    assert "descriptor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--drafts", "{m}", "--k-matrix", "[[2"],
+                                   ["--max-new-tokens", "0"]])
+def test_cli_run_usage_and_config_errors_exit_2(tmp_path, flags):
+    model = _train(tmp_path, "m.json", "--order", "2")
+    assert cli(["run", "--target", model, "--prompt", "x", "--seed", "1",
+                *[f.format(m=model) for f in flags]]) == 2
+
+
+def test_cli_accept_curve_rejects_word_tokenizer_over_byte_models(tmp_path, capsys):
+    target = _train(tmp_path, "t.json", "--order", "2")
+    capsys.readouterr()
+    rc = cli(["accept-curve", "--target", target, "--draft", target, "--k", "4",
+              "--steps", "10", "--corpus", str(DATA / "eval.txt"), "--tokenizer", "word",
+              "--num-prompts", "2", "--seed", "1", "--out", str(tmp_path / "curve.csv")])
+    assert rc == 2
+    assert "byte-level" in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
+
+
+def test_cli_accept_curve_tokenizes_in_the_targets_vocabulary(tmp_path):
+    # word models trained on one corpus, measured over another: every prompt
+    # token is an id of the target's vocabulary
+    target = _train(tmp_path, "t.json", "--order", "3", "--tokenizer", "word",
+                    corpus="train.txt")
+    draft = _train(tmp_path, "d.json", "--order", "2", "--tokenizer", "word",
+                   corpus="train.txt")
+    out = tmp_path / "curve.csv"
+    assert cli(["accept-curve", "--target", target, "--draft", draft, "--k", "4",
+                "--steps", "20", "--corpus", str(DATA / "eval.txt"), "--tokenizer", "word",
+                "--num-prompts", "3", "--seed", "1", "--out", str(out)]) == 0
+    assert len(list(csv.reader(out.open()))) == 5

@@ -136,6 +136,14 @@ def test_config_rejects_bad_lenience():
         cfg.validate()
 
 
+def test_config_rejects_nan_lenience():
+    # NaN fails every comparison, so only `not l >= 1` catches it, as in the kernel
+    m = ConstantModel([0.5, 0.5])
+    cfg = CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0, lenience=float("nan"))
+    with pytest.raises(ConfigError, match="lenience"):
+        cfg.validate()
+
+
 def test_config_rejects_sampling_internal_lenience():
     m = ConstantModel([0.5, 0.5])
     cfg = CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.SAMPLING, 4, 0, lenience=2.0)
