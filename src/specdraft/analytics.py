@@ -17,6 +17,7 @@ from .core import (
     RandomSource,
     Vocab,
     normalize,
+    reading,
 )
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -206,30 +207,32 @@ def ewif_comparison_table(rows: Sequence[dict], trials: int,
     "ks": [...]} where stage i contributes ks[i] positions at rate alphas[i]
     and cost cs[i].  This is the machinery behind externally-supplied
     acceptance-rate comparisons; the caller provides the rates and costs.
+    A row that does not fit is a ContractViolation naming its index.
     """
     out = []
     streams = rng.split(len(rows))
-    for row, sub in zip(rows, streams):
-        method = row["method"]
-        if method == "sd":
-            closed = sd_ewif(row["alpha"], row["c"], row["k"])
-            est = simulate_sd_ewif(row["alpha"], row["c"], row["k"], trials, sub)
-        elif method == "horizontal":
-            alphas: List[float] = []
-            costs: List[float] = []
-            for a, c, ki in zip(row["alphas"], row["cs"], row["ks"]):
-                alphas.extend([a] * ki)
-                costs.extend([c] * ki)
-            profile = AcceptanceProfile(tuple(alphas), tuple(costs))
-            closed = horizontal_ewif(profile)
-            est = simulate_horizontal_ewif(profile, trials, sub)
-        elif method == "vertical":
-            args = (row["alpha"], row["alpha_prime"], row["k"], row["n"],
-                    row["c1"], row["c2"])
-            closed = vertical_ewif(*args)
-            est = simulate_vertical_ewif(*args, trials, sub)
-        else:
-            raise ContractViolation(f"unknown method {method!r}")
+    for i, (row, sub) in enumerate(zip(rows, streams)):
+        with reading(f"row {i}", ContractViolation):
+            method = row["method"]
+            if method == "sd":
+                closed = sd_ewif(row["alpha"], row["c"], row["k"])
+                est = simulate_sd_ewif(row["alpha"], row["c"], row["k"], trials, sub)
+            elif method == "horizontal":
+                alphas: List[float] = []
+                costs: List[float] = []
+                for a, c, ki in zip(row["alphas"], row["cs"], row["ks"]):
+                    alphas.extend([a] * ki)
+                    costs.extend([c] * ki)
+                profile = AcceptanceProfile(tuple(alphas), tuple(costs))
+                closed = horizontal_ewif(profile)
+                est = simulate_horizontal_ewif(profile, trials, sub)
+            elif method == "vertical":
+                args = (row["alpha"], row["alpha_prime"], row["k"], row["n"],
+                        row["c1"], row["c2"])
+                closed = vertical_ewif(*args)
+                est = simulate_vertical_ewif(*args, trials, sub)
+            else:
+                raise ContractViolation(f"unknown method {method!r}")
         out.append({
             "name": row.get("name", method),
             "method": method,
@@ -255,6 +258,7 @@ class ConstantModel(ContextConditionedModel):
             vocab = Vocab(tuple(f"<{i}>" for i in range(len(self._dist))))
         if vocab.size != len(self._dist):
             raise ConstructionError("distribution size does not match vocabulary")
+        self._dist.flags.writeable = False
         super().__init__(vocab, cost_weight, descriptor)
 
     def distribution(self, context) -> np.ndarray:

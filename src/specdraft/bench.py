@@ -29,7 +29,8 @@ from .cascade import (
     csd_step,
     generate,
 )
-from .core import ConfigError, ContractViolation, LanguageModel, RandomSource, Vocab
+from .core import (ConfigError, ContractViolation, LanguageModel, RandomSource, Vocab,
+                   reading)
 from .kernel import DecodeMode
 from .statlm import (
     MATCH_PROMPT_AND_GENERATION,
@@ -132,31 +133,36 @@ def ingest_corpus(path: str, tokenizer: str = "byte", existing=None):
 # ---------------------------------------------------------------------------
 
 def build_model(name: str, spec: dict, train_seqs, vocab: Optional[Vocab]) -> LanguageModel:
-    """The one loader of models: a `"file"` spec loads a saved model, which
-    must have `vocab` unless that is None; any other spec trains one."""
-    if "file" in spec:
-        model = load_model(spec["file"])
-        if vocab is not None and model.vocab != vocab:
-            raise ConfigError(f"model {name!r} was trained on a different vocabulary "
-                              f"(vocabulary size {model.vocab.size}, expected {vocab.size})")
-        return model
-    kind = spec.get("type", "ngram")
-    cost_weight = spec.get("cost_weight")
-    if kind == "ngram":
-        return train_ngram(train_seqs, int(spec.get("order", 3)), vocab,
-                           interpolation=float(spec.get("interpolation", 0.75)),
-                           cost_weight=cost_weight, descriptor=name)
-    table = BigramTable.from_corpus(train_seqs, vocab)
-    if kind == "bigram":
-        return BigramModel(table, cost_weight if cost_weight is not None else 1.0, name)
-    if kind == "mag":
-        policy = spec.get("policy", MATCH_PROMPT_AND_GENERATION)
-        if policy != MATCH_PROMPT_AND_GENERATION:
-            raise ConfigError(f"unknown match policy {policy!r} for model {name!r}")
-        return MagModel(table, span=int(spec.get("span", 10)),
-                        cost_weight=cost_weight if cost_weight is not None else 0.0,
-                        descriptor=name)
-    raise ConfigError(f"unknown model type {kind!r} for model {name!r}")
+    """The one loader of models: a `"file"` spec loads a saved model, any
+    other spec trains one.  A spec that cannot be read or built is a
+    ConfigError naming the model, and so is a model whose vocabulary is not
+    `vocab` (unless that is None)."""
+    with reading(f"model {name!r}"):
+        if not isinstance(spec, dict):
+            raise TypeError(f"not a JSON object: {spec!r}")
+        kind = spec.get("type", "ngram")
+        # each type's default weight lives in its constructor
+        weight = {} if spec.get("cost_weight") is None else {"cost_weight": spec["cost_weight"]}
+        if "file" in spec:
+            model = load_model(Path(spec["file"]))
+        elif kind == "ngram":
+            model = train_ngram(train_seqs, int(spec.get("order", 3)), vocab,
+                                interpolation=float(spec.get("interpolation", 0.75)),
+                                descriptor=name, **weight)
+        elif kind == "bigram":
+            model = BigramModel(BigramTable.from_corpus(train_seqs, vocab), descriptor=name,
+                                **weight)
+        elif kind == "mag":
+            if spec.get("policy", MATCH_PROMPT_AND_GENERATION) != MATCH_PROMPT_AND_GENERATION:
+                raise ConfigError(f"unknown match policy {spec['policy']!r}")
+            model = MagModel(BigramTable.from_corpus(train_seqs, vocab),
+                             span=int(spec.get("span", 10)), descriptor=name, **weight)
+        else:
+            raise ConfigError(f"unknown model type {kind!r}")
+    if vocab is not None and model.vocab != vocab:
+        raise ConfigError(f"model {name!r} was trained on a different vocabulary "
+                          f"(vocabulary size {model.vocab.size}, expected {vocab.size})")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -246,86 +252,88 @@ def positional_curve(trace: GenerationTrace) -> List[dict]:
     return curve
 
 
-#: the keys every run spec needs, and the ones its method adds
-_RUN_KEYS = ("name", "method", "target", "max_new_tokens", "seed")
-_METHOD_KEYS = {"autoregressive": (), "sd": ("draft", "k"), "csd": ("drafts", "k_matrix")}
-
-
 def _run_config(run: dict, models: Dict[str, LanguageModel], stop_tokens,
                 index: int = 0) -> CascadeConfig:
     """The validated cascade a run spec describes: autoregressive decoding
     has no drafts, plain SD one draft with k-matrix [[k]].  A run's calls
     are counted and priced per descriptor, so two distinct models of one
-    run may not share a descriptor (one model twice may)."""
-    label = run.get("name", index)
-    for key in _RUN_KEYS + _METHOD_KEYS.get(run.get("method"), ()):
-        if key not in run:
-            raise ConfigError(f"run {label!r} lacks required key {key!r}")
-    method = run["method"]
-    if method not in _METHOD_KEYS:
-        raise ConfigError(f"unknown run method {method!r}")
-    names = [run["target"], *{"autoregressive": [], "sd": [run.get("draft")],
-                              "csd": run.get("drafts")}[method]]
-    for name in names:
-        if name not in models:
-            raise ConfigError(f"run {label!r} names unknown model {name!r}")
-    picked = [models[n] for n in names]
-    if len({id(m) for m in picked}) > len({m.descriptor for m in picked}):
-        raise ConfigError(f"run {label!r} has distinct models that share a descriptor: "
-                          f"{sorted(m.descriptor for m in picked)}")
-    if run.get("mode", "greedy") not in {m.value for m in DecodeMode}:
-        raise ConfigError(f"run {label!r} has unknown mode {run['mode']!r}")
-    if int(run["max_new_tokens"]) < 1:
-        raise ConfigError(f"run {label!r} has max_new_tokens {run['max_new_tokens']} < 1")
-    k_rows = {"autoregressive": [], "sd": [[run.get("k")]], "csd": run.get("k_matrix")}
-    config = CascadeConfig(
-        target=picked[0],
-        drafts=picked[1:],
-        k_matrix=KMatrix(k_rows[method]),
-        mode=DecodeMode(run.get("mode", "greedy")),
-        max_new_tokens=int(run["max_new_tokens"]),
-        seed=int(run["seed"]),
-        lenience=float(run.get("lenience", 1.0)),
-        stop_tokens=stop_tokens,
-        allow_inexact_sampling=bool(run.get("allow_inexact_sampling", False)),
-    )
-    config.validate()
+    run may not share a descriptor (one model twice may).  A spec that does
+    not fit is a ConfigError naming the run."""
+    label = run.get("name", index) if isinstance(run, dict) else index
+    with reading(f"run {label!r}"):
+        if not isinstance(run, dict):
+            raise TypeError(f"not a JSON object: {run!r}")
+        run["name"]  # required: the report lists runs by name
+        method = run["method"]
+        if method == "sd":
+            drafts, k_rows = [run["draft"]], [[run["k"]]]
+        elif method == "csd":
+            drafts, k_rows = run["drafts"], run["k_matrix"]
+        elif method == "autoregressive":
+            drafts, k_rows = [], []
+        else:
+            raise ConfigError(f"unknown run method {method!r}")
+        names = [run["target"], *drafts]
+        for name in names:
+            if name not in models:
+                raise ConfigError(f"unknown model {name!r}")
+        picked = [models[n] for n in names]
+        if len({id(m) for m in picked}) > len({m.descriptor for m in picked}):
+            raise ConfigError(f"distinct models share a descriptor: "
+                              f"{sorted(m.descriptor for m in picked)}")
+        config = CascadeConfig(
+            target=picked[0],
+            drafts=picked[1:],
+            k_matrix=KMatrix(k_rows),
+            mode=DecodeMode(run.get("mode", "greedy")),
+            max_new_tokens=int(run["max_new_tokens"]),
+            seed=int(run["seed"]),
+            lenience=float(run.get("lenience", 1.0)),
+            stop_tokens=stop_tokens,
+            allow_inexact_sampling=bool(run.get("allow_inexact_sampling", False)),
+        )
+        if config.max_new_tokens < 1:
+            raise ConfigError(f"max_new_tokens {config.max_new_tokens} < 1")
+        config.validate()
     return config
 
 
 def run_bench(config: dict, quiet: bool = False) -> dict:
     """Build every run's cascade, then execute the runs and assemble the
-    report dict; a malformed run stops the bench before any run decodes.
+    report dict; a config that does not fit, a malformed run or a price map
+    that misses one of a run's models stops the bench before any run decodes.
 
     Greedy runs are verified token-for-token against autoregressive target
     output before the report is written; a mismatch aborts unless the target
     reports non-deterministic scoring, in which case a warning is recorded.
     """
-    for key in ("corpus", "models", "runs"):
-        if key not in config:
-            raise ConfigError(f"bench config lacks required key {key!r}")
-    corpus = config["corpus"]
-    tokenizer = corpus.get("tokenizer", "byte")
-    train_seqs, vocab, tok = ingest_corpus(corpus["train"], tokenizer)
-    eval_seqs, _, _ = ingest_corpus(corpus["eval"], tokenizer, existing=tok)
+    with reading("bench config"):
+        corpus, specs, runs = config["corpus"], dict(config["models"]), list(config["runs"])
+        # a Path, not a bare int, which open() would take as a file descriptor
+        train_path, eval_path = Path(corpus["train"]), Path(corpus["eval"])
+        tokenizer = corpus.get("tokenizer", "byte")
+        n_prompts = int(config["num_prompts"]) if "num_prompts" in config else None
+        prompt_tokens = int(config.get("prompt_tokens", 32))
+        cost_models = config.get("cost_models") or {"ms": None}
+    train_seqs, vocab, tok = ingest_corpus(train_path, tokenizer)
+    eval_seqs, _, _ = ingest_corpus(eval_path, tokenizer, existing=tok)
 
-    models = {name: build_model(name, spec, train_seqs, vocab)
-              for name, spec in config["models"].items()}
+    models = {name: build_model(name, spec, train_seqs, vocab) for name, spec in specs.items()}
 
-    n_prompts = int(config.get("num_prompts", len(eval_seqs)))
-    prompt_tokens = int(config.get("prompt_tokens", 32))
     prompts = [seq[:max(1, prompt_tokens)] for seq in eval_seqs[:n_prompts]]
     if not prompts:
         raise ConfigError("bench has no prompts: num_prompts or the eval corpus is empty")
     stop_tokens = frozenset({vocab.eos_id} if config.get("stop_at_eos", True) else set())
-    run_configs = [_run_config(run, models, stop_tokens, i)
-                   for i, run in enumerate(config["runs"])]
-
-    cost_models = config.get("cost_models") or {"ms": None}
+    run_configs = [_run_config(run, models, stop_tokens, i) for i, run in enumerate(runs)]
+    for preset, prices in cost_models.items():
+        unpriced = [m.descriptor for cfg in run_configs for m in [cfg.target, *cfg.drafts]
+                    if prices is not None and m.descriptor not in prices]
+        if unpriced:
+            raise ConfigError(f"cost model {preset!r} has no price for model {unpriced[0]!r}")
     greedy_cache: Dict[tuple, List[List[int]]] = {}
 
     report_runs = []
-    for run, cfg in zip(config["runs"], run_configs):
+    for run, cfg in zip(runs, run_configs):
         t0 = time.perf_counter()
         outs, traces = zip(*[generate(replace(cfg, seed=cfg.seed + j), prompt)
                              for j, prompt in enumerate(prompts)])
@@ -432,11 +440,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"bench config {args.config} is not JSON: {err}") from None
+    text = Path(args.config).read_text(encoding="utf-8")
+    with reading(f"bench config {args.config}"):
+        config = json.loads(text)
     report = run_bench(config)
     json_path = args.out or config.get("report", "report.json")
     csv_path = json_path.rsplit(".", 1)[0] + ".csv"
@@ -446,10 +452,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        grid = json.load(fh)
-    rng = RandomSource(int(grid.get("seed", 0)))
-    rows = ewif_comparison_table(grid["grid"], int(grid.get("trials", 1_000_000)), rng)
+    text = Path(args.config).read_text(encoding="utf-8")
+    with reading(f"grid {args.config}"):
+        grid = json.loads(text)
+        rows = ewif_comparison_table(grid["grid"], int(grid.get("trials", 1_000_000)),
+                                     RandomSource(int(grid.get("seed", 0))))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["name", "method", "ewif_closed", "ewif_simulated", "ci95", "trials"])

@@ -70,7 +70,6 @@ class StageRecord:
     """One review event: how much was proposed and what survived."""
 
     level: int
-    stage: int
     model: str
     proposed: int
     accepted: int
@@ -86,7 +85,6 @@ class GenerationTrace:
         self.tokens_emitted = 0
         self.target_descriptor = target_descriptor
         self.warnings: List[str] = []
-        self._stage_counters: Dict[int, int] = {}
 
     def record_call(self, model: LanguageModel, n: int = 1) -> None:
         self.calls_per_model[model.descriptor] = self.calls_per_model.get(model.descriptor, 0) + n
@@ -94,10 +92,7 @@ class GenerationTrace:
 
     def add_review(self, level: int, model: LanguageModel, proposed: int,
                    accepted: int) -> None:
-        stage = self._stage_counters.get(level, 0)
-        self._stage_counters[level] = stage + 1
-        self.steps.append(StageRecord(level, stage, model.descriptor, proposed,
-                                      accepted))
+        self.steps.append(StageRecord(level, model.descriptor, proposed, accepted))
 
     @property
     def cost_units(self) -> float:

@@ -7,6 +7,7 @@ models subclass :class:`ContextConditionedModel` instead.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +37,18 @@ class ConstructionError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
+
+
+@contextmanager
+def reading(what: str, error: type = ConfigError):
+    """Read outside input under one rule: a key it lacks, or a value that
+    does not fit (any TypeError or ValueError), raises `error` naming `what`."""
+    try:
+        yield
+    except KeyError as err:
+        raise error(f"{what} lacks required key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise error(f"{what}: {err}") from None
 
 
 class Vocab:

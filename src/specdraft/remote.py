@@ -130,7 +130,6 @@ class RemoteModel(LanguageModel):
             vocab = Vocab(tuple(f"<{i}>" for i in range(spec.vocab_size)))
         super().__init__(vocab, spec.cost_weight, spec.descriptor)
         self.deterministic = bool(info.get("deterministic", True))
-        self.server_name = info.get("name", "")
         encodings = info.get("encodings")
         self._binary = isinstance(encodings, list) and "f64le" in encodings
 

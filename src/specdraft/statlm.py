@@ -158,6 +158,7 @@ class BigramTable:
         self.vocab = vocab
         self.rows = rows
         self._uniform = np.full(vocab.size, 1.0 / vocab.size)
+        self._uniform.flags.writeable = False
         self._cache: Dict[int, np.ndarray] = {}
 
     def row(self, token: int) -> np.ndarray:
@@ -171,6 +172,7 @@ class BigramTable:
             v = np.zeros(self.vocab.size)
             for tok, p in stored.items():
                 v[tok] = p
+            v.flags.writeable = False
         self._cache[token] = v
         return v
 
@@ -279,6 +281,7 @@ class MagModel(ContextConditionedModel):
         if row is None:
             row = np.zeros(self.vocab.size)
             row[token] = 1.0
+            row.flags.writeable = False
             self._one_hot[token] = row
         return row
 
@@ -348,42 +351,21 @@ def _tables_from_json(obj) -> Dict[Tuple[int, ...], Dict[int, float]]:
 
 
 def model_to_dict(model) -> dict:
+    out = {"format_version": FORMAT_VERSION, "order": 2, "vocab": list(model.vocab.pieces),
+           "smoothing": None, "cost_weight": repr(model.cost_weight),
+           "descriptor": model.descriptor}
     if isinstance(model, NGramModel):
-        return {
-            "format_version": FORMAT_VERSION,
-            "type": "ngram",
-            "order": model.order,
-            "vocab": list(model.vocab.pieces),
-            "tables": _tables_to_json(model.tables),
-            "smoothing": repr(model.interpolation),
-            "cost_weight": repr(model.cost_weight),
-            "descriptor": model.descriptor,
-        }
-    if isinstance(model, BigramModel):
-        return {
-            "format_version": FORMAT_VERSION,
-            "type": "bigram",
-            "order": 2,
-            "vocab": list(model.vocab.pieces),
-            "tables": _tables_to_json({(a,): row for a, row in model.table.rows.items()}),
-            "smoothing": None,
-            "cost_weight": repr(model.cost_weight),
-            "descriptor": model.descriptor,
-        }
-    if isinstance(model, MagModel):
-        return {
-            "format_version": FORMAT_VERSION,
-            "type": "mag",
-            "order": 2,
-            "vocab": list(model.vocab.pieces),
-            "tables": _tables_to_json({(a,): row for a, row in model.fallback.rows.items()}),
-            "smoothing": None,
-            "span": model.span,
-            "policy": MATCH_PROMPT_AND_GENERATION,
-            "cost_weight": repr(model.cost_weight),
-            "descriptor": model.descriptor,
-        }
-    raise ConstructionError(f"cannot serialize model of type {type(model).__name__}")
+        out.update(type="ngram", order=model.order, tables=_tables_to_json(model.tables),
+                   smoothing=repr(model.interpolation))
+    elif isinstance(model, BigramModel):
+        out.update(type="bigram", tables=_tables_to_json(
+            {(a,): row for a, row in model.table.rows.items()}))
+    elif isinstance(model, MagModel):
+        out.update(type="mag", span=model.span, policy=MATCH_PROMPT_AND_GENERATION,
+                   tables=_tables_to_json({(a,): row for a, row in model.fallback.rows.items()}))
+    else:
+        raise ConstructionError(f"cannot serialize model of type {type(model).__name__}")
+    return out
 
 
 def model_from_dict(obj: dict):

@@ -391,9 +391,9 @@ def test_criterion_11_reproducibility(tmp_path):
         out_remote, trace_remote = generate(cfg_r, [0, 1])
     wire_ok = (out_remote == out_local
                and trace_remote.calls_per_model == trace_local.calls_per_model
-               and [(s.level, s.stage, s.model, s.proposed, s.accepted)
+               and [(s.level, s.model, s.proposed, s.accepted)
                     for s in trace_remote.steps]
-               == [(s.level, s.stage, s.model, s.proposed, s.accepted)
+               == [(s.level, s.model, s.proposed, s.accepted)
                    for s in trace_local.steps])
     _report(11, "repeated bench runs byte-identical; in-process and remote-stub "
                 "runs produce identical traces", identical and wire_ok)

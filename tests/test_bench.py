@@ -482,3 +482,96 @@ def test_cli_accept_curve_tokenizes_in_the_targets_vocabulary(tmp_path):
                 "--steps", "20", "--corpus", str(DATA / "eval.txt"), "--tokenizer", "word",
                 "--num-prompts", "3", "--seed", "1", "--out", str(out)]) == 0
     assert len(list(csv.reader(out.open()))) == 5
+
+
+# every input that does not fit is a config error (exit 2) that names its
+# model, run, key or file, found before any run decodes.  An int path would
+# be opened as a file descriptor; 10**6 is one that is not open.
+def _bad_model(spec):
+    return lambda cfg: cfg["models"].__setitem__("bad", spec)
+
+
+def _bad_run(**values):
+    return lambda cfg: cfg["runs"][1].update(values)
+
+
+@pytest.mark.parametrize("change,named", [
+    (_bad_model({"type": "mag", "span": 0}), "model 'bad'"),
+    (_bad_model({"type": "ngram", "order": 0}), "model 'bad'"),
+    (_bad_model({"type": "ngram", "order": "x"}), "model 'bad'"),
+    (_bad_model({"type": "ngram", "interpolation": 2}), "model 'bad'"),
+    (_bad_model({"type": "bigram", "cost_weight": -1}), "model 'bad'"),
+    (_bad_model(["ngram", 2]), "model 'bad'"),
+    (_bad_model({"file": 10**6}), "model 'bad'"),
+    (_bad_run(max_new_tokens="many"), "run 'bad'"),
+    (_bad_run(k_matrix=3), "run 'bad'"),
+    (_bad_run(seed="x"), "run 'bad'"),
+    (_bad_run(lenience="x"), "run 'bad'"),
+    (lambda cfg: cfg["corpus"].pop("train"), "'train'"),
+    (lambda cfg: cfg["corpus"].pop("eval"), "'eval'"),
+    (lambda cfg: cfg["corpus"].update(train=10**6), "bench config"),
+    (lambda cfg: cfg.update(num_prompts="x"), "bench config"),
+    (lambda cfg: cfg.update(runs={"bad": cfg["runs"][1]}), "run 0"),
+    (lambda cfg: cfg["runs"].__setitem__(1, 3), "run 1"),
+], ids=["span-0", "order-0", "order-x", "interpolation-2", "cost-weight-negative",
+        "model-spec-list", "model-file-int", "max-new-tokens-many", "k-matrix-int", "seed-x", "lenience-x",
+        "corpus-without-train", "corpus-without-eval", "corpus-path-int", "num-prompts-x", "runs-object",
+        "run-int"])
+def test_cli_bench_input_that_does_not_fit_is_a_config_error(tmp_path, capsys, change, named):
+    cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
+                       runs=[_FULL_RUNS["autoregressive"] | {"name": "good"},
+                             dict(_FULL_RUNS["csd"])])
+    change(cfg)
+    rc = cli(_write_config(tmp_path, cfg))
+    err = capsys.readouterr().err
+    assert (rc, err.startswith("config error:"), named in err) == (2, True, True), err
+    assert "[good]" not in err  # nothing decoded
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--order", "0"], ["--type", "mag", "--span", "0"],
+                                   ["--interpolation", "1.5"], ["--cost-weight", "-1"]],
+                         ids=["order-0", "span-0", "interpolation", "cost-weight"])
+def test_cli_train_flags_that_do_not_fit_are_config_errors(tmp_path, capsys, flags):
+    out = tmp_path / "m.json"
+    assert cli(["train", "--corpus", str(DATA / "eval.txt"), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "model 'm'" in err
+    assert not out.exists()
+
+
+def test_cli_run_rejects_a_model_file_of_another_format(tmp_path, capsys):
+    model = Path(_train(tmp_path, "m.json", "--order", "2"))
+    model.write_text(model.read_text().replace('"format_version":1', '"format_version":2'))
+    capsys.readouterr()
+    assert cli(["run", "--target", str(model), "--prompt", "x", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(model) in err and "format_version" in err
+
+
+@pytest.mark.parametrize("text,named", [
+    ("{grid: 1}", ""),
+    ('{"seed": 0}', "'grid'"),
+    ('{"grid": [{"method": "sd", "alpha": 0.5, "c": 0.1, "k": 2},'
+     ' {"method": "sd", "alpha": 0.5, "k": 2}]}', "row 1 lacks required key 'c'"),
+    ('{"trials": "x", "grid": []}', "'x'"),
+    ('{"grid": [{"method": "sd", "alpha": "x", "c": 0.1, "k": 2}]}', "row 0"),
+], ids=["not-json", "no-grid", "row-without-c", "trials-x", "alpha-x"])
+def test_cli_analyze_grid_that_does_not_fit_is_a_config_error(tmp_path, capsys, text, named):
+    grid = tmp_path / "grid.json"
+    grid.write_text(text)
+    assert cli(["analyze", "--config", str(grid), "--out", str(tmp_path / "g.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: grid {grid}") and named in err
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_cli_bench_checks_price_maps_before_any_run_decodes(tmp_path, capsys):
+    cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2},
+                               "n1": {"type": "ngram", "order": 1}},
+                       runs=[_FULL_RUNS["autoregressive"] | {"name": "good"},
+                             _FULL_RUNS["sd"] | {"draft": "n1"}],
+                       cost_models={"ms": {"n2": 1.0}})
+    assert cli(_write_config(tmp_path, cfg)) == 2
+    err = capsys.readouterr().err
+    assert "'ms'" in err and "'n1'" in err and "[good]" not in err

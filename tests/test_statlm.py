@@ -155,6 +155,21 @@ def test_ngram_rows_are_read_only():
             row[0] = 0.5
 
 
+def test_every_model_types_rows_are_read_only():
+    # a row is cached and shared by later calls, so writing into one would
+    # change what every later call returns
+    from specdraft.analytics import ConstantModel
+    table = BigramTable.from_corpus([1, 2, 1, 3], V6)
+    bigram, mag, const = BigramModel(table), MagModel(table, span=3), ConstantModel([1.0, 3.0])
+    rows = [bigram.distribution([]), bigram.distribution([1]), bigram.distribution([5]),
+            mag.distribution([1, 2, 1]), mag.distribution([4]), const.distribution([0]),
+            *mag.propose([1, 2, 1], 3, RandomSource(0), True)[1]]
+    for row in rows:
+        with pytest.raises(ValueError):
+            row[0] = 0.5
+    assert bigram.distribution([5]).sum() == pytest.approx(1.0)
+
+
 def test_perplexity_equals_per_prefix_formula(corpus):
     train_seqs, eval_seqs, vocab, _ = corpus
     model = train_ngram(train_seqs, 5, vocab)
@@ -391,6 +406,24 @@ def test_save_mag_model_bytes(tmp_path):
         '"policy":"prompt+generation","smoothing":null,"span":4,'
         '"tables":{"1":[[2,"0.5"],[3,"0.5"]],"2":[[1,"1.0"]]},"type":"mag",'
         '"vocab":["<0>","<1>","<2>","<3>","<4>","<5>"]}')
+
+
+@pytest.mark.parametrize("model,text", [
+    (lambda: train_ngram([1, 2, 1, 3], 2, V6),
+     '{"cost_weight":"6.0","descriptor":"ngram2","format_version":1,"order":2,'
+     '"smoothing":"0.75","tables":{"":[[1,"0.5"],[2,"0.25"],[3,"0.25"]],'
+     '"1":[[2,"0.5"],[3,"0.5"]],"2":[[1,"1.0"]]},"type":"ngram",'
+     '"vocab":["<0>","<1>","<2>","<3>","<4>","<5>"]}'),
+    (lambda: BigramModel(BigramTable.from_corpus([1, 2, 1, 3], V6)),
+     '{"cost_weight":"1.0","descriptor":"bigram","format_version":1,"order":2,'
+     '"smoothing":null,"tables":{"1":[[2,"0.5"],[3,"0.5"]],"2":[[1,"1.0"]]},'
+     '"type":"bigram","vocab":["<0>","<1>","<2>","<3>","<4>","<5>"]}'),
+], ids=["ngram", "bigram"])
+def test_save_model_bytes(tmp_path, model, text):
+    # the saved format is unchanged for every model type, not only mag
+    path = tmp_path / "m.json"
+    save_model(model(), path)
+    assert path.read_text() == text
 
 
 def test_load_rejects_unknown_mag_policy(tmp_path, models):
