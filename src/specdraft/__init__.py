@@ -33,7 +33,6 @@ from .cascade import (
     sd_generate,
 )
 from .statlm import (
-    BigramModel,
     BigramTable,
     MagModel,
     NGramModel,

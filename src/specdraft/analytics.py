@@ -81,8 +81,8 @@ def gen_fn_coeffs(alpha: float, k: int) -> np.ndarray:
 
 def sd_ewif(alpha: float, c: float, k: int) -> float:
     """Expected walltime improvement of plain speculative decoding."""
-    if k < 1:
-        raise ContractViolation("k must be >= 1")
+    if not (0.0 <= alpha <= 1.0 and c >= 0 and k >= 1):
+        raise ContractViolation("sd needs alpha in [0, 1], c >= 0 and k >= 1")
     if alpha >= 1.0:
         return (k + 1) / (c * k + 1)  # analytic limit at alpha -> 1
     return (1.0 - alpha ** (k + 1)) / ((1.0 - alpha) * (c * k + 1.0))
@@ -104,10 +104,8 @@ def vertical_ewif(alpha: float, alpha_prime: float, k: int, n: int,
     """Improvement factor of the two-level recursive cascade: the inner pair
     runs n review steps at rate alpha_prime with budget k, and the top model
     reviews the pooled draft at rate alpha."""
-    if k < 1 or n < 1:
-        raise ContractViolation("k and n must be >= 1")
-    if c1 < 0 or c2 < 0:
-        raise ContractViolation("costs must be non-negative")
+    if not (0.0 <= alpha <= 1.0 and k >= 1 and n >= 1 and c1 >= 0 and c2 >= 0):
+        raise ContractViolation("vertical needs alpha in [0, 1], k, n >= 1 and c1, c2 >= 0")
     cost = 1.0 + n * c1 + n * k * c2
     phi_n = gen_fn(alpha_prime, k, alpha) ** n
     if alpha >= 1.0:
@@ -153,14 +151,14 @@ def _leading_run(accepts: np.ndarray) -> np.ndarray:
 def _estimate(tokens: np.ndarray, cost: float, trials: int) -> EwifEstimate:
     vals = tokens / cost
     mean = float(vals.mean())
-    ci = Z95 * float(vals.std(ddof=1)) / np.sqrt(trials) if trials > 1 else 0.0
+    ci = Z95 * float(vals.std(ddof=1)) / float(np.sqrt(trials)) if trials > 1 else 0.0
     return EwifEstimate(mean, ci, trials)
 
 
 def simulate_sd_ewif(alpha: float, c: float, k: int, trials: int,
                      rng: RandomSource) -> EwifEstimate:
-    if trials < 1:
-        raise ContractViolation("trials must be >= 1")
+    if not (0.0 <= alpha <= 1.0 and c >= 0 and k >= 1 and trials >= 1):
+        raise ContractViolation("sd needs alpha in [0, 1], c >= 0, k >= 1 and trials >= 1")
     acc = rng.uniforms((trials, k)) < alpha
     tokens = _leading_run(acc) + 1.0
     return _estimate(tokens, c * k + 1.0, trials)
@@ -185,12 +183,14 @@ def simulate_vertical_ewif(alpha: float, alpha_prime: float, k: int, n: int,
     """Literal reading of the two-level cascade cost model: every outer
     review prices one target run plus n inner-reviewer runs plus n*k base
     runs, regardless of early rejections inside the inner steps."""
-    if trials < 1:
-        raise ContractViolation("trials must be >= 1")
+    if not (0.0 <= alpha <= 1.0 and k >= 1 and n >= 1 and c1 >= 0 and c2 >= 0 and trials >= 1):
+        raise ContractViolation("vertical needs alpha in [0, 1], k, n, trials >= 1, c1, c2 >= 0")
     inner = rng.uniforms((trials, n, k)) < alpha_prime
     drafted = _leading_run(inner).sum(axis=-1) + n  # tokens pooled for review
     if alpha <= 0.0:
         run = np.zeros(trials)
+    elif alpha >= 1.0:  # every pooled token passes
+        run = drafted
     else:
         # leading-success count of an unbounded Bernoulli(alpha) sequence
         run = np.floor(np.log(rng.uniforms(trials)) / np.log(alpha))
@@ -218,12 +218,11 @@ def ewif_comparison_table(rows: Sequence[dict], trials: int,
                 closed = sd_ewif(row["alpha"], row["c"], row["k"])
                 est = simulate_sd_ewif(row["alpha"], row["c"], row["k"], trials, sub)
             elif method == "horizontal":
-                alphas: List[float] = []
-                costs: List[float] = []
-                for a, c, ki in zip(row["alphas"], row["cs"], row["ks"]):
-                    alphas.extend([a] * ki)
-                    costs.extend([c] * ki)
-                profile = AcceptanceProfile(tuple(alphas), tuple(costs))
+                stages = list(zip(row["alphas"], row["cs"], row["ks"], strict=True))
+                if any(ki < 1 for _, _, ki in stages):
+                    raise ContractViolation(f"ks {row['ks']} has an entry below 1")
+                profile = AcceptanceProfile(tuple(a for a, _, ki in stages for _ in range(ki)),
+                                            tuple(c for _, c, ki in stages for _ in range(ki)))
                 closed = horizontal_ewif(profile)
                 est = simulate_horizontal_ewif(profile, trials, sub)
             elif method == "vertical":
@@ -296,11 +295,11 @@ def swi(trace, cost_model: Dict[str, float]) -> float:
     """Standardized walltime improvement of a traced run: cost of generating
     the same token count autoregressively with the target alone, over the
     run's cost under the given per-run price map."""
-    for name in trace.calls_per_model:
+    for name in [trace.target_descriptor, *trace.calls_per_model]:
         if name not in cost_model:
             raise ContractViolation(f"model {name!r} has no price in the cost model")
-    if trace.target_descriptor not in cost_model:
-        raise ContractViolation(f"target {trace.target_descriptor!r} has no price")
     run_cost = sum(n * cost_model[m] for m, n in trace.calls_per_model.items())
+    if not run_cost > 0:
+        raise ContractViolation(f"run cost {run_cost!r} is not positive")
     baseline = trace.tokens_emitted * cost_model[trace.target_descriptor]
     return baseline / run_cost

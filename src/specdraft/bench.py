@@ -34,7 +34,6 @@ from .core import (ConfigError, ContractViolation, LanguageModel, RandomSource, 
 from .kernel import DecodeMode
 from .statlm import (
     MATCH_PROMPT_AND_GENERATION,
-    BigramModel,
     BigramTable,
     MagModel,
     load_model,
@@ -150,8 +149,7 @@ def build_model(name: str, spec: dict, train_seqs, vocab: Optional[Vocab]) -> La
                                 interpolation=float(spec.get("interpolation", 0.75)),
                                 descriptor=name, **weight)
         elif kind == "bigram":
-            model = BigramModel(BigramTable.from_corpus(train_seqs, vocab), descriptor=name,
-                                **weight)
+            model = BigramTable.from_corpus(train_seqs, vocab, descriptor=name, **weight)
         elif kind == "mag":
             if spec.get("policy", MATCH_PROMPT_AND_GENERATION) != MATCH_PROMPT_AND_GENERATION:
                 raise ConfigError(f"unknown match policy {spec['policy']!r}")
@@ -313,6 +311,8 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
         train_path, eval_path = Path(corpus["train"]), Path(corpus["eval"])
         tokenizer = corpus.get("tokenizer", "byte")
         n_prompts = int(config["num_prompts"]) if "num_prompts" in config else None
+        if n_prompts is not None and n_prompts < 1:
+            raise ValueError(f"num_prompts {n_prompts} < 1 gives no prompts")
         prompt_tokens = int(config.get("prompt_tokens", 32))
         cost_models = config.get("cost_models") or {"ms": None}
     train_seqs, vocab, tok = ingest_corpus(train_path, tokenizer)
@@ -330,6 +330,13 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
                     if prices is not None and m.descriptor not in prices]
         if unpriced:
             raise ConfigError(f"cost model {preset!r} has no price for model {unpriced[0]!r}")
+        # a null preset prices each model at its cost weight
+        targets = {cfg.target.descriptor: cfg.target.cost_weight for cfg in run_configs}
+        for name, price in (targets if prices is None else prices).items():
+            if not (isinstance(price, (int, float)) and 0 <= price < np.inf
+                    and (price > 0 or name not in targets)):
+                raise ConfigError(f"cost model {preset!r} prices model {name!r} at {price!r}: "
+                                  "a price must be finite and >= 0, and a target's > 0")
     greedy_cache: Dict[tuple, List[List[int]]] = {}
 
     report_runs = []
@@ -471,6 +478,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_accept_curve(args) -> int:
     """Measure over the corpus tokenized in the target's vocabulary."""
+    if args.num_prompts < 1:
+        raise ConfigError(f"--num-prompts {args.num_prompts} < 1 gives no prompts")
     target = build_model(args.target, {"file": args.target}, None,
                          Vocab.byte_level() if args.tokenizer == "byte" else None)
     tok = WordTokenizer(target.vocab) if args.tokenizer == "word" else ByteTokenizer()

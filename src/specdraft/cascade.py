@@ -35,8 +35,8 @@ class KMatrix:
             if len(row) != n:
                 raise ContractViolation(f"row {i} has {len(row)} entries, expected {n}")
             used = [int(v) for v in row[i:]]
-            if any(v < 1 for v in used):
-                raise ContractViolation(f"row {i} has a non-positive stage budget")
+            if used != list(row[i:]) or any(v < 1 for v in used):
+                raise ContractViolation(f"row {i} has a stage budget that is not an integer >= 1")
             trimmed.append(tuple(used))
         self._rows = trimmed
         self.n = n

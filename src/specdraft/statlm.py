@@ -9,8 +9,9 @@ bit-faithfully.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter, defaultdict
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,15 +79,6 @@ class NGramModel(ContextConditionedModel):
             descriptor = f"ngram{order}"
         super().__init__(vocab, cost_weight, descriptor)
 
-    def _ml_vector(self, ctx: Tuple[int, ...]) -> Optional[np.ndarray]:
-        row = self.tables.get(ctx)
-        if row is None:
-            return None
-        v = np.zeros(self.vocab.size)
-        for tok, p in row.items():
-            v[tok] = p
-        return v
-
     def _row(self, ctx: Tuple[int, ...]) -> np.ndarray:
         """The row of `ctx`, at most `order - 1` tokens, built once under its
         longest tabled suffix."""
@@ -99,9 +91,9 @@ class NGramModel(ContextConditionedModel):
             w = self.interpolation
             row = np.full(self.vocab.size, 1.0 / self.vocab.size)
             for n in range(0, len(key) + 1):
-                ml = self._ml_vector(key[len(key) - n:])
+                ml = self.tables.get(key[len(key) - n:])
                 if ml is not None:
-                    row = w * ml + (1.0 - w) * row
+                    row = w * _dense(self.vocab.size, ml) + (1.0 - w) * row
             row.flags.writeable = False
             self._cache[key] = row
         self._cache[ctx] = row
@@ -127,6 +119,22 @@ class NGramModel(ContextConditionedModel):
         return float(np.exp(-logp / n))
 
 
+def _normalized(counts) -> Dict[Tuple[int, ...], Dict[int, float]]:
+    """Each context's next-token counts as probabilities, in token order."""
+    totals = {ctx: sum(row.values()) for ctx, row in counts.items()}
+    return {ctx: {tok: c / totals[ctx] for tok, c in sorted(row.items())}
+            for ctx, row in counts.items()}
+
+
+def _dense(size: int, entries: Dict[int, float]) -> np.ndarray:
+    """A read-only row over `size` tokens holding `entries`, zero elsewhere."""
+    row = np.zeros(size)
+    for tok, p in entries.items():
+        row[tok] = p
+    row.flags.writeable = False
+    return row
+
+
 def train_ngram(corpus, order: int, vocab: Vocab,
                 interpolation: float = DEFAULT_INTERPOLATION,
                 cost_weight: Optional[float] = None,
@@ -143,69 +151,42 @@ def train_ngram(corpus, order: int, vocab: Vocab,
                 if i - n < 0:
                     break
                 counts[tuple(seq[i - n:i])][tok] += 1
-    tables: Dict[Tuple[int, ...], Dict[int, float]] = {}
-    for ctx, row in counts.items():
-        total = sum(row.values())
-        tables[ctx] = {tok: c / total for tok, c in sorted(row.items())}
-    return NGramModel(order, vocab, tables, interpolation, cost_weight, descriptor)
+    return NGramModel(order, vocab, _normalized(counts), interpolation, cost_weight, descriptor)
 
 
-class BigramTable:
-    """Row-normalized token-to-token probability table with a uniform row for
-    tokens never seen as a predecessor."""
+class BigramTable(ContextConditionedModel):
+    """The bigram drafter, and `MagModel`'s fallback: each token's
+    next-token row, keyed `(token,)` as an n-gram table is, and uniform after
+    a token never seen as a predecessor or an empty context."""
 
-    def __init__(self, vocab: Vocab, rows: Dict[int, Dict[int, float]]):
-        self.vocab = vocab
-        self.rows = rows
+    def __init__(self, vocab: Vocab, tables: Dict[Tuple[int, ...], Dict[int, float]],
+                 cost_weight: float = 1.0, descriptor: str = "bigram"):
+        self.tables = tables
         self._uniform = np.full(vocab.size, 1.0 / vocab.size)
         self._uniform.flags.writeable = False
         self._cache: Dict[int, np.ndarray] = {}
+        super().__init__(vocab, cost_weight, descriptor)
 
     def row(self, token: int) -> np.ndarray:
-        cached = self._cache.get(token)
-        if cached is not None:
-            return cached
-        stored = self.rows.get(token)
-        if stored is None:
-            v = self._uniform
-        else:
-            v = np.zeros(self.vocab.size)
-            for tok, p in stored.items():
-                v[tok] = p
-            v.flags.writeable = False
-        self._cache[token] = v
-        return v
+        row = self._cache.get(token)
+        if row is None:
+            entries = self.tables.get((token,))
+            row = self._uniform if entries is None else _dense(self.vocab.size, entries)
+            self._cache[token] = row
+        return row
 
     def distribution(self, context: Sequence[int]) -> np.ndarray:
-        """Row of the context's last token; uniform for an empty context."""
-        if not context:
-            return self._uniform
-        return self.row(context[-1])
+        return self.row(context[-1]) if context else self._uniform
 
     @classmethod
-    def from_corpus(cls, corpus, vocab: Vocab) -> "BigramTable":
-        seqs = _as_sequences(corpus)
-        counts: Dict[int, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
-        for seq in seqs:
-            for a, b in zip(seq, seq[1:]):
-                counts[a][b] += 1
-        rows = {}
-        for a, row in counts.items():
-            total = sum(row.values())
-            rows[a] = {b: c / total for b, c in sorted(row.items())}
-        return cls(vocab, rows)
-
-
-class BigramModel(ContextConditionedModel):
-    """LanguageModel facade over a BigramTable (the bigram-only drafter)."""
-
-    def __init__(self, table: BigramTable, cost_weight: float = 1.0,
-                 descriptor: str = "bigram"):
-        self.table = table
-        super().__init__(table.vocab, cost_weight, descriptor)
-
-    def distribution(self, context: Sequence[int]) -> np.ndarray:
-        return self.table.distribution(context)
+    def from_corpus(cls, corpus, vocab: Vocab, **kwargs) -> "BigramTable":
+        """Count adjacent pairs in one `Counter` pass (a Python loop keyed
+        `(a,)` is about 1.5x slower); `kwargs` go to the constructor."""
+        pairs = Counter(chain.from_iterable(zip(s, s[1:]) for s in _as_sequences(corpus)))
+        counts: Dict[Tuple[int, ...], Dict[int, int]] = defaultdict(dict)
+        for (a, b), n in pairs.items():
+            counts[(a,)][b] = n
+        return cls(vocab, _normalized(counts), **kwargs)
 
 
 def _longest_suffix_starts(generated: Sequence[int], corpus: Sequence[int],
@@ -279,10 +260,7 @@ class MagModel(ContextConditionedModel):
     def _copy_row(self, token: int) -> np.ndarray:
         row = self._one_hot.get(token)
         if row is None:
-            row = np.zeros(self.vocab.size)
-            row[token] = 1.0
-            row.flags.writeable = False
-            self._one_hot[token] = row
+            row = self._one_hot[token] = _dense(self.vocab.size, {token: 1.0})
         return row
 
     def distribution(self, context: Sequence[int]) -> np.ndarray:
@@ -357,12 +335,11 @@ def model_to_dict(model) -> dict:
     if isinstance(model, NGramModel):
         out.update(type="ngram", order=model.order, tables=_tables_to_json(model.tables),
                    smoothing=repr(model.interpolation))
-    elif isinstance(model, BigramModel):
-        out.update(type="bigram", tables=_tables_to_json(
-            {(a,): row for a, row in model.table.rows.items()}))
+    elif isinstance(model, BigramTable):
+        out.update(type="bigram", tables=_tables_to_json(model.tables))
     elif isinstance(model, MagModel):
         out.update(type="mag", span=model.span, policy=MATCH_PROMPT_AND_GENERATION,
-                   tables=_tables_to_json({(a,): row for a, row in model.fallback.rows.items()}))
+                   tables=_tables_to_json(model.fallback.tables))
     else:
         raise ConstructionError(f"cannot serialize model of type {type(model).__name__}")
     return out
@@ -375,17 +352,16 @@ def model_from_dict(obj: dict):
     kind = obj["type"]
     cost_weight = float(obj["cost_weight"])
     descriptor = obj["descriptor"]
+    tables = _tables_from_json(obj["tables"])
     if kind == "ngram":
-        return NGramModel(int(obj["order"]), vocab, _tables_from_json(obj["tables"]),
-                          float(obj["smoothing"]), cost_weight, descriptor)
-    rows = {ctx[0]: row for ctx, row in _tables_from_json(obj["tables"]).items()}
-    table = BigramTable(vocab, rows)
+        return NGramModel(int(obj["order"]), vocab, tables, float(obj["smoothing"]),
+                          cost_weight, descriptor)
     if kind == "bigram":
-        return BigramModel(table, cost_weight, descriptor)
+        return BigramTable(vocab, tables, cost_weight, descriptor)
     if kind == "mag":
         if obj["policy"] != MATCH_PROMPT_AND_GENERATION:
             raise ConstructionError(f"unknown match policy {obj['policy']!r}")
-        return MagModel(table, int(obj["span"]), cost_weight, descriptor)
+        return MagModel(BigramTable(vocab, tables), int(obj["span"]), cost_weight, descriptor)
     raise ConstructionError(f"unknown model type {kind!r}")
 
 

@@ -14,7 +14,7 @@ DATA = ROOT / "data"
 sys.path.insert(0, str(ROOT / "src"))
 
 from specdraft.bench import ingest_corpus  # noqa: E402
-from specdraft.statlm import BigramModel, BigramTable, MagModel, train_ngram  # noqa: E402
+from specdraft.statlm import BigramTable, MagModel, train_ngram  # noqa: E402
 
 #: one line per acceptance criterion, echoed after the run (pytest captures
 #: stdout at the fd level, so ordinary prints from passing tests are lost)
@@ -50,7 +50,7 @@ def models(corpus):
         "n7": train_ngram(train_seqs, 7, vocab, descriptor="n7"),
         "n3": train_ngram(train_seqs, 3, vocab, descriptor="n3"),
         "n2": train_ngram(train_seqs, 2, vocab, descriptor="n2"),
-        "bigram": BigramModel(table, descriptor="bigram"),
+        "bigram": table,
         "mag": MagModel(table, span=10, descriptor="mag"),
     }
 

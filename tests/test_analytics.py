@@ -1,4 +1,6 @@
 """Generating functions, closed-form improvement factors, and the simulator."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -105,6 +107,32 @@ def test_vertical_ewif_monte_carlo_pinned():
     est = simulate_vertical_ewif(0.8, 0.7, 4, 3, 0.05, 0.001, 1_000_000,
                                  RandomSource(100))
     assert abs(est.mean - closed) / closed < 0.02
+
+
+def test_simulated_vertical_at_alpha_one_passes_every_pooled_token():
+    # log(alpha) is 0 at alpha = 1, so the leading-success count needs its own case
+    closed = vertical_ewif(1.0, 0.7, 4, 3, 0.05, 0.001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = simulate_vertical_ewif(1.0, 0.7, 4, 3, 0.05, 0.001, 100_000, RandomSource(6))
+    assert abs(est.mean - closed) <= 3 * est.ci95
+
+
+@pytest.mark.parametrize("alpha,c,k", [(1.5, 0.05, 4), (-0.1, 0.05, 4), (0.8, -0.25, 4),
+                                       (0.8, 0.05, 0)])
+def test_sd_closed_form_and_simulation_reject_what_they_cannot_price(alpha, c, k):
+    with pytest.raises(ContractViolation):
+        sd_ewif(alpha, c, k)
+    with pytest.raises(ContractViolation):
+        simulate_sd_ewif(alpha, c, k, 10, RandomSource(0))
+
+
+@pytest.mark.parametrize("alpha,c1", [(1.5, 0.05), (-0.1, 0.05), (0.8, -0.25)])
+def test_vertical_closed_form_and_simulation_reject_what_they_cannot_price(alpha, c1):
+    with pytest.raises(ContractViolation):
+        vertical_ewif(alpha, 0.7, 4, 3, c1, 0.001)
+    with pytest.raises(ContractViolation):
+        simulate_vertical_ewif(alpha, 0.7, 4, 3, c1, 0.001, 10, RandomSource(0))
 
 
 def test_phi_contraction_property():
@@ -285,6 +313,12 @@ def test_swi_autoregressive_is_one():
 def test_swi_free_drafts():
     t = _trace("t", {"t": 10, "d": 99}, {"t": 1.0, "d": 0.0}, 30)
     assert swi(t, {"t": 1.0, "d": 0.0}) == 3.0
+
+
+def test_swi_refuses_a_run_that_costs_nothing():
+    t = _trace("t", {"t": 10, "d": 99}, {"t": 0.0, "d": 0.0}, 30)
+    with pytest.raises(ContractViolation, match="cost"):
+        swi(t, {"t": 0.0, "d": 0.0})
 
 
 def test_swi_unpriced_model():

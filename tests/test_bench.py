@@ -26,6 +26,7 @@ from specdraft.kernel import DecodeMode
 from specdraft.statlm import BigramTable, MagModel
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+CONFIGS = DATA.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +200,9 @@ def test_build_model_from_file(tmp_path, corpus, models):
 
 def test_build_model_vocab_mismatch(tmp_path, corpus):
     from specdraft.core import Vocab
-    from specdraft.statlm import BigramModel, BigramTable, save_model
+    from specdraft.statlm import BigramTable, save_model
     train_seqs, _, vocab, _ = corpus
-    other = BigramModel(BigramTable(Vocab(("a", "b")), {}))
+    other = BigramTable(Vocab(("a", "b")), {})
     path = tmp_path / "m.json"
     save_model(other, path)
     with pytest.raises(ConfigError):
@@ -495,6 +496,14 @@ def _bad_run(**values):
     return lambda cfg: cfg["runs"][1].update(values)
 
 
+def _all(*changes):
+    return lambda cfg: [change(cfg) for change in changes]
+
+
+def _prices(**prices):
+    return lambda cfg: cfg.update(cost_models={"ms": prices})
+
+
 @pytest.mark.parametrize("change,named", [
     (_bad_model({"type": "mag", "span": 0}), "model 'bad'"),
     (_bad_model({"type": "ngram", "order": 0}), "model 'bad'"),
@@ -513,10 +522,24 @@ def _bad_run(**values):
     (lambda cfg: cfg.update(num_prompts="x"), "bench config"),
     (lambda cfg: cfg.update(runs={"bad": cfg["runs"][1]}), "run 0"),
     (lambda cfg: cfg["runs"].__setitem__(1, 3), "run 1"),
+    (lambda cfg: cfg.update(num_prompts=-3), "num_prompts -3"),
+    (_bad_run(k_matrix=[[2.7]]), "run 'bad'"),
+    # a target priced 0 gave a division by zero once every run had decoded,
+    # and a negative price a meaningless swi
+    (_all(_bad_model({"type": "mag"}), _bad_run(method="autoregressive", target="bad")),
+     "cost model 'ms' prices model 'bad'"),
+    (lambda cfg: cfg["models"]["n2"].update(cost_weight=0), "cost model 'ms' prices model 'n2'"),
+    (_prices(n2=0), "cost model 'ms' prices model 'n2'"),
+    (_all(_bad_model({"type": "ngram", "order": 1}), _bad_run(drafts=["bad"]),
+          _prices(n2=1, bad=-1)), "cost model 'ms' prices model 'bad'"),
+    (_prices(n2=1, unused=float("inf")), "cost model 'ms' prices model 'unused'"),
+    (_prices(n2="1"), "cost model 'ms' prices model 'n2'"),
 ], ids=["span-0", "order-0", "order-x", "interpolation-2", "cost-weight-negative",
         "model-spec-list", "model-file-int", "max-new-tokens-many", "k-matrix-int", "seed-x", "lenience-x",
         "corpus-without-train", "corpus-without-eval", "corpus-path-int", "num-prompts-x", "runs-object",
-        "run-int"])
+        "run-int", "num-prompts-negative", "k-matrix-fractional", "mag-target-default-price",
+        "target-cost-weight-0", "target-price-0", "draft-price-negative", "price-infinite",
+        "price-string"])
 def test_cli_bench_input_that_does_not_fit_is_a_config_error(tmp_path, capsys, change, named):
     cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
                        runs=[_FULL_RUNS["autoregressive"] | {"name": "good"},
@@ -556,7 +579,15 @@ def test_cli_run_rejects_a_model_file_of_another_format(tmp_path, capsys):
      ' {"method": "sd", "alpha": 0.5, "k": 2}]}', "row 1 lacks required key 'c'"),
     ('{"trials": "x", "grid": []}', "'x'"),
     ('{"grid": [{"method": "sd", "alpha": "x", "c": 0.1, "k": 2}]}', "row 0"),
-], ids=["not-json", "no-grid", "row-without-c", "trials-x", "alpha-x"])
+    ('{"grid": [{"method": "sd", "alpha": 0.5, "c": 0.1, "k": 2},'
+     ' {"method": "sd", "alpha": 0.8, "c": -0.25, "k": 4}]}', "row 1"),
+    ('{"grid": [{"method": "sd", "alpha": 1.5, "c": 0.1, "k": 2}]}', "row 0"),
+    ('{"grid": [{"method": "horizontal", "alphas": [0.9], "cs": [0.05], "ks": [-1]}]}',
+     "row 0"),
+    ('{"grid": [{"method": "horizontal", "alphas": [0.9, 0.5], "cs": [0.05, 0.01],'
+     ' "ks": [1]}]}', "row 0"),
+], ids=["not-json", "no-grid", "row-without-c", "trials-x", "alpha-x", "sd-c-negative",
+        "sd-alpha-above-one", "horizontal-ks-negative", "horizontal-ks-short"])
 def test_cli_analyze_grid_that_does_not_fit_is_a_config_error(tmp_path, capsys, text, named):
     grid = tmp_path / "grid.json"
     grid.write_text(text)
@@ -564,6 +595,29 @@ def test_cli_analyze_grid_that_does_not_fit_is_a_config_error(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith(f"config error: grid {grid}") and named in err
     assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("config", ["analyze_grid.json", "table1_template.json"])
+def test_cli_analyze_runs_each_shipped_grid(tmp_path, config):
+    out = tmp_path / "grid.csv"
+    assert cli(["analyze", "--config", str(CONFIGS / config), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == len(json.loads((CONFIGS / config).read_text())["grid"])
+    for row in rows:
+        gap = abs(float(row["ewif_closed"]) - float(row["ewif_simulated"]))
+        assert gap <= 3 * float(row["ci95"]), row
+
+
+def test_cli_accept_curve_rejects_a_prompt_count_below_one(tmp_path, capsys):
+    # a negative count sliced the corpus from its end
+    model = _train(tmp_path, "m.json", "--order", "2")
+    capsys.readouterr()
+    rc = cli(["accept-curve", "--target", model, "--draft", model, "--k", "4",
+              "--steps", "10", "--corpus", str(DATA / "eval.txt"), "--num-prompts", "-3",
+              "--seed", "1", "--out", str(tmp_path / "curve.csv")])
+    assert rc == 2
+    assert "--num-prompts -3" in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
 
 
 def test_cli_bench_checks_price_maps_before_any_run_decodes(tmp_path, capsys):

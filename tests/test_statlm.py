@@ -16,7 +16,6 @@ from specdraft.core import (
     sample,
 )
 from specdraft.statlm import (
-    BigramModel,
     BigramTable,
     MagModel,
     NGramModel,
@@ -160,7 +159,7 @@ def test_every_model_types_rows_are_read_only():
     # change what every later call returns
     from specdraft.analytics import ConstantModel
     table = BigramTable.from_corpus([1, 2, 1, 3], V6)
-    bigram, mag, const = BigramModel(table), MagModel(table, span=3), ConstantModel([1.0, 3.0])
+    bigram, mag, const = table, MagModel(table, span=3), ConstantModel([1.0, 3.0])
     rows = [bigram.distribution([]), bigram.distribution([1]), bigram.distribution([5]),
             mag.distribution([1, 2, 1]), mag.distribution([4]), const.distribution([0]),
             *mag.propose([1, 2, 1], 3, RandomSource(0), True)[1]]
@@ -194,8 +193,7 @@ def test_bigram_rows_and_fallback():
 
 
 def test_bigram_model_empty_context():
-    t = BigramTable.from_corpus([1, 2], V6)
-    m = BigramModel(t)
+    m = BigramTable.from_corpus([1, 2], V6)
     assert np.allclose(m.distribution([]), np.full(6, 1 / 6))
     assert m.distribution([1])[2] == 1.0
 
@@ -414,7 +412,7 @@ def test_save_mag_model_bytes(tmp_path):
      '"smoothing":"0.75","tables":{"":[[1,"0.5"],[2,"0.25"],[3,"0.25"]],'
      '"1":[[2,"0.5"],[3,"0.5"]],"2":[[1,"1.0"]]},"type":"ngram",'
      '"vocab":["<0>","<1>","<2>","<3>","<4>","<5>"]}'),
-    (lambda: BigramModel(BigramTable.from_corpus([1, 2, 1, 3], V6)),
+    (lambda: BigramTable.from_corpus([1, 2, 1, 3], V6),
      '{"cost_weight":"1.0","descriptor":"bigram","format_version":1,"order":2,'
      '"smoothing":null,"tables":{"1":[[2,"0.5"],[3,"0.5"]],"2":[[1,"1.0"]]},'
      '"type":"bigram","vocab":["<0>","<1>","<2>","<3>","<4>","<5>"]}'),
