@@ -314,13 +314,21 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
         if n_prompts is not None and n_prompts < 1:
             raise ValueError(f"num_prompts {n_prompts} < 1 gives no prompts")
         prompt_tokens = int(config.get("prompt_tokens", 32))
+        if prompt_tokens < 1:
+            raise ValueError(f"prompt_tokens {prompt_tokens} < 1 gives empty prompts")
         cost_models = config.get("cost_models") or {"ms": None}
+        if not isinstance(cost_models, dict):
+            raise TypeError(f"cost_models is not a JSON object: {cost_models!r}")
+        for preset, prices in cost_models.items():
+            if prices is not None and not isinstance(prices, dict):
+                raise TypeError(f"cost model {preset!r} is neither a JSON object nor null: "
+                                f"{prices!r}")
     train_seqs, vocab, tok = ingest_corpus(train_path, tokenizer)
     eval_seqs, _, _ = ingest_corpus(eval_path, tokenizer, existing=tok)
 
     models = {name: build_model(name, spec, train_seqs, vocab) for name, spec in specs.items()}
 
-    prompts = [seq[:max(1, prompt_tokens)] for seq in eval_seqs[:n_prompts]]
+    prompts = [seq[:prompt_tokens] for seq in eval_seqs[:n_prompts]]
     if not prompts:
         raise ConfigError("bench has no prompts: num_prompts or the eval corpus is empty")
     stop_tokens = frozenset({vocab.eos_id} if config.get("stop_at_eos", True) else set())
@@ -480,12 +488,14 @@ def _cmd_accept_curve(args) -> int:
     """Measure over the corpus tokenized in the target's vocabulary."""
     if args.num_prompts < 1:
         raise ConfigError(f"--num-prompts {args.num_prompts} < 1 gives no prompts")
+    if args.prompt_tokens < 1:
+        raise ConfigError(f"--prompt-tokens {args.prompt_tokens} < 1 gives empty prompts")
     target = build_model(args.target, {"file": args.target}, None,
                          Vocab.byte_level() if args.tokenizer == "byte" else None)
     tok = WordTokenizer(target.vocab) if args.tokenizer == "word" else ByteTokenizer()
     draft = build_model(args.draft, {"file": args.draft}, None, tok.vocab)
     seqs, _, _ = ingest_corpus(args.corpus, existing=tok)
-    prompts = [s[:max(1, args.prompt_tokens)] for s in seqs[:args.num_prompts]]
+    prompts = [s[:args.prompt_tokens] for s in seqs[:args.num_prompts]]
     trace = measure_positional_acceptance(
         target, draft, args.k, prompts, args.steps, RandomSource(args.seed),
         DecodeMode(args.mode))

@@ -165,14 +165,18 @@ class RandomSource:
         return [RandomSource(self.seed, _seq=c) for c in seq.spawn(n)]
 
 
-def sample(dist: np.ndarray, rng: RandomSource) -> int:
+def sample(dist: np.ndarray, rng: RandomSource, cdf: Optional[np.ndarray] = None) -> int:
     """Inverse-CDF sample over ascending token-id order.
 
-    A draw at or past the last CDF value (a row summing to just under 1)
-    lands on the last token with positive mass, never on a zero-mass one.
+    `cdf`, if given, must be `dist.cumsum()`, kept by a caller that samples
+    one row many times.  A draw at or past the last CDF value (a row summing
+    to just under 1) lands on the last token with positive mass, never on a
+    zero-mass one.
     """
     u = rng.uniform()
-    idx = int(dist.cumsum().searchsorted(u, side="right"))
+    if cdf is None:
+        cdf = dist.cumsum()
+    idx = int(cdf.searchsorted(u, side="right"))
     if idx < len(dist):
         return idx
     return int(np.flatnonzero(dist > 0)[-1])
@@ -215,20 +219,28 @@ class LanguageModel(ABC):
                 f"start={start} out of bounds for sequence of length {len(tokens)}"
             )
 
+    def _next_row(self, tokens: Sequence[int], greedy: bool):
+        """(row, cdf): this model's row for the token after `tokens`, and for
+        sampling the row's cumulative sums if the model keeps them, else None
+        (then `sample` sums the row).  Models with cheaper rows than a full
+        `evaluate` override this, not `propose`."""
+        return self.evaluate(tokens, len(tokens) + 1)[0], None
+
     def propose(self, tokens: Sequence[int], budget: int, rng: RandomSource,
                 greedy: bool):
-        """Autoregressively extend `tokens` by `budget` tokens.
+        """Autoregressively extend `tokens` by `budget` tokens, one row per
+        token from `_next_row`; this is the one token-by-token drafting loop.
 
         Returns (new_tokens, dists, n_calls): the drafted tokens, this model's
         distribution row at each (its proposal probability for a token is the
-        token's entry in the row), and the number of model calls.  Overridden
-        by drafters that emit a whole span per invocation.
+        token's entry in the row), and the number of model calls, one per
+        token.  Overridden by drafters that emit a whole span per invocation.
         """
         cur = list(tokens)
         out, dists = [], []
         for _ in range(budget):
-            d = self.evaluate(cur, len(cur) + 1)[0]
-            tok = greedy_token(d) if greedy else sample(d, rng)
+            d, cdf = self._next_row(cur, greedy)
+            tok = greedy_token(d) if greedy else sample(d, rng, cdf)
             out.append(tok)
             dists.append(d)
             cur.append(tok)

@@ -56,7 +56,9 @@ class NGramModel(ContextConditionedModel):
     A context's row depends only on its longest tabled suffix, since shorter
     untabled suffixes skip their interpolation step.  So one read-only row is
     built and cached per tabled context, and every context whose longest
-    tabled suffix it is shares that array.
+    tabled suffix it is shares that array.  Drafting reads rows straight from
+    that cache, and sampled drafting keeps each shared row's cumulative sums
+    once, keyed by the row's identity (cached rows live as long as the model).
     """
 
     def __init__(self, order: int, vocab: Vocab,
@@ -72,6 +74,7 @@ class NGramModel(ContextConditionedModel):
         self.tables = tables
         self.interpolation = float(interpolation)
         self._cache: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._cdfs: Dict[int, np.ndarray] = {}
         n_entries = sum(len(t) for t in tables.values())
         if cost_weight is None:
             cost_weight = float(max(n_entries, 1))
@@ -101,6 +104,15 @@ class NGramModel(ContextConditionedModel):
 
     def distribution(self, context: Sequence[int]) -> np.ndarray:
         return self._row(tuple(context[max(0, len(context) - self.order + 1):]))
+
+    def _next_row(self, tokens: Sequence[int], greedy: bool):
+        row = self.distribution(tokens)
+        if greedy:
+            return row, None
+        cdf = self._cdfs.get(id(row))
+        if cdf is None:
+            cdf = self._cdfs[id(row)] = row.cumsum()
+        return row, cdf
 
     def evaluate(self, tokens: Sequence[int], start: int) -> list:
         """Rows as `ContextConditionedModel.evaluate` gives them, each keyed by
@@ -321,11 +333,19 @@ def _tables_to_json(tables) -> Dict[str, list]:
         for ctx, row in sorted(tables.items())
     }
 
-def _tables_from_json(obj) -> Dict[Tuple[int, ...], Dict[int, float]]:
-    return {
+def _tables_from_json(obj, size: int) -> Dict[Tuple[int, ...], Dict[int, float]]:
+    """The tables of a saved file, each token id, in a context or a row,
+    checked against a vocabulary of `size` tokens."""
+    tables = {
         _parse_ctx(key): {int(tok): float(p) for tok, p in row}
         for key, row in obj.items()
     }
+    for ctx, row in tables.items():
+        bad = next((t for t in chain(ctx, row) if not 0 <= t < size), None)
+        if bad is not None:
+            raise ConstructionError(f"table context {_ctx_key(ctx)!r} holds token id {bad}, "
+                                    f"outside the vocabulary [0, {size})")
+    return tables
 
 
 def model_to_dict(model) -> dict:
@@ -352,7 +372,7 @@ def model_from_dict(obj: dict):
     kind = obj["type"]
     cost_weight = float(obj["cost_weight"])
     descriptor = obj["descriptor"]
-    tables = _tables_from_json(obj["tables"])
+    tables = _tables_from_json(obj["tables"], vocab.size)
     if kind == "ngram":
         return NGramModel(int(obj["order"]), vocab, tables, float(obj["smoothing"]),
                           cost_weight, descriptor)

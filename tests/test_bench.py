@@ -209,6 +209,21 @@ def test_build_model_vocab_mismatch(tmp_path, corpus):
         build_model("m", {"file": str(path)}, train_seqs, vocab)
 
 
+@pytest.mark.parametrize("kind", ["ngram", "bigram", "mag"])
+def test_build_model_rejects_a_file_with_a_token_id_outside_the_vocabulary(
+        tmp_path, corpus, kind):
+    from specdraft.statlm import model_to_dict
+    train_seqs, _, vocab, _ = corpus
+    spec = {"ngram": {"type": "ngram", "order": 2}}.get(kind, {"type": kind})
+    obj = model_to_dict(build_model("m", spec, train_seqs[:20], vocab))
+    ctx = sorted(obj["tables"])[-1]
+    obj["tables"][ctx][0][0] = -1
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match=f"model 'm'.*context {ctx!r} holds token id -1"):
+        build_model("m", {"file": str(path)}, train_seqs, vocab)
+
+
 def test_bench_rejects_unknown_mag_policy(tmp_path, corpus, capsys):
     train_seqs, _, vocab, _ = corpus
     spec = {"type": "mag", "policy": "prompt-only"}
@@ -534,12 +549,19 @@ def _prices(**prices):
           _prices(n2=1, bad=-1)), "cost model 'ms' prices model 'bad'"),
     (_prices(n2=1, unused=float("inf")), "cost model 'ms' prices model 'unused'"),
     (_prices(n2="1"), "cost model 'ms' prices model 'n2'"),
+    # read outside the reading block, these exited 1 with a bare Python error
+    (lambda cfg: cfg.update(cost_models={"ms": 3}), "cost model 'ms'"),
+    (lambda cfg: cfg.update(cost_models=[1]), "cost_models"),
+    # a prompt length below 1 silently ran 1-token prompts
+    (lambda cfg: cfg.update(prompt_tokens=-5), "prompt_tokens -5"),
+    (lambda cfg: cfg.update(prompt_tokens=0), "prompt_tokens 0"),
 ], ids=["span-0", "order-0", "order-x", "interpolation-2", "cost-weight-negative",
         "model-spec-list", "model-file-int", "max-new-tokens-many", "k-matrix-int", "seed-x", "lenience-x",
         "corpus-without-train", "corpus-without-eval", "corpus-path-int", "num-prompts-x", "runs-object",
         "run-int", "num-prompts-negative", "k-matrix-fractional", "mag-target-default-price",
         "target-cost-weight-0", "target-price-0", "draft-price-negative", "price-infinite",
-        "price-string"])
+        "price-string", "cost-preset-int", "cost-models-list", "prompt-tokens-negative",
+        "prompt-tokens-0"])
 def test_cli_bench_input_that_does_not_fit_is_a_config_error(tmp_path, capsys, change, named):
     cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
                        runs=[_FULL_RUNS["autoregressive"] | {"name": "good"},
@@ -617,6 +639,19 @@ def test_cli_accept_curve_rejects_a_prompt_count_below_one(tmp_path, capsys):
               "--seed", "1", "--out", str(tmp_path / "curve.csv")])
     assert rc == 2
     assert "--num-prompts -3" in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_cli_accept_curve_rejects_a_prompt_length_below_one(tmp_path, capsys, value):
+    # a length below 1 silently ran 1-token prompts
+    model = _train(tmp_path, "m.json", "--order", "2")
+    capsys.readouterr()
+    rc = cli(["accept-curve", "--target", model, "--draft", model, "--k", "4",
+              "--steps", "10", "--corpus", str(DATA / "eval.txt"), "--prompt-tokens", value,
+              "--seed", "1", "--out", str(tmp_path / "curve.csv")])
+    assert rc == 2
+    assert f"--prompt-tokens {value}" in capsys.readouterr().err
     assert not (tmp_path / "curve.csv").exists()
 
 

@@ -117,6 +117,20 @@ def test_sample_never_lands_on_zero_mass_tail():
     assert sample(dist, _FixedRng([u])) == 9
 
 
+@pytest.mark.parametrize("dist", [np.array([0.1, 0.2, 0.7]), np.array([0.0, 1.0, 0.0]),
+                                  normalize([1] * 10 + [0]), normalize(np.arange(259.0))],
+                         ids=["three", "point-mass", "just-under-one", "v259"])
+def test_sample_with_the_rows_cdf_equals_sample(dist):
+    # the largest draws pass the last CDF value of a row summing to just
+    # under 1, so they take the last-positive-mass fallback either way
+    draws = [0.0, 0.1, 0.3, 0.5, 0.7, 0.99, 1 - 2**-53]
+    for u in draws:
+        assert sample(dist, _FixedRng([u]), dist.cumsum()) == sample(dist, _FixedRng([u]))
+    a, b = RandomSource(4), RandomSource(4)
+    assert ([sample(dist, a, dist.cumsum()) for _ in range(200)]
+            == [sample(dist, b) for _ in range(200)])
+
+
 def test_sample_empirical_frequencies():
     dist = np.array([0.1, 0.2, 0.7])
     rng = RandomSource(12345)

@@ -146,6 +146,65 @@ def test_ngram_caches_one_row_per_tabled_context(corpus):
     assert len(model._cache) > len(distinct)  # some rows really are shared
 
 
+def _per_token_ngram_propose(model, context, budget, rng, greedy):
+    """Reference drafting loop: one `evaluate` and one fresh inverse-CDF
+    sample per token."""
+    cur, out, dists = list(context), [], []
+    for _ in range(budget):
+        d = model.evaluate(cur, len(cur) + 1)[0]
+        tok = greedy_token(d) if greedy else sample(d, rng)
+        out.append(tok)
+        dists.append(d)
+        cur.append(tok)
+    return out, dists, len(out)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_ngram_propose_matches_per_token_evaluate_loop(data):
+    order = data.draw(st.integers(1, 7), label="order")
+    size = data.draw(st.integers(2, 6), label="V")
+    vocab = Vocab(tuple(f"<{i}>" for i in range(size)))
+    corpus = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=40),
+                       label="corpus")
+    # contexts shorter and longer than the order - 1 token window
+    context = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=12),
+                        label="context")
+    budget = data.draw(st.integers(1, 12), label="budget")
+    greedy = data.draw(st.booleans(), label="greedy")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    # two models, so the drafting path builds its own rows and sums
+    model, ref = train_ngram(corpus, order, vocab), train_ngram(corpus, order, vocab)
+    rng, ref_rng = RandomSource(seed), RandomSource(seed)
+    out, dists, calls = model.propose(context, budget, rng, greedy)
+    ref_out, ref_dists, ref_calls = _per_token_ngram_propose(ref, context, budget,
+                                                             ref_rng, greedy)
+    assert out == ref_out
+    assert calls == ref_calls == budget
+    assert len(dists) == budget
+    assert all(np.array_equal(a, b) for a, b in zip(dists, ref_dists))
+    # the same number of uniform draws was consumed
+    assert rng.uniform() == ref_rng.uniform()
+
+
+def test_ngram_keeps_one_cdf_per_shared_row(corpus):
+    train_seqs, eval_seqs, vocab, _ = corpus
+    model = train_ngram(train_seqs, 3, vocab)
+    drafted = {}
+    for j, seq in enumerate(eval_seqs[:40]):
+        _, dists, _ = model.propose(seq[:32], 48, RandomSource(j), greedy=False)
+        drafted.update((id(d), d) for d in dists)
+    # keyed by row, not by context: many contexts share a row and its sums
+    assert set(model._cdfs) == set(drafted)
+    assert len(model._cdfs) < len(model._cache)
+    for key, cdf in model._cdfs.items():
+        assert np.array_equal(cdf, drafted[key].cumsum())
+    # greedy drafting reads no sums, so it keeps none
+    greedy = train_ngram(train_seqs, 3, vocab)
+    greedy.propose(eval_seqs[0][:32], 48, RandomSource(0), greedy=True)
+    assert greedy._cdfs == {}
+
+
 def test_ngram_rows_are_read_only():
     model = train_ngram([1, 2, 3, 1, 2, 4], 3, V6)
     rows = [model.distribution([1, 2]), model.distribution([5, 5])] + model.evaluate([1, 2], 1)
@@ -422,6 +481,31 @@ def test_save_model_bytes(tmp_path, model, text):
     path = tmp_path / "m.json"
     save_model(model(), path)
     assert path.read_text() == text
+
+
+_SMALL_MODELS = {
+    "ngram": lambda: train_ngram([1, 2, 1, 3], 2, V6),
+    "bigram": lambda: BigramTable.from_corpus([1, 2, 1, 3], V6),
+    "mag": lambda: MagModel(BigramTable.from_corpus([1, 2, 1, 3], V6), span=4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SMALL_MODELS))
+@pytest.mark.parametrize("edit,named", [
+    (lambda t: t["1"].__setitem__(0, [-1, "0.5"]), "context '1' holds token id -1"),
+    (lambda t: t["1"].__setitem__(0, [6, "0.5"]), "context '1' holds token id 6"),
+    (lambda t: t["2"].__setitem__(0, [100000, "1.0"]), "context '2' holds token id 100000"),
+    (lambda t: t.__setitem__("9", t.pop("2")), "context '9' holds token id 9"),
+    (lambda t: t.__setitem__("-1", t.pop("2")), "context '-1' holds token id -1"),
+], ids=["row-negative", "row-vocab-size", "row-huge", "context-past-vocab",
+        "context-negative"])
+def test_load_rejects_token_ids_outside_the_vocabulary(kind, edit, named):
+    # a -1 loaded and put its mass on the last token, and 100000 raised
+    # IndexError only once decoding first built the row
+    obj = model_to_dict(_SMALL_MODELS[kind]())
+    edit(obj["tables"])
+    with pytest.raises(ConstructionError, match=named):
+        model_from_dict(obj)
 
 
 def test_load_rejects_unknown_mag_policy(tmp_path, models):
