@@ -16,6 +16,7 @@ from .core import (
     ContractViolation,
     RandomSource,
     Vocab,
+    integer,
     normalize,
     reading,
 )
@@ -218,9 +219,8 @@ def ewif_comparison_table(rows: Sequence[dict], trials: int,
                 closed = sd_ewif(row["alpha"], row["c"], row["k"])
                 est = simulate_sd_ewif(row["alpha"], row["c"], row["k"], trials, sub)
             elif method == "horizontal":
-                stages = list(zip(row["alphas"], row["cs"], row["ks"], strict=True))
-                if any(ki < 1 for _, _, ki in stages):
-                    raise ContractViolation(f"ks {row['ks']} has an entry below 1")
+                stages = [(a, c, integer(ki, "ks entry", 1))
+                          for a, c, ki in zip(row["alphas"], row["cs"], row["ks"], strict=True)]
                 profile = AcceptanceProfile(tuple(a for a, _, ki in stages for _ in range(ki)),
                                             tuple(c for _, c, ki in stages for _ in range(ki)))
                 closed = horizontal_ewif(profile)

@@ -30,7 +30,7 @@ from .cascade import (
     generate,
 )
 from .core import (ConfigError, ContractViolation, LanguageModel, RandomSource, Vocab,
-                   reading)
+                   integer, reading)
 from .kernel import DecodeMode
 from .statlm import (
     MATCH_PROMPT_AND_GENERATION,
@@ -145,7 +145,7 @@ def build_model(name: str, spec: dict, train_seqs, vocab: Optional[Vocab]) -> La
         if "file" in spec:
             model = load_model(Path(spec["file"]))
         elif kind == "ngram":
-            model = train_ngram(train_seqs, int(spec.get("order", 3)), vocab,
+            model = train_ngram(train_seqs, integer(spec.get("order", 3), "order"), vocab,
                                 interpolation=float(spec.get("interpolation", 0.75)),
                                 descriptor=name, **weight)
         elif kind == "bigram":
@@ -154,7 +154,7 @@ def build_model(name: str, spec: dict, train_seqs, vocab: Optional[Vocab]) -> La
             if spec.get("policy", MATCH_PROMPT_AND_GENERATION) != MATCH_PROMPT_AND_GENERATION:
                 raise ConfigError(f"unknown match policy {spec['policy']!r}")
             model = MagModel(BigramTable.from_corpus(train_seqs, vocab),
-                             span=int(spec.get("span", 10)), descriptor=name, **weight)
+                             integer(spec.get("span", 10), "span"), descriptor=name, **weight)
         else:
             raise ConfigError(f"unknown model type {kind!r}")
     if vocab is not None and model.vocab != vocab:
@@ -284,14 +284,12 @@ def _run_config(run: dict, models: Dict[str, LanguageModel], stop_tokens,
             drafts=picked[1:],
             k_matrix=KMatrix(k_rows),
             mode=DecodeMode(run.get("mode", "greedy")),
-            max_new_tokens=int(run["max_new_tokens"]),
-            seed=int(run["seed"]),
+            max_new_tokens=integer(run["max_new_tokens"], "max_new_tokens", 1),
+            seed=integer(run["seed"], "seed"),
             lenience=float(run.get("lenience", 1.0)),
             stop_tokens=stop_tokens,
             allow_inexact_sampling=bool(run.get("allow_inexact_sampling", False)),
         )
-        if config.max_new_tokens < 1:
-            raise ConfigError(f"max_new_tokens {config.max_new_tokens} < 1")
         config.validate()
     return config
 
@@ -310,12 +308,8 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
         # a Path, not a bare int, which open() would take as a file descriptor
         train_path, eval_path = Path(corpus["train"]), Path(corpus["eval"])
         tokenizer = corpus.get("tokenizer", "byte")
-        n_prompts = int(config["num_prompts"]) if "num_prompts" in config else None
-        if n_prompts is not None and n_prompts < 1:
-            raise ValueError(f"num_prompts {n_prompts} < 1 gives no prompts")
-        prompt_tokens = int(config.get("prompt_tokens", 32))
-        if prompt_tokens < 1:
-            raise ValueError(f"prompt_tokens {prompt_tokens} < 1 gives empty prompts")
+        n_prompts = integer(config.get("num_prompts", sys.maxsize), "num_prompts")  # default: all
+        prompt_tokens = integer(config.get("prompt_tokens", 32), "prompt_tokens", 1)
         cost_models = config.get("cost_models") or {"ms": None}
         if not isinstance(cost_models, dict):
             raise TypeError(f"cost_models is not a JSON object: {cost_models!r}")
@@ -458,9 +452,14 @@ def _cmd_bench(args) -> int:
     text = Path(args.config).read_text(encoding="utf-8")
     with reading(f"bench config {args.config}"):
         config = json.loads(text)
+        if not isinstance(config, dict):
+            raise TypeError(f"not a JSON object: {config!r}")
+        # checked before any run decodes
+        json_path = args.out or config.get("report", "report.json")
+        if not isinstance(json_path, str):
+            raise TypeError(f"report {json_path!r} is not a path")
+        csv_path = Path(json_path).with_suffix(".csv")
     report = run_bench(config)
-    json_path = args.out or config.get("report", "report.json")
-    csv_path = json_path.rsplit(".", 1)[0] + ".csv"
     write_report(report, json_path, csv_path)
     print(f"report written to {json_path} and {csv_path}")
     return 0
@@ -470,8 +469,9 @@ def _cmd_analyze(args) -> int:
     text = Path(args.config).read_text(encoding="utf-8")
     with reading(f"grid {args.config}"):
         grid = json.loads(text)
-        rows = ewif_comparison_table(grid["grid"], int(grid.get("trials", 1_000_000)),
-                                     RandomSource(int(grid.get("seed", 0))))
+        rows = ewif_comparison_table(grid["grid"],
+                                     integer(grid.get("trials", 1_000_000), "trials"),
+                                     RandomSource(integer(grid.get("seed", 0), "seed")))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["name", "method", "ewif_closed", "ewif_simulated", "ci95", "trials"])
@@ -486,10 +486,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_accept_curve(args) -> int:
     """Measure over the corpus tokenized in the target's vocabulary."""
-    if args.num_prompts < 1:
-        raise ConfigError(f"--num-prompts {args.num_prompts} < 1 gives no prompts")
-    if args.prompt_tokens < 1:
-        raise ConfigError(f"--prompt-tokens {args.prompt_tokens} < 1 gives empty prompts")
+    integer(args.num_prompts, "--num-prompts", 1)
+    integer(args.prompt_tokens, "--prompt-tokens", 1)
     target = build_model(args.target, {"file": args.target}, None,
                          Vocab.byte_level() if args.tokenizer == "byte" else None)
     tok = WordTokenizer(target.vocab) if args.tokenizer == "word" else ByteTokenizer()

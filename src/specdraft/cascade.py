@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import ConfigError, ContractViolation, LanguageModel, RandomSource
+from .core import ConfigError, ContractViolation, LanguageModel, RandomSource, integer
 from .kernel import DecodeMode, speculative_review
 
 
@@ -34,10 +34,7 @@ class KMatrix:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ContractViolation(f"row {i} has {len(row)} entries, expected {n}")
-            used = [int(v) for v in row[i:]]
-            if used != list(row[i:]) or any(v < 1 for v in used):
-                raise ContractViolation(f"row {i} has a stage budget that is not an integer >= 1")
-            trimmed.append(tuple(used))
+            trimmed.append(tuple(integer(v, f"row {i} stage budget", 1) for v in row[i:]))
         self._rows = trimmed
         self.n = n
 

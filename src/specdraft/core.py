@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,6 +50,15 @@ def reading(what: str, error: type = ConfigError):
         raise error(f"{what} lacks required key {err}") from None
     except (TypeError, ValueError) as err:
         raise error(f"{what}: {err}") from None
+
+
+def integer(value, what: str, least: int = 0) -> int:
+    """`value` as an int if it is a whole number >= `least`; anything else (a
+    bool, a string, 2.7, infinity) is a ContractViolation naming `what`."""
+    if (isinstance(value, Real) and not isinstance(value, bool) and value % 1 == 0
+            and value >= least):
+        return int(value)
+    raise ContractViolation(f"{what} {value!r} is not an integer >= {least}")
 
 
 class Vocab:

@@ -131,11 +131,19 @@ class NGramModel(ContextConditionedModel):
         return float(np.exp(-logp / n))
 
 
-def _normalized(counts) -> Dict[Tuple[int, ...], Dict[int, float]]:
-    """Each context's next-token counts as probabilities, in token order."""
-    totals = {ctx: sum(row.values()) for ctx, row in counts.items()}
-    return {ctx: {tok: c / totals[ctx] for tok, c in sorted(row.items())}
-            for ctx, row in counts.items()}
+def _counted(seqs: List[List[int]], lengths) -> Dict[Tuple[int, ...], Dict[int, float]]:
+    """Each context of a length n in `lengths` with its next-token probabilities
+    in token order: one `Counter` of (n+1)-grams per n, freed before the next."""
+    tables = {}
+    for n in lengths:
+        counts: Dict[Tuple[int, ...], Dict[int, int]] = defaultdict(dict)
+        grams = chain.from_iterable(zip(*(s[i:] for i in range(n + 1))) for s in seqs)
+        for gram, c in Counter(grams).items():
+            counts[gram[:-1]][gram[-1]] = c
+        for ctx, row in counts.items():
+            total = sum(row.values())
+            tables[ctx] = {tok: c / total for tok, c in sorted(row.items())}
+    return tables
 
 
 def _dense(size: int, entries: Dict[int, float]) -> np.ndarray:
@@ -151,19 +159,11 @@ def train_ngram(corpus, order: int, vocab: Vocab,
                 interpolation: float = DEFAULT_INTERPOLATION,
                 cost_weight: Optional[float] = None,
                 descriptor: Optional[str] = None) -> NGramModel:
-    """Count n-grams of every order up to `order` and build the interpolated
-    model.  Deterministic given corpus and parameters."""
+    """The interpolated model of the corpus's n-grams of every order up to `order`."""
     if order < 1:
         raise TrainingError("order must be >= 1")
-    seqs = _as_sequences(corpus)
-    counts: Dict[Tuple[int, ...], Dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for seq in seqs:
-        for i, tok in enumerate(seq):
-            for n in range(0, order):
-                if i - n < 0:
-                    break
-                counts[tuple(seq[i - n:i])][tok] += 1
-    return NGramModel(order, vocab, _normalized(counts), interpolation, cost_weight, descriptor)
+    return NGramModel(order, vocab, _counted(_as_sequences(corpus), range(order)),
+                      interpolation, cost_weight, descriptor)
 
 
 class BigramTable(ContextConditionedModel):
@@ -192,13 +192,8 @@ class BigramTable(ContextConditionedModel):
 
     @classmethod
     def from_corpus(cls, corpus, vocab: Vocab, **kwargs) -> "BigramTable":
-        """Count adjacent pairs in one `Counter` pass (a Python loop keyed
-        `(a,)` is about 1.5x slower); `kwargs` go to the constructor."""
-        pairs = Counter(chain.from_iterable(zip(s, s[1:]) for s in _as_sequences(corpus)))
-        counts: Dict[Tuple[int, ...], Dict[int, int]] = defaultdict(dict)
-        for (a, b), n in pairs.items():
-            counts[(a,)][b] = n
-        return cls(vocab, _normalized(counts), **kwargs)
+        """Counted as `train_ngram` counts contexts of length 1; `kwargs` go to the constructor."""
+        return cls(vocab, _counted(_as_sequences(corpus), (1,)), **kwargs)
 
 
 def _longest_suffix_starts(generated: Sequence[int], corpus: Sequence[int],

@@ -1,6 +1,7 @@
 """Tokenizers, the positional-acceptance measurement, the bench harness, CLI."""
 import ast
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -254,6 +255,25 @@ def test_cli_train_then_run(tmp_path, capsys):
     cli(["run", "--target", str(model_path), "--prompt", "the scheduler",
          "--seed", "7", "--max-new-tokens", "24"])
     assert capsys.readouterr().out == first  # fixed seed, fixed text
+
+
+@pytest.mark.parametrize("name,flags,sha256", [
+    ("ngram7", ["--order", "7"],
+     "3df81d4c9f93c5fa0bf75336182e4204f8c571fb84ca07a4f54a3a435e47f0a1"),
+    ("ngram3", ["--order", "3"],
+     "c1026b9b278e0db78b4ad9b60782cb634e6e81e5cf027d4cb5ecdc2c7c20eaaa"),
+    ("ngram2", ["--order", "2"],
+     "91f3ca94f2cd955b18c28cefe780c8e5c4238b34df28f8b32406d01b75a9f701"),
+    ("bigram", ["--type", "bigram"],
+     "ceceae56f17a0d3850c61f9750907c09f90c9de222c23e5c7829eb895c74c78f"),
+    ("mag", ["--type", "mag"],
+     "6a582d5658ab0d271976e1e3e0caaee336b14478e53ac70ed5745f443d942451"),
+])
+def test_cli_train_saves_the_same_bytes(tmp_path, name, flags, sha256):
+    # a change in how tables are counted, normalized or saved shows here
+    path = tmp_path / f"{name}.json"
+    assert cli(["train", "--corpus", str(DATA / "train.txt"), "--out", str(path), *flags]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_cli_unknown_subcommand():
@@ -555,13 +575,28 @@ def _prices(**prices):
     # a prompt length below 1 silently ran 1-token prompts
     (lambda cfg: cfg.update(prompt_tokens=-5), "prompt_tokens -5"),
     (lambda cfg: cfg.update(prompt_tokens=0), "prompt_tokens 0"),
+    # int() truncated these, and infinity raised OverflowError (exit 1)
+    (_bad_run(max_new_tokens=2.7), "run 'bad'"),
+    (_bad_model({"type": "ngram", "order": 2.5}), "model 'bad'"),
+    (_bad_model({"type": "ngram", "order": True}), "model 'bad'"),
+    (_bad_model({"type": "mag", "span": True}), "model 'bad'"),
+    (_bad_run(seed=1.5), "run 'bad'"),
+    (_bad_run(seed=-1), "run 'bad'"),
+    (lambda cfg: cfg.update(num_prompts=1.5), "num_prompts 1.5"),
+    (lambda cfg: cfg.update(prompt_tokens=8.5), "prompt_tokens 8.5"),
+    (_bad_run(max_new_tokens=float("inf")), "run 'bad'"),
+    (_bad_model({"type": "ngram", "order": float("inf")}), "model 'bad'"),
+    (_bad_run(k_matrix=[[float("inf")]]), "run 'bad'"),
 ], ids=["span-0", "order-0", "order-x", "interpolation-2", "cost-weight-negative",
         "model-spec-list", "model-file-int", "max-new-tokens-many", "k-matrix-int", "seed-x", "lenience-x",
         "corpus-without-train", "corpus-without-eval", "corpus-path-int", "num-prompts-x", "runs-object",
         "run-int", "num-prompts-negative", "k-matrix-fractional", "mag-target-default-price",
         "target-cost-weight-0", "target-price-0", "draft-price-negative", "price-infinite",
         "price-string", "cost-preset-int", "cost-models-list", "prompt-tokens-negative",
-        "prompt-tokens-0"])
+        "prompt-tokens-0", "max-new-tokens-fractional", "order-fractional", "order-bool",
+        "span-bool", "seed-fractional", "seed-negative", "num-prompts-fractional",
+        "prompt-tokens-fractional", "max-new-tokens-infinite", "order-infinite",
+        "k-matrix-infinite"])
 def test_cli_bench_input_that_does_not_fit_is_a_config_error(tmp_path, capsys, change, named):
     cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
                        runs=[_FULL_RUNS["autoregressive"] | {"name": "good"},
@@ -572,6 +607,28 @@ def test_cli_bench_input_that_does_not_fit_is_a_config_error(tmp_path, capsys, c
     assert (rc, err.startswith("config error:"), named in err) == (2, True, True), err
     assert "[good]" not in err  # nothing decoded
     assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_bench_checks_the_report_path_before_any_run_decodes(tmp_path, capsys):
+    # read once every run had decoded, a number exited 1 with a bare AttributeError
+    cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
+                       runs=[_FULL_RUNS["autoregressive"] | {"name": "good"}], report=5)
+    assert cli(_write_config(tmp_path, cfg)[:-2]) == 2  # without --out
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "report 5" in err and "[good]" not in err
+
+
+def test_cli_bench_writes_the_csv_beside_a_report_without_a_suffix(tmp_path):
+    # the CSV path was cut at the last dot of the whole path: out.v2/report
+    # wrote out.csv beside the directory
+    (tmp_path / "out.v2").mkdir()
+    cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
+                       runs=[_FULL_RUNS["autoregressive"]],
+                       report=str(tmp_path / "out.v2" / "report"))
+    assert cli(_write_config(tmp_path, cfg)[:-2]) == 0
+    assert (tmp_path / "out.v2" / "report").exists()
+    assert (tmp_path / "out.v2" / "report.csv").exists()
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("flags", [["--order", "0"], ["--type", "mag", "--span", "0"],
@@ -608,8 +665,16 @@ def test_cli_run_rejects_a_model_file_of_another_format(tmp_path, capsys):
      "row 0"),
     ('{"grid": [{"method": "horizontal", "alphas": [0.9, 0.5], "cs": [0.05, 0.01],'
      ' "ks": [1]}]}', "row 0"),
+    # int() truncated these, and infinity raised OverflowError (exit 1)
+    ('{"trials": 2.5, "grid": []}', "trials 2.5"),
+    ('{"trials": Infinity, "grid": []}', "trials inf"),
+    ('{"seed": true, "grid": []}', "seed True"),
+    ('{"seed": 0.5, "grid": []}', "seed 0.5"),
+    ('{"grid": [{"method": "horizontal", "alphas": [0.9], "cs": [0.05], "ks": [true]}]}',
+     "row 0"),
 ], ids=["not-json", "no-grid", "row-without-c", "trials-x", "alpha-x", "sd-c-negative",
-        "sd-alpha-above-one", "horizontal-ks-negative", "horizontal-ks-short"])
+        "sd-alpha-above-one", "horizontal-ks-negative", "horizontal-ks-short",
+        "trials-fractional", "trials-infinite", "seed-bool", "seed-fractional", "ks-bool"])
 def test_cli_analyze_grid_that_does_not_fit_is_a_config_error(tmp_path, capsys, text, named):
     grid = tmp_path / "grid.json"
     grid.write_text(text)

@@ -45,9 +45,9 @@ def test_kmatrix_rejects_nonpositive_budget():
     KMatrix([[1, 1], [-7, 1]])
 
 
-@pytest.mark.parametrize("budget", [2.7, "3"])
+@pytest.mark.parametrize("budget", [2.7, "3", True, float("inf"), float("nan")])
 def test_kmatrix_rejects_a_budget_that_is_not_an_integer(budget):
-    # int() would run 2.7 as 2 and "3" as 3
+    # int() would run 2.7 as 2, "3" as 3 and True as 1, and overflow on infinity
     with pytest.raises(ContractViolation, match="row 0"):
         KMatrix([[budget]])
 

@@ -80,6 +80,44 @@ def test_ngram_distributions_normalized_everywhere():
         assert np.all(d > 0)  # interpolation keeps full support
 
 
+def _textbook_tables(seqs, lengths):
+    """Per-position count: each token of each sequence, once under each of
+    its preceding contexts of a length in `lengths`, as probabilities in
+    token order."""
+    counts = {}
+    for seq in seqs:
+        for i, tok in enumerate(seq):
+            for n in lengths:
+                if n <= i:
+                    row = counts.setdefault(tuple(seq[i - n:i]), {})
+                    row[tok] = row.get(tok, 0) + 1
+    return {ctx: {tok: c / sum(row.values()) for tok, c in sorted(row.items())}
+            for ctx, row in counts.items()}
+
+
+_corpora = st.one_of(
+    st.lists(st.integers(0, 5), min_size=1, max_size=30),
+    st.lists(st.lists(st.integers(0, 5), max_size=10), min_size=1, max_size=5))
+
+
+@given(_corpora, st.integers(1, 7))
+@settings(max_examples=300, deadline=None)
+def test_counting_matches_textbook_per_position_count(corpus, order):
+    seqs = [corpus] if isinstance(corpus[0], int) else [s for s in corpus if s]
+    if not seqs:
+        for count in (lambda: train_ngram(corpus, order, V6),
+                      lambda: BigramTable.from_corpus(corpus, V6)):
+            with pytest.raises(TrainingError):
+                count()
+        return
+    for tables, lengths in ((train_ngram(corpus, order, V6).tables, range(order)),
+                            (BigramTable.from_corpus(corpus, V6).tables, (1,))):
+        # equal tables, and each row's tokens in the same (ascending) order
+        assert ({ctx: list(row.items()) for ctx, row in tables.items()}
+                == {ctx: list(row.items())
+                    for ctx, row in _textbook_tables(seqs, lengths).items()})
+
+
 def test_ngram_loop_vs_batch():
     m = train_ngram([1, 2, 3, 1, 2, 4], 3, V6)
     tokens = [1, 2, 3, 1]
