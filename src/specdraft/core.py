@@ -52,13 +52,15 @@ def reading(what: str, error: type = ConfigError):
         raise error(f"{what}: {err}") from None
 
 
-def integer(value, what: str, least: int = 0) -> int:
-    """`value` as an int if it is a whole number >= `least`; anything else (a
-    bool, a string, 2.7, infinity) is a ContractViolation naming `what`."""
+def integer(value, what: str, least: Optional[int] = 0) -> int:
+    """`value` as an int if it is a whole number >= `least` (any whole number
+    when `least` is None); anything else (a bool, a string, 2.7, infinity) is
+    a ContractViolation naming `what`."""
     if (isinstance(value, Real) and not isinstance(value, bool) and value % 1 == 0
-            and value >= least):
+            and (least is None or value >= least)):
         return int(value)
-    raise ContractViolation(f"{what} {value!r} is not an integer >= {least}")
+    floor = "" if least is None else f" >= {least}"
+    raise ContractViolation(f"{what} {value!r} is not an integer{floor}")
 
 
 class Vocab:
@@ -205,8 +207,8 @@ class LanguageModel(ABC):
     """
 
     def __init__(self, vocab: Vocab, cost_weight: float, descriptor: str):
-        if cost_weight < 0:
-            raise ConstructionError("cost_weight must be non-negative")
+        if not 0 <= cost_weight < np.inf:
+            raise ConstructionError(f"cost_weight {cost_weight!r} is not a finite number >= 0")
         self.vocab = vocab
         self.cost_weight = float(cost_weight)
         self.descriptor = descriptor
@@ -215,12 +217,16 @@ class LanguageModel(ABC):
     deterministic: bool = True
 
     @abstractmethod
-    def evaluate(self, tokens: Sequence[int], start: int) -> list:
-        """One normalized distribution per position p in [start, len(tokens)+1].
+    def evaluate(self, tokens: Sequence[int], start: int) -> Sequence[np.ndarray]:
+        """A read-only sequence of one normalized distribution per position p
+        in [start, len(tokens)+1], supporting len, indexing, slicing and
+        iteration.
 
         The distribution at position p conditions on tokens[:p-1] (positions
         are 1-based); the final entry scores the next token after the full
-        sequence.
+        sequence.  A model may return a list, or build each row only when it
+        is first read, so that a review that stops early builds no later row;
+        either way a later change to `tokens` changes no row.
         """
 
     def _check_start(self, tokens: Sequence[int], start: int) -> None:

@@ -9,7 +9,7 @@ bit-faithfully.
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter, abc, defaultdict
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,6 +23,7 @@ from .core import (
     TrainingError,
     Vocab,
     greedy_token,
+    integer,
     sample,
 )
 
@@ -59,6 +60,7 @@ class NGramModel(ContextConditionedModel):
     tabled suffix it is shares that array.  Drafting reads rows straight from
     that cache, and sampled drafting keeps each shared row's cumulative sums
     once, keyed by the row's identity (cached rows live as long as the model).
+    `evaluate` looks a position's row up only when a reader asks for it.
     """
 
     def __init__(self, order: int, vocab: Vocab,
@@ -114,12 +116,11 @@ class NGramModel(ContextConditionedModel):
             cdf = self._cdfs[id(row)] = row.cumsum()
         return row, cdf
 
-    def evaluate(self, tokens: Sequence[int], start: int) -> list:
-        """Rows as `ContextConditionedModel.evaluate` gives them, each keyed by
-        at most `order - 1` trailing tokens, without copying the prefix."""
+    def evaluate(self, tokens: Sequence[int], start: int) -> "_Rows":
+        """Rows as `ContextConditionedModel.evaluate` gives them, each built
+        only when first read (a review stops at its first rejection)."""
         self._check_start(tokens, start)
-        return [self._row(tuple(tokens[max(0, p - self.order):p - 1]))
-                for p in range(start, len(tokens) + 2)]
+        return _Rows(self, tokens, start)
 
     def perplexity(self, corpus) -> float:
         seqs = _as_sequences(corpus)
@@ -129,6 +130,42 @@ class NGramModel(ContextConditionedModel):
                 logp += float(np.log(dist[tok]))
                 n += 1
         return float(np.exp(-logp / n))
+
+
+class _Rows(abc.Sequence):
+    """`NGramModel.evaluate(tokens, start)`: row i is the model's row at
+    position `start + i`, looked up in (or built into) the row cache when it
+    is read.  It keeps only the tokens those rows condition on, copied at
+    call time, so it never copies the prefix and a later change to `tokens`
+    changes no row."""
+
+    __slots__ = ("_model", "_tokens", "_end", "_len")
+
+    def __init__(self, model: NGramModel, tokens: Sequence[int], start: int):
+        first = max(0, start - model.order)
+        self._model = model
+        self._tokens = tuple(tokens[first:])
+        self._end = start - 1 - first  # where row 0's context ends in _tokens
+        self._len = len(tokens) - start + 2
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._row_to(self._end + j) for j in range(*i.indices(self._len))]
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"row index out of range for {self._len} rows")
+        return self._row_to(self._end + i)
+
+    def __iter__(self):
+        return map(self._row_to, range(self._end, self._end + self._len))
+
+    def _row_to(self, end: int) -> np.ndarray:
+        """The row after `_tokens[:end]`, keyed by its last `order - 1` tokens."""
+        return self._model._row(self._tokens[max(0, end - self._model.order + 1):end])
 
 
 def _counted(seqs: List[List[int]], lengths) -> Dict[Tuple[int, ...], Dict[int, float]]:
@@ -330,9 +367,10 @@ def _tables_to_json(tables) -> Dict[str, list]:
 
 def _tables_from_json(obj, size: int) -> Dict[Tuple[int, ...], Dict[int, float]]:
     """The tables of a saved file, each token id, in a context or a row,
-    checked against a vocabulary of `size` tokens."""
+    checked to be an integer in a vocabulary of `size` tokens."""
     tables = {
-        _parse_ctx(key): {int(tok): float(p) for tok, p in row}
+        _parse_ctx(key): {integer(tok, f"table context {key!r} token id", None): float(p)
+                          for tok, p in row}
         for key, row in obj.items()
     }
     for ctx, row in tables.items():
@@ -369,14 +407,15 @@ def model_from_dict(obj: dict):
     descriptor = obj["descriptor"]
     tables = _tables_from_json(obj["tables"], vocab.size)
     if kind == "ngram":
-        return NGramModel(int(obj["order"]), vocab, tables, float(obj["smoothing"]),
-                          cost_weight, descriptor)
+        return NGramModel(integer(obj["order"], "order", 1), vocab, tables,
+                          float(obj["smoothing"]), cost_weight, descriptor)
     if kind == "bigram":
         return BigramTable(vocab, tables, cost_weight, descriptor)
     if kind == "mag":
         if obj["policy"] != MATCH_PROMPT_AND_GENERATION:
             raise ConstructionError(f"unknown match policy {obj['policy']!r}")
-        return MagModel(BigramTable(vocab, tables), int(obj["span"]), cost_weight, descriptor)
+        return MagModel(BigramTable(vocab, tables), integer(obj["span"], "span", 1),
+                        cost_weight, descriptor)
     raise ConstructionError(f"unknown model type {kind!r}")
 
 

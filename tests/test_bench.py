@@ -190,6 +190,29 @@ def test_write_report_csv_schema(tmp_path):
     assert loaded == report
 
 
+#: sha256 of report.json and of its CSV for each shipped bench config,
+#: recorded while n-gram reviews still built every row before reviewing
+SHIPPED_REPORT_SHA256 = {
+    "bench_example": ("80ef6d2af8c4893fa57bece38d737c075c26a0f5cbba5a4cdb055ed63da0068e",
+                      "ec92113cb1f86600ab65347cfc5eba4b3dc3c2b266bbe1310d4ca2d3507b165a"),
+    "decoder_only": ("4782365e2d9a5a2d1a01020f32b43758c77708c0ca31f8b2c42b1900654fc659",
+                     "3ae8220d099583a4d02ecff48dbecca8e965a7772266361cf4edc766867a18d6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_REPORT_SHA256))
+def test_shipped_bench_reports_keep_their_bytes(tmp_path, name):
+    # the reports hold each run's calls, swi and per-level proposed and
+    # accepted counts, so a change in what any review reads shows here
+    config = json.loads((CONFIGS / f"{name}.json").read_text())
+    for key in ("train", "eval"):
+        config["corpus"][key] = str(DATA.parent / config["corpus"][key])
+    jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
+    write_report(run_bench(config, quiet=True), str(jp), str(cp))
+    assert (hashlib.sha256(jp.read_bytes()).hexdigest(),
+            hashlib.sha256(cp.read_bytes()).hexdigest()) == SHIPPED_REPORT_SHA256[name]
+
+
 def test_build_model_from_file(tmp_path, corpus, models):
     from specdraft.statlm import save_model
     train_seqs, _, vocab, _ = corpus
@@ -222,6 +245,26 @@ def test_build_model_rejects_a_file_with_a_token_id_outside_the_vocabulary(
     path = tmp_path / "m.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(ConfigError, match=f"model 'm'.*context {ctx!r} holds token id -1"):
+        build_model("m", {"file": str(path)}, train_seqs, vocab)
+
+
+@pytest.mark.parametrize("kind,edit,named", [
+    ("ngram", lambda obj: obj.update(order=2.5), "order 2.5"),
+    ("bigram", lambda obj: obj["tables"][sorted(obj["tables"])[-1]][0].__setitem__(0, 5.7),
+     "token id 5.7"),
+    ("mag", lambda obj: obj.update(cost_weight="nan"), "cost_weight nan"),
+], ids=["order-fractional", "row-token-fractional", "cost-weight-nan"])
+def test_build_model_rejects_a_file_value_the_model_does_not_take(tmp_path, corpus, kind,
+                                                                  edit, named):
+    # int() loaded order 2.5 as 2 and a token 5.7 as 5, and a NaN cost weight
+    # loaded and broke swi once a run had decoded
+    from specdraft.statlm import model_to_dict
+    train_seqs, _, vocab, _ = corpus
+    obj = model_to_dict(build_model("m", {"type": kind}, train_seqs[:20], vocab))
+    edit(obj)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError, match=f"model 'm'.*{named}"):
         build_model("m", {"file": str(path)}, train_seqs, vocab)
 
 
@@ -587,6 +630,11 @@ def _prices(**prices):
     (_bad_run(max_new_tokens=float("inf")), "run 'bad'"),
     (_bad_model({"type": "ngram", "order": float("inf")}), "model 'bad'"),
     (_bad_run(k_matrix=[[float("inf")]]), "run 'bad'"),
+    # a NaN draft weight passed the price check, which reads only targets'
+    # weights, and failed in swi once the run had decoded
+    (_all(_bad_model({"type": "ngram", "order": 1, "cost_weight": float("nan")}),
+          _bad_run(drafts=["bad"])), "model 'bad'"),
+    (_bad_model({"type": "mag", "cost_weight": float("inf")}), "model 'bad'"),
 ], ids=["span-0", "order-0", "order-x", "interpolation-2", "cost-weight-negative",
         "model-spec-list", "model-file-int", "max-new-tokens-many", "k-matrix-int", "seed-x", "lenience-x",
         "corpus-without-train", "corpus-without-eval", "corpus-path-int", "num-prompts-x", "runs-object",
@@ -596,7 +644,7 @@ def _prices(**prices):
         "prompt-tokens-0", "max-new-tokens-fractional", "order-fractional", "order-bool",
         "span-bool", "seed-fractional", "seed-negative", "num-prompts-fractional",
         "prompt-tokens-fractional", "max-new-tokens-infinite", "order-infinite",
-        "k-matrix-infinite"])
+        "k-matrix-infinite", "draft-cost-weight-nan", "cost-weight-infinite"])
 def test_cli_bench_input_that_does_not_fit_is_a_config_error(tmp_path, capsys, change, named):
     cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
                        runs=[_FULL_RUNS["autoregressive"] | {"name": "good"},

@@ -316,6 +316,22 @@ def test_server_encodes_rows_as_asked():
     assert unknown.status_code == 400 and "f32" in unknown.json()["error"]
 
 
+@pytest.mark.parametrize("encoding", ["json", "f64le"])
+def test_served_ngram_sends_every_row(encoding):
+    # an n-gram evaluate builds rows as they are read; the server reads all
+    model = _toy_model()
+    tokens = [0, 1, 2, 3, 0, 1, 2, 4, 0, 1]
+    with serve_model(model) as server:
+        for start in range(1, len(tokens) + 2):
+            reply = requests.post(server.url + "/v1/score", timeout=10, json={
+                "tokens": tokens, "start": start, "encoding": encoding}).json()
+            want = np.stack([model.distribution(tokens[:p - 1])
+                             for p in range(start, len(tokens) + 2)])
+            got = (np.array(reply["dists"]) if encoding == "json" else
+                   np.frombuffer(base64.b64decode(reply["f64le"]), dtype="<f8"))
+            assert np.array_equal(got.reshape(want.shape), want)
+
+
 def _b64(rows, cut=0):
     raw = np.array(rows, dtype="<f8").tobytes()
     return base64.b64encode(raw[:len(raw) - cut]).decode("ascii")

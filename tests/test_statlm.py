@@ -173,12 +173,65 @@ def test_ngram_shared_rows_match_textbook_fold(data):
                 assert np.array_equal(row, _textbook_row(model, seq[:p - 1]))
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_ngram_evaluate_reads_the_per_position_rows(data):
+    order = data.draw(st.integers(1, 7), label="order")
+    corpus = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=40), label="corpus")
+    # contexts shorter and longer than the order - 1 token window
+    tokens = data.draw(st.lists(st.integers(0, 5), max_size=14), label="tokens")
+    model = train_ngram(corpus, order, V6)
+    shuffle = data.draw(st.randoms(use_true_random=False), label="read order").shuffle
+    for start in range(1, len(tokens) + 2):
+        rows = model.evaluate(tokens, start)
+        n = len(tokens) + 2 - start
+        # read in a drawn order, so rows are built in it too
+        reads = list(range(-n, n))
+        shuffle(reads)
+        got = {i: rows[i] for i in reads}
+        want = [model.distribution(tokens[:p - 1]) for p in range(start, len(tokens) + 2)]
+        assert len(rows) == n
+        assert all(got[i] is want[i] for i in reads)
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+        assert [id(r) for r in rows] == [id(r) for r in want]
+        ends = (None, 0, 1, n - 1, n + 1, -1, -n - 1)
+        for cut in (slice(a, b, c) for a in ends for b in ends for c in (None, 2, -1, -3)):
+            assert [id(r) for r in rows[cut]] == [id(r) for r in want[cut]]
+
+
+def test_ngram_evaluate_keeps_its_rows_when_the_tokens_change():
+    model = train_ngram([1, 2, 3, 1, 2, 4, 1, 3], 3, V6)
+    tokens = [1, 2, 3, 1]
+    rows = model.evaluate(tokens, 2)
+    want = [model.distribution(tokens[:p - 1]) for p in range(2, 6)]
+    tokens[:] = [5, 5, 5, 5, 5]
+    assert len(rows) == 4 and all(a is b for a, b in zip(rows, want))
+    # the change would have moved every row
+    assert all(model.distribution(tokens[:p - 1]) is not w for p, w in zip(range(2, 6), want))
+
+
+def test_ngram_evaluate_builds_only_the_rows_read(corpus):
+    # a review stops at its first rejection, so later rows are never built
+    train_seqs, eval_seqs, vocab, _ = corpus
+    model = train_ngram(train_seqs[:200], 7, vocab)
+    seq, start = eval_seqs[0][:60], 30
+    rows = model.evaluate(seq, start)
+    assert model._cache == {}
+    rows[0]
+    first = tuple(seq[start - 7:start - 1])
+    later = {tuple(seq[p - 7:p - 1]) for p in range(start + 1, len(seq) + 2)}
+    assert first in model._cache and len(model._cache) <= 2
+    assert not later & set(model._cache)
+
+
 def test_ngram_caches_one_row_per_tabled_context(corpus):
     train_seqs, eval_seqs, vocab, _ = corpus
     model = train_ngram(train_seqs, 7, vocab)
     for j, seq in enumerate(eval_seqs[:40]):
         model.propose(seq[:32], 48, RandomSource(j), greedy=False)
-        model.evaluate(seq, 1)
+        list(model.evaluate(seq, 1))
     distinct = {id(row) for row in model._cache.values()}
     assert len(distinct) <= len(model.tables) + 1
     assert len(model._cache) > len(distinct)  # some rows really are shared
@@ -245,7 +298,7 @@ def test_ngram_keeps_one_cdf_per_shared_row(corpus):
 
 def test_ngram_rows_are_read_only():
     model = train_ngram([1, 2, 3, 1, 2, 4], 3, V6)
-    rows = [model.distribution([1, 2]), model.distribution([5, 5])] + model.evaluate([1, 2], 1)
+    rows = [model.distribution([1, 2]), model.distribution([5, 5])] + list(model.evaluate([1, 2], 1))
     for row in rows:
         with pytest.raises(ValueError):
             row[0] = 0.5
@@ -543,6 +596,28 @@ def test_load_rejects_token_ids_outside_the_vocabulary(kind, edit, named):
     obj = model_to_dict(_SMALL_MODELS[kind]())
     edit(obj["tables"])
     with pytest.raises(ConstructionError, match=named):
+        model_from_dict(obj)
+
+
+@pytest.mark.parametrize("kind,key,value,error,named", [
+    ("ngram", "order", 2.5, ContractViolation, "order 2.5 is not an integer >= 1"),
+    ("ngram", "order", True, ContractViolation, "order True is not an integer >= 1"),
+    ("mag", "span", 3.9, ContractViolation, "span 3.9 is not an integer >= 1"),
+    ("mag", "span", True, ContractViolation, "span True is not an integer >= 1"),
+    ("bigram", "row token", 1.7, ContractViolation, "context '1' token id 1.7 is not an integer"),
+    ("ngram", "row token", True, ContractViolation, "context '1' token id True is not an integer"),
+    ("ngram", "cost_weight", "nan", ConstructionError, "cost_weight nan is not a finite"),
+    ("bigram", "cost_weight", "inf", ConstructionError, "cost_weight inf is not a finite"),
+])
+def test_load_rejects_values_that_are_not_what_the_model_takes(kind, key, value, error, named):
+    # int() truncated order 2.5, span 3.9 and a row token 1.7 and read true
+    # as 1; a NaN or infinite cost weight loaded and broke swi later
+    obj = model_to_dict(_SMALL_MODELS[kind]())
+    if key == "row token":
+        obj["tables"]["1"][0][0] = value
+    else:
+        obj[key] = value
+    with pytest.raises(error, match=named):
         model_from_dict(obj)
 
 
