@@ -186,15 +186,15 @@ def measure_positional_acceptance(
         raise ContractViolation("k and steps must be >= 1")
     if not prompts:
         raise ContractViolation("need at least one prompt")
-    k_matrix = KMatrix([[k]])
-    CascadeConfig(target, [draft], k_matrix, mode, max_len, rng.seed).validate()
+    config = CascadeConfig(target, [draft], KMatrix([[k]]), mode, max_len, rng.seed)
+    config.validate()
     trace = GenerationTrace(target.descriptor)
     seqs = [list(p) for p in prompts]
     limits = [len(p) + max_len for p in prompts]
     idx = 0
     for _ in range(steps):
         seq = seqs[idx]
-        emitted, _ = csd_step(target, [draft], seq, k_matrix, 1.0, mode, rng, trace)
+        emitted, _ = csd_step(config, seq, rng, trace)
         seq.extend(emitted)
         if len(seq) >= limits[idx]:
             seqs[idx] = list(prompts[idx])
@@ -288,7 +288,6 @@ def _run_config(run: dict, models: Dict[str, LanguageModel], stop_tokens,
             seed=integer(run["seed"], "seed"),
             lenience=float(run.get("lenience", 1.0)),
             stop_tokens=stop_tokens,
-            allow_inexact_sampling=bool(run.get("allow_inexact_sampling", False)),
         )
         config.validate()
     return config
@@ -325,7 +324,7 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
     prompts = [seq[:prompt_tokens] for seq in eval_seqs[:n_prompts]]
     if not prompts:
         raise ConfigError("bench has no prompts: num_prompts or the eval corpus is empty")
-    stop_tokens = frozenset({vocab.eos_id} if config.get("stop_at_eos", True) else set())
+    stop_tokens = frozenset({vocab.eos_id})
     run_configs = [_run_config(run, models, stop_tokens, i) for i, run in enumerate(runs)]
     for preset, prices in cost_models.items():
         unpriced = [m.descriptor for cfg in run_configs for m in [cfg.target, *cfg.drafts]

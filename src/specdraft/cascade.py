@@ -1,5 +1,5 @@
 """Recursive cascade drafting: vertical cascade via recursion, horizontal
-cascade via the per-level stage loop, the one outer generation loop, and full
+cascade via the per-rank stage loop, the one outer generation loop, and full
 per-run trace accounting.
 
 Vanilla speculative decoding is the one-level cascade (k-matrix [[k]]) and
@@ -9,19 +9,20 @@ target-only decoding the zero-level one (no drafts); both run through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .core import ConfigError, ContractViolation, LanguageModel, RandomSource, integer
 from .kernel import DecodeMode, speculative_review
 
 
 class KMatrix:
-    """Upper-triangular per-level stage budgets.
+    """Upper-triangular stage budgets, one row per reviewing rank.
 
-    Row i holds the horizontal-stage budgets for the level whose reviewer is
-    the i-th model from the top; entries below the diagonal are padding and
-    ignored.  Constructed from a full square list-of-lists, e.g.
-    [[2, 10], [0, 10]].
+    Rank 0 is the target and rank r >= 1 the r-th draft.  `rows[r]` holds
+    the horizontal-stage budgets of rank r's reviews: its stages are drafted
+    by ranks r+1, r+2, ... in turn.  Constructed from a full square
+    list-of-lists, e.g. [[2, 10], [0, 10]]; entries below the diagonal are
+    padding, ignored and trimmed away.
 
     A stage drafts until it has taken at least its entry k.  For a span
     drafter (`MagModel`), which drafts its whole span per call, the entry is
@@ -30,36 +31,18 @@ class KMatrix:
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         n = len(rows)
-        trimmed = []
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ContractViolation(f"row {i} has {len(row)} entries, expected {n}")
-            trimmed.append(tuple(integer(v, f"row {i} stage budget", 1) for v in row[i:]))
-        self._rows = trimmed
+        self.rows = tuple(tuple(integer(v, f"row {i} stage budget", 1) for v in row[i:])
+                          for i, row in enumerate(rows))
         self.n = n
 
-    @classmethod
-    def _from_trimmed(cls, rows) -> "KMatrix":
-        m = cls.__new__(cls)
-        m._rows = list(rows)
-        m.n = len(rows)
-        return m
-
-    def top_row(self) -> Tuple[int, ...]:
-        return self._rows[0]
-
-    def submatrix(self, drop: int) -> "KMatrix":
-        """Matrix for the cascade that drops the first `drop` levels."""
-        return KMatrix._from_trimmed(self._rows[drop:])
-
-    def to_square(self) -> List[List[int]]:
-        return [[0] * i + list(row) for i, row in enumerate(self._rows)]
-
     def __eq__(self, other):
-        return isinstance(other, KMatrix) and self._rows == other._rows
+        return isinstance(other, KMatrix) and self.rows == other.rows
 
     def __repr__(self):
-        return f"KMatrix({self.to_square()})"
+        return f"KMatrix({[[0] * i + list(row) for i, row in enumerate(self.rows)]})"
 
 
 @dataclass
@@ -108,7 +91,6 @@ class CascadeConfig:
     seed: int
     lenience: float = 1.0
     stop_tokens: frozenset = frozenset()
-    allow_inexact_sampling: bool = False
 
     def validate(self) -> None:
         if not self.lenience >= 1.0:
@@ -123,74 +105,58 @@ class CascadeConfig:
                     f"draft {d.descriptor!r} has vocabulary size {d.vocab.size}, "
                     f"target {self.target.descriptor!r} has {self.target.vocab.size}"
                 )
-        if (self.mode is DecodeMode.SAMPLING and self.lenience > 1.0
-                and not self.allow_inexact_sampling):
-            raise ConfigError(
-                "internal lenience > 1 breaks sampling exactness; "
-                "set allow_inexact_sampling=True to override"
-            )
+        if self.mode is DecodeMode.SAMPLING and self.lenience > 1.0:
+            raise ConfigError("internal lenience > 1 breaks sampling exactness")
 
 
-def csd_step(
-    reviewer: LanguageModel,
-    drafts: Sequence[LanguageModel],
-    prefix: Sequence[int],
-    k_matrix: KMatrix,
-    lenience: float,
-    mode: DecodeMode,
-    rng: RandomSource,
-    trace: GenerationTrace,
-    level: int = 0,
-    budget: int = 1,
-):
-    """One recursive cascade step.
+def csd_step(config: CascadeConfig, prefix: Sequence[int], rng: RandomSource,
+             trace: GenerationTrace, rank: int = 0, level: int = 0, budget: int = 1):
+    """One recursive cascade step of the model at `rank` on the ladder of a
+    validated `config`: rank 0 is the target, rank r >= 1 is
+    `config.drafts[r - 1]`.
 
     Returns (new_tokens, dists): tokens beyond `prefix` (accepted drafts
     plus one correction or bonus token) and the reviewer's distribution row
     at each position, which the caller's own review reads as the proposal
     rows of these tokens.
 
-    The outermost reviewer (`level` 0, the target) reviews strictly; the
-    `lenience` applies only to the inner reviews of deeper levels.
+    Rank r drafts stage j of `config.k_matrix.rows[r]` by recursing into
+    rank r + 1 + j, then reviews the drafts.  The target (rank 0) reviews
+    strictly, by argmax alone in greedy mode; `config.lenience` applies to
+    every other rank.  `level` is the recursion depth that the trace's
+    reviews record, so one draft may review at several levels.
 
-    Base case (no drafts left): the model proposes directly; a span drafter
+    Base case (the last rank): the model proposes directly; a span drafter
     emits its whole span in one call, anything else generates `budget`
     tokens autoregressively.  Target-only decoding is this base case at the
     top, with the default budget of one token per call.
     """
     if not prefix:
         raise ContractViolation("prefix must be non-empty")
-    greedy = mode is DecodeMode.GREEDY
-    if not drafts:
+    greedy = config.mode is DecodeMode.GREEDY
+    reviewer = config.drafts[rank - 1] if rank else config.target
+    if rank == len(config.drafts):
         tokens, dists, calls = reviewer.propose(prefix, budget, rng, greedy)
         trace.record_call(reviewer, calls)
         return tokens, dists
 
-    if k_matrix.n != len(drafts):
-        raise ContractViolation(
-            f"k-matrix level count {k_matrix.n} != number of drafts {len(drafts)}"
-        )
     cur = list(prefix)
     dists: List = []
-    for i, k_i in enumerate(k_matrix.top_row()):
-        stage_drafts = drafts[i + 1:]
-        sub_k = k_matrix.submatrix(i + 1)
+    for drafter, k in enumerate(config.k_matrix.rows[rank], rank + 1):
         taken = 0
-        while taken < k_i:
-            t2, d2 = csd_step(drafts[i], stage_drafts, cur, sub_k, lenience,
-                              mode, rng, trace, level + 1, budget=k_i - taken)
+        while taken < k:
+            t2, d2 = csd_step(config, cur, rng, trace, drafter, level + 1, k - taken)
             cur.extend(t2)
             dists.extend(d2)
             taken += len(t2)
 
-    n_draft = len(cur) - len(prefix)
     reviewer_dists = reviewer.evaluate(cur, len(prefix) + 1)
     trace.record_call(reviewer)
-    l = 1.0 if level == 0 else lenience
-    outcome = speculative_review(reviewer_dists, cur[len(prefix):], dists, l, mode,
-                                 rng, argmax_only=level == 0 and greedy)
-    trace.add_review(level, reviewer, n_draft, outcome.accepted_count)
-    return outcome.emitted, reviewer_dists[:outcome.accepted_count + 1]
+    outcome = speculative_review(reviewer_dists, cur[len(prefix):], dists,
+                                 config.lenience if rank else 1.0, config.mode, rng,
+                                 argmax_only=greedy and not rank)
+    trace.add_review(level, reviewer, len(dists), outcome.accepted_count)
+    return outcome.emitted, outcome.rows
 
 
 def _check_determinism(trace: GenerationTrace, models: Sequence[LanguageModel],
@@ -216,8 +182,7 @@ def _decode(config: CascadeConfig, prompt: Sequence[int], rng: RandomSource):
     cur = list(prompt)
     emitted = 0
     while emitted < config.max_new_tokens:
-        new, _ = csd_step(config.target, config.drafts, cur, config.k_matrix,
-                          config.lenience, config.mode, rng, trace)
+        new, _ = csd_step(config, cur, rng, trace)
         for tok in new:
             cur.append(tok)
             emitted += 1

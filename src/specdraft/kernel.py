@@ -36,11 +36,14 @@ def check_lenience(l: float) -> float:
 
 @dataclass
 class ReviewOutcome:
-    """Result of one speculative review: len(emitted) == accepted_count + 1."""
+    """Result of one speculative review: len(emitted) == accepted_count + 1.
+    `rows` holds the reviewer rows the review read, one per emitted token,
+    so a caller takes them from here instead of reading them again."""
 
     accepted_count: int
     emitted: list
     rejected: bool
+    rows: list
 
 
 def speculative_review(
@@ -78,8 +81,10 @@ def speculative_review(
             raise ContractViolation(f"proposal probability {q_tok} outside (0, 1]")
 
     emitted: list = []
+    rows: list = []
     for i, (tok, q_tok) in enumerate(zip(tokens, q)):
         p = reviewer_dists[i]
+        rows.append(p)
         p_tok = float(p[tok])
         if mode is DecodeMode.GREEDY:
             am = greedy_token(p)
@@ -88,7 +93,7 @@ def speculative_review(
                 emitted.append(tok)
                 continue
             emitted.append(am)
-            return ReviewOutcome(i, emitted, rejected=True)
+            return ReviewOutcome(i, emitted, rejected=True, rows=rows)
         # sampling mode
         if q_tok <= l * p_tok:
             accept = True
@@ -104,13 +109,14 @@ def speculative_review(
         except DegenerateDistribution:
             res = p  # identical distributions: any draw from p is exact
         emitted.append(sample(res, rng))
-        return ReviewOutcome(i, emitted, rejected=True)
+        return ReviewOutcome(i, emitted, rejected=True, rows=rows)
 
     # full acceptance: bonus token from the trailing distribution
     bonus_dist = reviewer_dists[k]
+    rows.append(bonus_dist)
     emitted.append(greedy_token(bonus_dist) if mode is DecodeMode.GREEDY
                    else sample(bonus_dist, rng))
-    return ReviewOutcome(k, emitted, rejected=False)
+    return ReviewOutcome(k, emitted, rejected=False, rows=rows)
 
 
 def acceptance_probability(p_target: np.ndarray, p_draft: np.ndarray,

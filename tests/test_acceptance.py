@@ -177,10 +177,11 @@ def test_criterion_04_live_sd_speedup():
         rng = RandomSource(int(alpha * 1000) + k)
         steps = 100_000
         emitted = 0
-        k_matrix = KMatrix([[k]])  # plain SD: the one-level cascade
+        # plain SD: the one-level cascade
+        cfg = CascadeConfig(target, [draft], KMatrix([[k]]), DecodeMode.SAMPLING,
+                            k + 1, rng.seed)
         for _ in range(steps):
-            new, _ = csd_step(target, [draft], [0], k_matrix, 1.0,
-                              DecodeMode.SAMPLING, rng, GenerationTrace())
+            new, _ = csd_step(cfg, [0], rng, GenerationTrace())
             emitted += len(new)
         got = emitted / steps  # one target call per step
         details.append(f"alpha={alpha},k={k}: {got:.4f} vs {want}")

@@ -21,7 +21,7 @@ from specdraft.analytics import (
     t_alpha_expectation,
     vertical_ewif,
 )
-from specdraft.cascade import GenerationTrace, KMatrix, csd_step
+from specdraft.cascade import CascadeConfig, GenerationTrace, KMatrix, csd_step
 from specdraft.core import ConstructionError, ContractViolation, RandomSource
 from specdraft.kernel import DecodeMode, acceptance_probability
 
@@ -282,10 +282,9 @@ def test_synthetic_pair_emitted_length_distribution():
     rng = RandomSource(77)
     counts = np.zeros(k + 2)
     steps = 20_000
-    k_matrix = KMatrix([[k]])
+    cfg = CascadeConfig(target, [draft], KMatrix([[k]]), DecodeMode.SAMPLING, k + 1, rng.seed)
     for _ in range(steps):
-        emitted, _ = csd_step(target, [draft], [0], k_matrix, 1.0,
-                              DecodeMode.SAMPLING, rng, GenerationTrace())
+        emitted, _ = csd_step(cfg, [0], rng, GenerationTrace())
         counts[len(emitted)] += 1
     expected = gen_fn_coeffs(alpha, k) * steps
     keep = expected > 0

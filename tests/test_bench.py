@@ -635,6 +635,10 @@ def _prices(**prices):
     (_all(_bad_model({"type": "ngram", "order": 1, "cost_weight": float("nan")}),
           _bad_run(drafts=["bad"])), "model 'bad'"),
     (_bad_model({"type": "mag", "cost_weight": float("inf")}), "model 'bad'"),
+    # a sampled run at lenience 3 is refused whatever this retired switch
+    # says: the string "false" was read as true and turned the guard off
+    (_bad_run(mode="sampling", lenience=3, allow_inexact_sampling="false"), "run 'bad'"),
+    (_bad_run(mode="sampling", lenience=3, allow_inexact_sampling=True), "run 'bad'"),
 ], ids=["span-0", "order-0", "order-x", "interpolation-2", "cost-weight-negative",
         "model-spec-list", "model-file-int", "max-new-tokens-many", "k-matrix-int", "seed-x", "lenience-x",
         "corpus-without-train", "corpus-without-eval", "corpus-path-int", "num-prompts-x", "runs-object",
@@ -644,7 +648,8 @@ def _prices(**prices):
         "prompt-tokens-0", "max-new-tokens-fractional", "order-fractional", "order-bool",
         "span-bool", "seed-fractional", "seed-negative", "num-prompts-fractional",
         "prompt-tokens-fractional", "max-new-tokens-infinite", "order-infinite",
-        "k-matrix-infinite", "draft-cost-weight-nan", "cost-weight-infinite"])
+        "k-matrix-infinite", "draft-cost-weight-nan", "cost-weight-infinite",
+        "inexact-sampling-false-string", "inexact-sampling-true"])
 def test_cli_bench_input_that_does_not_fit_is_a_config_error(tmp_path, capsys, change, named):
     cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
                        runs=[_FULL_RUNS["autoregressive"] | {"name": "good"},

@@ -28,9 +28,10 @@ from specdraft.statlm import BigramTable, MagModel, train_ngram
 
 def test_kmatrix_square_round_trip():
     m = KMatrix([[2, 10], [0, 10]])
-    assert m.top_row() == (2, 10)
-    assert m.to_square() == [[2, 10], [0, 10]]
-    assert m.submatrix(1).top_row() == (10,)
+    assert m.rows == ((2, 10), (10,))
+    assert m.n == 2
+    assert repr(m) == "KMatrix([[2, 10], [0, 10]])"
+    assert m == KMatrix([[2, 10], [-7, 10]]) != KMatrix([[2, 10], [0, 9]])
 
 
 def test_kmatrix_rejects_ragged_rows():
@@ -64,8 +65,8 @@ def test_base_case_mag_span_copy():
     tok = lambda ch: vocab.id_of(ch)
     prefix = [tok(c) for c in "abcdefg"] + [tok(c) for c in "abc"]
     trace = GenerationTrace("mag")
-    tokens, dists = csd_step(mag, [], prefix, KMatrix([[10]]), 1.0,
-                             DecodeMode.GREEDY, RandomSource(0), trace)
+    cfg = CascadeConfig(mag, [], KMatrix([[10]]), DecodeMode.GREEDY, 10, 0)
+    tokens, dists = csd_step(cfg, prefix, RandomSource(0), trace)
     assert len(tokens) == 10
     assert [vocab.piece_of(t) for t in tokens[:4]] == ["d", "e", "f", "g"]
     assert all(d[t] == 1.0 for t, d in zip(tokens[:4], dists))
@@ -98,8 +99,8 @@ def test_one_level_cascade_matches_sd(models, eval_prompts):
 def test_self_agreement_collapses_cascade():
     m = ConstantModel([0.1, 0.7, 0.2], descriptor="m")
     trace = GenerationTrace("m")
-    tokens, _ = csd_step(m, [m, m], [0], KMatrix([[2, 3], [0, 3]]), 1.0,
-                         DecodeMode.GREEDY, RandomSource(0), trace)
+    cfg = CascadeConfig(m, [m, m], KMatrix([[2, 3], [0, 3]]), DecodeMode.GREEDY, 8, 0)
+    tokens, _ = csd_step(cfg, [0], RandomSource(0), trace)
     # everything agrees, so the outer review accepts all stages plus a bonus
     outer = [s for s in trace.steps if s.level == 0]
     assert len(outer) == 1
@@ -108,10 +109,60 @@ def test_self_agreement_collapses_cascade():
     assert trace.calls_per_model["m"] >= 1  # shared descriptor: pooled count
 
 
+@pytest.mark.parametrize("mode", list(DecodeMode))
+def test_sd_step_reads_each_reviewer_row_once(models, eval_prompts, monkeypatch, mode):
+    # the review reads the target's lazy rows, and the step hands back those
+    # same rows rather than looking each one up a second time
+    target = models["n7"]
+    read = []
+
+    def row(ctx, build=target._row):
+        read.append(build(ctx))
+        return read[-1]
+
+    monkeypatch.setattr(target, "_row", row)
+    cfg = CascadeConfig(target, [models["n3"]], KMatrix([[6]]), mode, 7, 0)
+    for seed, prompt in enumerate(eval_prompts[:6]):
+        read.clear()
+        trace = GenerationTrace()
+        tokens, rows = csd_step(cfg, prompt, RandomSource(seed), trace)
+        assert len(read) == len(rows) == len(tokens) == trace.steps[-1].accepted + 1
+        assert all(a is b for a, b in zip(rows, read))
+
+
+#: (reviews, proposed, accepted) per (level, model) of csd-n3-n2-mag over
+#: four eval prompts, recorded before `csd_step` read its ladder from the
+#: config.  `level` is the recursion depth, so n2 reviews at depth 1 (a
+#: stage of n7) and at depth 2 (a stage of n3)
+CSD_N3_N2_MAG_TRACE = {
+    ("greedy", 1.0): {(0, "n7"): (53, 934, 153), (1, "n2"): (89, 890, 85),
+                      (1, "n3"): (105, 1388, 125), (2, "n2"): (155, 1550, 183)},
+    ("greedy", 3.0): {(0, "n7"): (63, 1243, 141), (1, "n2"): (100, 1000, 118),
+                      (1, "n3"): (112, 1486, 283), (2, "n2"): (166, 1660, 200)},
+    ("sampling", 1.0): {(0, "n7"): (91, 1486, 104), (1, "n2"): (159, 1590, 62),
+                        (1, "n3"): (169, 2080, 186), (2, "n2"): (285, 2850, 105)},
+}
+
+
+@pytest.mark.parametrize("mode,lenience", list(CSD_N3_N2_MAG_TRACE))
+def test_per_depth_trace_is_pinned(models, eval_prompts, mode, lenience):
+    totals = {}
+    for seed, prompt in enumerate(eval_prompts[:4]):
+        cfg = CascadeConfig(models["n7"], [models["n3"], models["n2"], models["mag"]],
+                            KMatrix([[3, 2, 10], [0, 2, 10], [0, 0, 10]]),
+                            DecodeMode(mode), 48, seed, lenience)
+        for s in generate(cfg, prompt)[1].steps:
+            t = totals.setdefault((s.level, s.model), [0, 0, 0])
+            t[0] += 1
+            t[1] += s.proposed
+            t[2] += s.accepted
+    assert {k: tuple(v) for k, v in totals.items()} == CSD_N3_N2_MAG_TRACE[mode, lenience]
+
+
 def test_csd_step_requires_prefix():
     m = ConstantModel([0.5, 0.5])
     with pytest.raises(ContractViolation):
-        csd_step(m, [], [], KMatrix([[1]]), 1.0, DecodeMode.GREEDY,
+        csd_step(CascadeConfig(m, [], KMatrix([[1]]), DecodeMode.GREEDY, 1, 0), [],
                  RandomSource(0), GenerationTrace())
 
 
@@ -159,10 +210,7 @@ def test_config_rejects_sampling_internal_lenience():
     cfg = CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.SAMPLING, 4, 0, lenience=2.0)
     with pytest.raises(ConfigError):
         cfg.validate()
-    cfg_ok = CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.SAMPLING, 4, 0,
-                           lenience=2.0, allow_inexact_sampling=True)
-    cfg_ok.validate()
-    # greedy mode permits any internal lenience without an override
+    # greedy mode permits any internal lenience
     CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0, lenience=5.0).validate()
 
 
@@ -291,12 +339,13 @@ def _cascade_runs(draw):
     k_matrix = [[draw(st.integers(1, 4)) if j >= i else 0 for j in range(n)]
                 for i in range(n)]
     mode = draw(st.sampled_from(DecodeMode))
+    # sampling is exact only at lenience 1, and validate refuses any other
+    lenience = draw(st.floats(1.0, 4.0)) if mode is DecodeMode.GREEDY else 1.0
     config = CascadeConfig(target, drafts, KMatrix(k_matrix), mode,
                            max_new_tokens=draw(st.integers(1, 24)),
                            seed=draw(st.integers(0, 2**16)),
-                           lenience=draw(st.floats(1.0, 4.0)),
-                           stop_tokens=frozenset({draw(tokens)}),
-                           allow_inexact_sampling=True)
+                           lenience=lenience,
+                           stop_tokens=frozenset({draw(tokens)}))
     return config, draw(st.lists(tokens, min_size=1, max_size=6))
 
 

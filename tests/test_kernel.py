@@ -1,9 +1,10 @@
 """The accept/reject/resample review primitive, and the plain SD step as the
-one-level cascade step csd_step(target, [draft], k-matrix [[k]])."""
+one-level cascade step: csd_step over a CascadeConfig with one draft and
+k-matrix [[k]]."""
 import numpy as np
 import pytest
 
-from specdraft.cascade import GenerationTrace, KMatrix, csd_step
+from specdraft.cascade import CascadeConfig, GenerationTrace, KMatrix, csd_step
 from specdraft.core import (
     ContextConditionedModel,
     ContractViolation,
@@ -136,10 +137,13 @@ def test_review_outcome_shape():
     p = np.array([0.6, 0.4])
     q = np.array([0.4, 0.6])
     rng = RandomSource(11)
+    reviewer = [p.copy() for _ in range(3)]
     for _ in range(100):
-        out = speculative_review([p, p, p], [1, 1], [q, q], mode=DecodeMode.SAMPLING,
+        out = speculative_review(reviewer, [1, 1], [q, q], mode=DecodeMode.SAMPLING,
                                  rng=rng)
-        assert len(out.emitted) == out.accepted_count + 1
+        assert len(out.emitted) == len(out.rows) == out.accepted_count + 1
+        # the rows the review read, one per emitted token
+        assert all(a is b for a, b in zip(out.rows, reviewer))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +194,8 @@ def test_monotone_lenience():
 def _sd_step(target, draft, k, prefix, mode, rng):
     """One outermost review of k drafted tokens: (emitted tokens, accepted)."""
     trace = GenerationTrace()
-    emitted, _ = csd_step(target, [draft], prefix, KMatrix([[k]]), 1.0,
-                          mode, rng, trace)
+    cfg = CascadeConfig(target, [draft], KMatrix([[k]]), mode, k + 1, rng.seed)
+    emitted, _ = csd_step(cfg, prefix, rng, trace)
     return emitted, trace.steps[-1].accepted
 
 
