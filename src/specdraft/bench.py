@@ -30,7 +30,7 @@ from .cascade import (
     generate,
 )
 from .core import (ConfigError, ContractViolation, LanguageModel, RandomSource, Vocab,
-                   integer, reading)
+                   integer, reading, real)
 from .kernel import DecodeMode
 from .statlm import (
     MATCH_PROMPT_AND_GENERATION,
@@ -141,12 +141,13 @@ def build_model(name: str, spec: dict, train_seqs, vocab: Optional[Vocab]) -> La
             raise TypeError(f"not a JSON object: {spec!r}")
         kind = spec.get("type", "ngram")
         # each type's default weight lives in its constructor
-        weight = {} if spec.get("cost_weight") is None else {"cost_weight": spec["cost_weight"]}
+        cost = spec.get("cost_weight")
+        weight = {} if cost is None else {"cost_weight": real(cost, "cost_weight")}
         if "file" in spec:
             model = load_model(Path(spec["file"]))
         elif kind == "ngram":
             model = train_ngram(train_seqs, integer(spec.get("order", 3), "order"), vocab,
-                                interpolation=float(spec.get("interpolation", 0.75)),
+                                real(spec.get("interpolation", 0.75), "interpolation"),
                                 descriptor=name, **weight)
         elif kind == "bigram":
             model = BigramTable.from_corpus(train_seqs, vocab, descriptor=name, **weight)
@@ -286,7 +287,7 @@ def _run_config(run: dict, models: Dict[str, LanguageModel], stop_tokens,
             mode=DecodeMode(run.get("mode", "greedy")),
             max_new_tokens=integer(run["max_new_tokens"], "max_new_tokens", 1),
             seed=integer(run["seed"], "seed"),
-            lenience=float(run.get("lenience", 1.0)),
+            lenience=real(run.get("lenience", 1.0), "lenience"),
             stop_tokens=stop_tokens,
         )
         config.validate()
@@ -299,8 +300,8 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
     that misses one of a run's models stops the bench before any run decodes.
 
     Greedy runs are verified token-for-token against autoregressive target
-    output before the report is written; a mismatch aborts unless the target
-    reports non-deterministic scoring, in which case a warning is recorded.
+    output before the report is written, and any mismatch is a BenchError:
+    every model `build_model` makes scores deterministically.
     """
     with reading("bench config"):
         corpus, specs, runs = config["corpus"], dict(config["models"]), list(config["runs"])
@@ -334,10 +335,9 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
         # a null preset prices each model at its cost weight
         targets = {cfg.target.descriptor: cfg.target.cost_weight for cfg in run_configs}
         for name, price in (targets if prices is None else prices).items():
-            if not (isinstance(price, (int, float)) and 0 <= price < np.inf
-                    and (price > 0 or name not in targets)):
-                raise ConfigError(f"cost model {preset!r} prices model {name!r} at {price!r}: "
-                                  "a price must be finite and >= 0, and a target's > 0")
+            with reading(f"cost model {preset!r} prices model {name!r} at {price!r}"):
+                if not (0 <= real(price, "price") < np.inf and (price > 0 or name not in targets)):
+                    raise ValueError("a price must be finite and >= 0, and a target's > 0")
     greedy_cache: Dict[tuple, List[List[int]]] = {}
 
     report_runs = []
@@ -349,7 +349,6 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
         target = cfg.target
         merged = _merge_traces(traces, target.descriptor)
 
-        greedy_ok: Optional[bool] = None
         if cfg.mode is DecodeMode.GREEDY:
             key = (run["target"], cfg.max_new_tokens)
             if key not in greedy_cache:
@@ -360,19 +359,14 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
                     for p in prompts
                 ]
             refs = greedy_cache[key]
-            greedy_ok = all(o == r for o, r in zip(outs, refs))
-            if not greedy_ok:
-                if getattr(target, "deterministic", True):
-                    diffs = [j for j, (o, r) in enumerate(zip(outs, refs)) if o != r]
-                    j = diffs[0]
-                    raise BenchError(
-                        f"run {run['name']!r} broke greedy equivalence on "
-                        f"{len(diffs)} prompts; first mismatch prompt {j}: "
-                        f"got {outs[j][len(prompts[j]):][:20]} vs "
-                        f"target {refs[j][len(prompts[j]):][:20]}")
-                merged.warnings.append(
-                    f"greedy mismatch tolerated: target {target.descriptor!r} "
-                    "is non-deterministic")
+            diffs = [j for j, (o, r) in enumerate(zip(outs, refs)) if o != r]
+            if diffs:
+                j = diffs[0]
+                raise BenchError(
+                    f"run {run['name']!r} broke greedy equivalence on "
+                    f"{len(diffs)} prompts; first mismatch prompt {j}: "
+                    f"got {outs[j][len(prompts[j]):][:20]} vs "
+                    f"target {refs[j][len(prompts[j]):][:20]}")
 
         swi_values = {}
         for preset, mapping in sorted(cost_models.items()):
@@ -388,7 +382,7 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
             "calls_per_model": dict(sorted(merged.calls_per_model.items())),
             "cost_units": merged.cost_units,
             "swi": swi_values,
-            "greedy_equivalent": greedy_ok,
+            "greedy_equivalent": True if cfg.mode is DecodeMode.GREEDY else None,
             "positional_acceptance": positional_curve(merged),
             "warnings": merged.warnings,
         })

@@ -63,6 +63,14 @@ def integer(value, what: str, least: Optional[int] = 0) -> int:
     raise ContractViolation(f"{what} {value!r} is not an integer{floor}")
 
 
+def real(value, what: str) -> float:
+    """`value` as a float if it is a real number; anything else (a bool, a
+    string such as "0.5") is a ContractViolation naming `what`."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        return float(value)
+    raise ContractViolation(f"{what} {value!r} is not a number")
+
+
 class Vocab:
     """Immutable token vocabulary: piece strings indexed by contiguous ids."""
 

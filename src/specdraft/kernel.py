@@ -42,7 +42,6 @@ class ReviewOutcome:
 
     accepted_count: int
     emitted: list
-    rejected: bool
     rows: list
 
 
@@ -93,7 +92,7 @@ def speculative_review(
                 emitted.append(tok)
                 continue
             emitted.append(am)
-            return ReviewOutcome(i, emitted, rejected=True, rows=rows)
+            return ReviewOutcome(i, emitted, rows)
         # sampling mode
         if q_tok <= l * p_tok:
             accept = True
@@ -109,14 +108,14 @@ def speculative_review(
         except DegenerateDistribution:
             res = p  # identical distributions: any draw from p is exact
         emitted.append(sample(res, rng))
-        return ReviewOutcome(i, emitted, rejected=True, rows=rows)
+        return ReviewOutcome(i, emitted, rows)
 
     # full acceptance: bonus token from the trailing distribution
     bonus_dist = reviewer_dists[k]
     rows.append(bonus_dist)
     emitted.append(greedy_token(bonus_dist) if mode is DecodeMode.GREEDY
                    else sample(bonus_dist, rng))
-    return ReviewOutcome(k, emitted, rejected=False, rows=rows)
+    return ReviewOutcome(k, emitted, rows)
 
 
 def acceptance_probability(p_target: np.ndarray, p_draft: np.ndarray,

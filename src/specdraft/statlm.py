@@ -1,6 +1,6 @@
-"""Statistical language models: interpolated n-grams, a bigram table, and the
-longest-suffix-copy drafter, which copies from the context itself and falls
-back to the bigram table.
+"""Statistical language models: interpolated n-grams, the bigram table (the
+order-2 n-gram at interpolation weight 1), and the longest-suffix-copy
+drafter, which copies from the context and falls back to the bigram table.
 
 All models here are deterministic, immutable after training, and serialize to
 a single JSON document (format_version 1) whose probabilities round-trip
@@ -50,9 +50,10 @@ class NGramModel(ContextConditionedModel):
     """Interpolated-backoff n-gram model.
 
     tables maps a context tuple (length < order) to that context's
-    maximum-likelihood next-token probabilities; interpolation recursively
-    mixes each order with the one below, bottoming out at uniform, so every
-    conditional is normalized and fully supported.
+    maximum-likelihood next-token probabilities; interpolation at weight w in
+    (0, 1] recursively mixes each order with the one below, bottoming out at
+    uniform, so every conditional is normalized.  Full support holds only for
+    w < 1: at w = 1 a row is the counted row of the longest tabled suffix.
 
     A context's row depends only on its longest tabled suffix, since shorter
     untabled suffixes skip their interpolation step.  So one read-only row is
@@ -70,8 +71,8 @@ class NGramModel(ContextConditionedModel):
                  descriptor: Optional[str] = None):
         if order < 1:
             raise ConstructionError("order must be >= 1")
-        if not 0.0 < interpolation < 1.0:
-            raise ConstructionError("interpolation weight must be in (0, 1)")
+        if not 0.0 < interpolation <= 1.0:
+            raise ConstructionError("interpolation weight must be in (0, 1]")
         self.order = order
         self.tables = tables
         self.interpolation = float(interpolation)
@@ -203,29 +204,17 @@ def train_ngram(corpus, order: int, vocab: Vocab,
                       interpolation, cost_weight, descriptor)
 
 
-class BigramTable(ContextConditionedModel):
-    """The bigram drafter, and `MagModel`'s fallback: each token's
-    next-token row, keyed `(token,)` as an n-gram table is, and uniform after
-    a token never seen as a predecessor or an empty context."""
+class BigramTable(NGramModel):
+    """The bigram drafter, and `MagModel`'s fallback: the order-2 n-gram at
+    weight 1.  Its tables hold no `()` context, so the row after a token never
+    seen as a predecessor, or after an empty context, is uniform."""
 
     def __init__(self, vocab: Vocab, tables: Dict[Tuple[int, ...], Dict[int, float]],
                  cost_weight: float = 1.0, descriptor: str = "bigram"):
-        self.tables = tables
-        self._uniform = np.full(vocab.size, 1.0 / vocab.size)
-        self._uniform.flags.writeable = False
-        self._cache: Dict[int, np.ndarray] = {}
-        super().__init__(vocab, cost_weight, descriptor)
+        super().__init__(2, vocab, tables, 1.0, cost_weight, descriptor)
 
     def row(self, token: int) -> np.ndarray:
-        row = self._cache.get(token)
-        if row is None:
-            entries = self.tables.get((token,))
-            row = self._uniform if entries is None else _dense(self.vocab.size, entries)
-            self._cache[token] = row
-        return row
-
-    def distribution(self, context: Sequence[int]) -> np.ndarray:
-        return self.row(context[-1]) if context else self._uniform
+        return self._row((token,))
 
     @classmethod
     def from_corpus(cls, corpus, vocab: Vocab, **kwargs) -> "BigramTable":
@@ -385,11 +374,11 @@ def model_to_dict(model) -> dict:
     out = {"format_version": FORMAT_VERSION, "order": 2, "vocab": list(model.vocab.pieces),
            "smoothing": None, "cost_weight": repr(model.cost_weight),
            "descriptor": model.descriptor}
-    if isinstance(model, NGramModel):
+    if isinstance(model, BigramTable):  # before NGramModel, its base
+        out.update(type="bigram", tables=_tables_to_json(model.tables))
+    elif isinstance(model, NGramModel):
         out.update(type="ngram", order=model.order, tables=_tables_to_json(model.tables),
                    smoothing=repr(model.interpolation))
-    elif isinstance(model, BigramTable):
-        out.update(type="bigram", tables=_tables_to_json(model.tables))
     elif isinstance(model, MagModel):
         out.update(type="mag", span=model.span, policy=MATCH_PROMPT_AND_GENERATION,
                    tables=_tables_to_json(model.fallback.tables))

@@ -639,6 +639,15 @@ def _prices(**prices):
     # says: the string "false" was read as true and turned the guard off
     (_bad_run(mode="sampling", lenience=3, allow_inexact_sampling="false"), "run 'bad'"),
     (_bad_run(mode="sampling", lenience=3, allow_inexact_sampling=True), "run 'bad'"),
+    # float() read these strings, and a bool as 0 or 1
+    (_bad_run(lenience="3"), "run 'bad': lenience '3' is not a number"),
+    (_bad_run(lenience="inf"), "run 'bad': lenience 'inf' is not a number"),
+    (_bad_run(lenience=True), "run 'bad': lenience True is not a number"),
+    (_bad_model({"type": "ngram", "interpolation": "0.5"}),
+     "model 'bad': interpolation '0.5' is not a number"),
+    (_bad_model({"type": "bigram", "cost_weight": True}),
+     "model 'bad': cost_weight True is not a number"),
+    (_prices(n2=True), "cost model 'ms' prices model 'n2' at True: price True is not a number"),
 ], ids=["span-0", "order-0", "order-x", "interpolation-2", "cost-weight-negative",
         "model-spec-list", "model-file-int", "max-new-tokens-many", "k-matrix-int", "seed-x", "lenience-x",
         "corpus-without-train", "corpus-without-eval", "corpus-path-int", "num-prompts-x", "runs-object",
@@ -649,7 +658,9 @@ def _prices(**prices):
         "span-bool", "seed-fractional", "seed-negative", "num-prompts-fractional",
         "prompt-tokens-fractional", "max-new-tokens-infinite", "order-infinite",
         "k-matrix-infinite", "draft-cost-weight-nan", "cost-weight-infinite",
-        "inexact-sampling-false-string", "inexact-sampling-true"])
+        "inexact-sampling-false-string", "inexact-sampling-true", "lenience-string",
+        "lenience-inf-string", "lenience-bool", "interpolation-string", "cost-weight-bool",
+        "price-bool"])
 def test_cli_bench_input_that_does_not_fit_is_a_config_error(tmp_path, capsys, change, named):
     cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
                        runs=[_FULL_RUNS["autoregressive"] | {"name": "good"},
@@ -685,8 +696,11 @@ def test_cli_bench_writes_the_csv_beside_a_report_without_a_suffix(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--order", "0"], ["--type", "mag", "--span", "0"],
-                                   ["--interpolation", "1.5"], ["--cost-weight", "-1"]],
-                         ids=["order-0", "span-0", "interpolation", "cost-weight"])
+                                   ["--interpolation", "1.5"], ["--cost-weight", "-1"],
+                                   ["--interpolation", "0"], ["--interpolation", "nan"],
+                                   ["--interpolation", "1.0000001"]],
+                         ids=["order-0", "span-0", "interpolation", "cost-weight",
+                              "interpolation-0", "interpolation-nan", "interpolation-above-1"])
 def test_cli_train_flags_that_do_not_fit_are_config_errors(tmp_path, capsys, flags):
     out = tmp_path / "m.json"
     assert cli(["train", "--corpus", str(DATA / "eval.txt"), "--out", str(out), *flags]) == 2

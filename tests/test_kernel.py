@@ -84,14 +84,12 @@ def test_greedy_full_acceptance():
     out = speculative_review(dists, [1, 1, 1], [q, q, q], mode=DecodeMode.GREEDY)
     assert out.accepted_count == 3
     assert out.emitted == [1, 1, 1, 1]
-    assert not out.rejected
 
 
 def test_greedy_rejection_emits_argmax():
     p = np.array([0.8, 0.1, 0.1])
     q = np.array([0.05, 0.05, 0.9])
     out = speculative_review([p, p], [2], [q], mode=DecodeMode.GREEDY, argmax_only=True)
-    assert out.rejected
     assert out.accepted_count == 0
     assert out.emitted == [0]
 
@@ -102,12 +100,12 @@ def test_greedy_lenience_disjunction():
     rows = [np.array([0.4, 0.6, 0.0])]
     strict = speculative_review([p, p], [1], rows, lenience=1.0, mode=DecodeMode.GREEDY)
     lenient = speculative_review([p, p], [1], rows, lenience=3.0, mode=DecodeMode.GREEDY)
-    assert strict.rejected and strict.emitted[0] == 0
-    assert not lenient.rejected and lenient.emitted[0] == 1
+    assert strict.accepted_count == 0 and strict.emitted[0] == 0
+    assert lenient.accepted_count == 1 and lenient.emitted[0] == 1
     # argmax_only ignores the lenience escape hatch entirely
     outer = speculative_review([p, p], [1], rows, lenience=3.0, mode=DecodeMode.GREEDY,
                                argmax_only=True)
-    assert outer.rejected
+    assert outer.accepted_count == 0
 
 
 def test_sampling_deterministic_accept_branch():
@@ -169,7 +167,7 @@ def test_acceptance_probability_monte_carlo():
     for _ in range(trials):
         tok = 0 if rng.uniform() < q[0] else 1
         out = speculative_review(dists, [tok], [q], mode=DecodeMode.SAMPLING, rng=rng)
-        accepted += 1 - out.rejected
+        accepted += out.accepted_count
     assert abs(accepted / trials - 0.6) < 0.002
 
 

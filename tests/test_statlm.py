@@ -1,4 +1,5 @@
 """N-gram training, the bigram table, suffix-copy drafting, serialization."""
+import hashlib
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from specdraft.core import (
     sample,
 )
 from specdraft.statlm import (
+    DEFAULT_INTERPOLATION,
     BigramTable,
     MagModel,
     NGramModel,
@@ -142,6 +144,16 @@ def _textbook_row(model, context):
     return dist
 
 
+def _draw_table_model(data, corpus, order, vocab):
+    """A maker of one drawn table model of `corpus`: the order-`order` n-gram
+    at the default interpolation weight or at weight 1, or the bigram table."""
+    kind = data.draw(st.sampled_from(["ngram", "ngram-w1", "bigram"]), label="model")
+    if kind == "bigram":
+        return lambda: BigramTable.from_corpus(corpus, vocab)
+    w = 1.0 if kind == "ngram-w1" else DEFAULT_INTERPOLATION
+    return lambda: train_ngram(corpus, order, vocab, interpolation=w)
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_ngram_shared_rows_match_textbook_fold(data):
@@ -151,11 +163,15 @@ def test_ngram_shared_rows_match_textbook_fold(data):
     # the last token never occurs in training, so queries meet unseen tokens
     corpus = data.draw(st.lists(st.integers(0, size - 2), min_size=1, max_size=40),
                        label="corpus")
-    tables = train_ngram(corpus, order, vocab).tables
+    bigram = data.draw(st.booleans(), label="bigram")
+    tables = (BigramTable.from_corpus(corpus, vocab) if bigram
+              else train_ngram(corpus, order, vocab)).tables
     # dropping tables leaves longer contexts tabled whose suffixes are not
-    dropped = data.draw(st.sets(st.sampled_from(sorted(tables))), label="dropped")
-    model = NGramModel(order, vocab, {c: r for c, r in tables.items() if c not in dropped},
-                       data.draw(st.sampled_from([0.3, 0.75, 0.9]), label="w"))
+    dropped = (data.draw(st.sets(st.sampled_from(sorted(tables))), label="dropped")
+               if tables else set())  # a one-token corpus has no bigram
+    kept = {c: r for c, r in tables.items() if c not in dropped}
+    model = (BigramTable(vocab, kept) if bigram else NGramModel(
+        order, vocab, kept, data.draw(st.sampled_from([0.3, 0.75, 0.9, 1.0]), label="w")))
     seqs = data.draw(st.lists(st.lists(st.integers(0, size - 1), max_size=12),
                               min_size=1, max_size=4), label="seqs")
     queries = [(i, start) for i, seq in enumerate(seqs) for start in range(1, len(seq) + 2)]
@@ -180,7 +196,7 @@ def test_ngram_evaluate_reads_the_per_position_rows(data):
     corpus = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=40), label="corpus")
     # contexts shorter and longer than the order - 1 token window
     tokens = data.draw(st.lists(st.integers(0, 5), max_size=14), label="tokens")
-    model = train_ngram(corpus, order, V6)
+    model = _draw_table_model(data, corpus, order, V6)()
     shuffle = data.draw(st.randoms(use_true_random=False), label="read order").shuffle
     for start in range(1, len(tokens) + 2):
         rows = model.evaluate(tokens, start)
@@ -213,17 +229,21 @@ def test_ngram_evaluate_keeps_its_rows_when_the_tokens_change():
 
 
 def test_ngram_evaluate_builds_only_the_rows_read(corpus):
-    # a review stops at its first rejection, so later rows are never built
+    # a review stops at its first rejection, so later rows are never built,
+    # by an n-gram reviewer or by a bigram one
     train_seqs, eval_seqs, vocab, _ = corpus
-    model = train_ngram(train_seqs[:200], 7, vocab)
     seq, start = eval_seqs[0][:60], 30
-    rows = model.evaluate(seq, start)
-    assert model._cache == {}
-    rows[0]
-    first = tuple(seq[start - 7:start - 1])
-    later = {tuple(seq[p - 7:p - 1]) for p in range(start + 1, len(seq) + 2)}
-    assert first in model._cache and len(model._cache) <= 2
-    assert not later & set(model._cache)
+    for model in (train_ngram(train_seqs[:200], 7, vocab),
+                  BigramTable.from_corpus(train_seqs[:200], vocab)):
+        rows = model.evaluate(seq, start)
+        assert model._cache == {}
+        rows[0]
+        n = model.order
+        first = tuple(seq[start - n:start - 1])
+        # a later position whose context equals the first one's shares its row
+        later = {tuple(seq[p - n:p - 1]) for p in range(start + 1, len(seq) + 2)} - {first}
+        assert first in model._cache and len(model._cache) <= 2
+        assert not later & set(model._cache)
 
 
 def test_ngram_caches_one_row_per_tabled_context(corpus):
@@ -265,7 +285,8 @@ def test_ngram_propose_matches_per_token_evaluate_loop(data):
     greedy = data.draw(st.booleans(), label="greedy")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     # two models, so the drafting path builds its own rows and sums
-    model, ref = train_ngram(corpus, order, vocab), train_ngram(corpus, order, vocab)
+    make = _draw_table_model(data, corpus, order, vocab)
+    model, ref = make(), make()
     rng, ref_rng = RandomSource(seed), RandomSource(seed)
     out, dists, calls = model.propose(context, budget, rng, greedy)
     ref_out, ref_dists, ref_calls = _per_token_ngram_propose(ref, context, budget,
@@ -340,6 +361,20 @@ def test_bigram_rows_and_fallback():
     row = t.row(1)
     assert row[2] == 0.5 and row[3] == 0.5
     assert np.allclose(t.row(5), np.full(6, 1 / 6))  # never a predecessor
+
+
+#: sha256 of the bigram table's rows over data/train.txt, recorded before the
+#: table became the order-2 n-gram at weight 1
+BIGRAM_ROWS_SHA256 = "c3aa7b4a65ed16c55bebe85936733d134dcac9bc81ebb4799f4abc11987b1046"
+
+
+def test_bigram_rows_keep_their_bytes(corpus):
+    train_seqs, _, vocab, _ = corpus
+    table = BigramTable.from_corpus(train_seqs, vocab)
+    tokens = range(vocab.size)
+    rows = ([table.distribution([])] + [table.distribution([i]) for i in tokens]
+            + [table.distribution([5, i]) for i in tokens] + [table.row(i) for i in tokens])
+    assert hashlib.sha256(b"".join(r.tobytes() for r in rows)).hexdigest() == BIGRAM_ROWS_SHA256
 
 
 def test_bigram_model_empty_context():
