@@ -18,7 +18,6 @@ from .core import (
 )
 from .kernel import (
     DecodeMode,
-    ReviewOutcome,
     acceptance_probability,
     speculative_review,
 )

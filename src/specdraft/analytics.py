@@ -54,7 +54,6 @@ class AcceptanceProfile:
 class EwifEstimate:
     mean: float
     ci95: float
-    trials: int
 
 
 def gen_fn(alpha: float, k: int, x: float) -> float:
@@ -149,11 +148,11 @@ def _leading_run(accepts: np.ndarray) -> np.ndarray:
     return np.cumprod(accepts, axis=-1).sum(axis=-1)
 
 
-def _estimate(tokens: np.ndarray, cost: float, trials: int) -> EwifEstimate:
+def _estimate(tokens: np.ndarray, cost: float) -> EwifEstimate:
     vals = tokens / cost
-    mean = float(vals.mean())
-    ci = Z95 * float(vals.std(ddof=1)) / float(np.sqrt(trials)) if trials > 1 else 0.0
-    return EwifEstimate(mean, ci, trials)
+    n = len(vals)
+    ci = Z95 * float(vals.std(ddof=1)) / float(np.sqrt(n)) if n > 1 else 0.0
+    return EwifEstimate(float(vals.mean()), ci)
 
 
 def simulate_sd_ewif(alpha: float, c: float, k: int, trials: int,
@@ -162,7 +161,7 @@ def simulate_sd_ewif(alpha: float, c: float, k: int, trials: int,
         raise ContractViolation("sd needs alpha in [0, 1], c >= 0, k >= 1 and trials >= 1")
     acc = rng.uniforms((trials, k)) < alpha
     tokens = _leading_run(acc) + 1.0
-    return _estimate(tokens, c * k + 1.0, trials)
+    return _estimate(tokens, c * k + 1.0)
 
 
 def simulate_horizontal_ewif(profile: AcceptanceProfile, trials: int,
@@ -175,7 +174,7 @@ def simulate_horizontal_ewif(profile: AcceptanceProfile, trials: int,
     else:
         acc = rng.uniforms((trials, profile.k)) < alphas[None, :]
         tokens = _leading_run(acc) + 1.0
-    return _estimate(tokens, 1.0 + sum(profile.costs), trials)
+    return _estimate(tokens, 1.0 + sum(profile.costs))
 
 
 def simulate_vertical_ewif(alpha: float, alpha_prime: float, k: int, n: int,
@@ -196,7 +195,7 @@ def simulate_vertical_ewif(alpha: float, alpha_prime: float, k: int, n: int,
         # leading-success count of an unbounded Bernoulli(alpha) sequence
         run = np.floor(np.log(rng.uniforms(trials)) / np.log(alpha))
     tokens = np.minimum(run, drafted) + 1.0
-    return _estimate(tokens, 1.0 + n * c1 + n * k * c2, trials)
+    return _estimate(tokens, 1.0 + n * c1 + n * k * c2)
 
 
 def ewif_comparison_table(rows: Sequence[dict], trials: int,

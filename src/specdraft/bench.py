@@ -176,22 +176,21 @@ def measure_positional_acceptance(
     steps: int,
     rng: RandomSource,
     mode: DecodeMode = DecodeMode.GREEDY,
-    max_len: int = 256,
 ) -> GenerationTrace:
     """Run repeated one-level cascade steps (vanilla speculative decoding with
     k-matrix [[k]]), round-robin over the prompts, each restarted from its
-    prompt once it has grown by `max_len`, and return the trace of every
+    prompt once it has grown by 256 tokens, and return the trace of every
     review.  `positional_curve` of the trace is the per-position acceptance
     curve, the same tally a bench run reports."""
     if k < 1 or steps < 1:
         raise ContractViolation("k and steps must be >= 1")
     if not prompts:
         raise ContractViolation("need at least one prompt")
-    config = CascadeConfig(target, [draft], KMatrix([[k]]), mode, max_len, rng.seed)
+    config = CascadeConfig(target, [draft], KMatrix([[k]]), mode, 256, rng.seed)
     config.validate()
     trace = GenerationTrace(target.descriptor)
     seqs = [list(p) for p in prompts]
-    limits = [len(p) + max_len for p in prompts]
+    limits = [len(p) + 256 for p in prompts]
     idx = 0
     for _ in range(steps):
         seq = seqs[idx]
@@ -294,7 +293,7 @@ def _run_config(run: dict, models: Dict[str, LanguageModel], stop_tokens,
     return config
 
 
-def run_bench(config: dict, quiet: bool = False) -> dict:
+def run_bench(config: dict) -> dict:
     """Build every run's cascade, then execute the runs and assemble the
     report dict; a config that does not fit, a malformed run or a price map
     that misses one of a run's models stops the bench before any run decodes.
@@ -386,31 +385,29 @@ def run_bench(config: dict, quiet: bool = False) -> dict:
             "positional_acceptance": positional_curve(merged),
             "warnings": merged.warnings,
         })
-        if not quiet:
-            print(f"[{run['name']}] tokens={merged.tokens_emitted} "
-                  f"swi={ {k: round(v, 3) for k, v in swi_values.items()} } "
-                  f"wall={elapsed:.2f}s", file=sys.stderr)
+        print(f"[{run['name']}] tokens={merged.tokens_emitted} "
+              f"swi={ {k: round(v, 3) for k, v in swi_values.items()} } "
+              f"wall={elapsed:.2f}s", file=sys.stderr)
 
     return {"report_version": REPORT_VERSION, "runs": report_runs}
 
 
-def write_report(report: dict, json_path: str, csv_path: Optional[str] = None) -> None:
+def write_report(report: dict, json_path: str, csv_path: str) -> None:
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    if csv_path:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(CSV_COLUMNS)
-            for run in report["runs"]:
-                calls = run["calls_per_model"]
-                w.writerow([
-                    run["name"], run["method"], run["tokens_emitted"],
-                    calls.get(run["target"], 0), sum(calls.values()),
-                    repr(run["cost_units"]),
-                    repr(run["swi"].get("ms", run["swi"][sorted(run["swi"])[0]])),
-                    run["greedy_equivalent"],
-                ])
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(CSV_COLUMNS)
+        for run in report["runs"]:
+            calls = run["calls_per_model"]
+            w.writerow([
+                run["name"], run["method"], run["tokens_emitted"],
+                calls.get(run["target"], 0), sum(calls.values()),
+                repr(run["cost_units"]),
+                repr(run["swi"].get("ms", run["swi"][sorted(run["swi"])[0]])),
+                run["greedy_equivalent"],
+            ])
 
 
 # ---------------------------------------------------------------------------

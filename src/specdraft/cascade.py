@@ -36,7 +36,6 @@ class KMatrix:
                 raise ContractViolation(f"row {i} has {len(row)} entries, expected {n}")
         self.rows = tuple(tuple(integer(v, f"row {i} stage budget", 1) for v in row[i:])
                           for i, row in enumerate(rows))
-        self.n = n
 
     def __eq__(self, other):
         return isinstance(other, KMatrix) and self.rows == other.rows
@@ -95,9 +94,9 @@ class CascadeConfig:
     def validate(self) -> None:
         if not self.lenience >= 1.0:
             raise ConfigError(f"lenience must be >= 1, got {self.lenience}")
-        if self.drafts and self.k_matrix.n != len(self.drafts):
+        if self.drafts and len(self.k_matrix.rows) != len(self.drafts):
             raise ConfigError(
-                f"k-matrix has {self.k_matrix.n} levels for {len(self.drafts)} drafts"
+                f"k-matrix has {len(self.k_matrix.rows)} levels for {len(self.drafts)} drafts"
             )
         for d in self.drafts:
             if d.vocab.size != self.target.vocab.size:
@@ -152,11 +151,11 @@ def csd_step(config: CascadeConfig, prefix: Sequence[int], rng: RandomSource,
 
     reviewer_dists = reviewer.evaluate(cur, len(prefix) + 1)
     trace.record_call(reviewer)
-    outcome = speculative_review(reviewer_dists, cur[len(prefix):], dists,
-                                 config.lenience if rank else 1.0, config.mode, rng,
-                                 argmax_only=greedy and not rank)
-    trace.add_review(level, reviewer, len(dists), outcome.accepted_count)
-    return outcome.emitted, outcome.rows
+    emitted, rows = speculative_review(reviewer_dists, cur[len(prefix):], dists,
+                                       config.lenience if rank else 1.0, config.mode, rng,
+                                       argmax_only=greedy and not rank)
+    trace.add_review(level, reviewer, len(dists), len(emitted) - 1)
+    return emitted, rows
 
 
 def _check_determinism(trace: GenerationTrace, models: Sequence[LanguageModel],
@@ -180,14 +179,13 @@ def _decode(config: CascadeConfig, prompt: Sequence[int], rng: RandomSource):
     trace = GenerationTrace(config.target.descriptor)
     _check_determinism(trace, [config.target] + list(config.drafts), config.mode)
     cur = list(prompt)
-    emitted = 0
-    while emitted < config.max_new_tokens:
+    end = len(cur) + config.max_new_tokens
+    while len(cur) < end:
         new, _ = csd_step(config, cur, rng, trace)
         for tok in new:
             cur.append(tok)
-            emitted += 1
             trace.tokens_emitted += 1
-            if tok in config.stop_tokens or emitted >= config.max_new_tokens:
+            if tok in config.stop_tokens or len(cur) >= end:
                 return cur, trace
     return cur, trace
 

@@ -8,8 +8,7 @@ accepted prefix plus either a correction token (on rejection) or a bonus token
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,17 +33,6 @@ def check_lenience(l: float) -> float:
     return float(l)
 
 
-@dataclass
-class ReviewOutcome:
-    """Result of one speculative review: len(emitted) == accepted_count + 1.
-    `rows` holds the reviewer rows the review read, one per emitted token,
-    so a caller takes them from here instead of reading them again."""
-
-    accepted_count: int
-    emitted: list
-    rows: list
-
-
 def speculative_review(
     reviewer_dists: Sequence[np.ndarray],
     tokens: Sequence[int],
@@ -53,8 +41,12 @@ def speculative_review(
     mode: DecodeMode = DecodeMode.SAMPLING,
     rng: Optional[RandomSource] = None,
     argmax_only: bool = False,
-) -> ReviewOutcome:
+) -> Tuple[list, list]:
     """Review drafted `tokens` against the reviewer's distributions.
+
+    Returns (emitted, rows), the record every cascade step returns: the
+    `len(emitted) - 1` accepted drafted tokens plus one correction or bonus
+    token, and `rows`, the reviewer row read at each emitted token.
 
     `proposal_dists` holds the proposer's row at each draft position; the
     proposal probability q(x) of a token is its entry in that row, and the
@@ -92,7 +84,7 @@ def speculative_review(
                 emitted.append(tok)
                 continue
             emitted.append(am)
-            return ReviewOutcome(i, emitted, rows)
+            return emitted, rows
         # sampling mode
         if q_tok <= l * p_tok:
             accept = True
@@ -108,14 +100,14 @@ def speculative_review(
         except DegenerateDistribution:
             res = p  # identical distributions: any draw from p is exact
         emitted.append(sample(res, rng))
-        return ReviewOutcome(i, emitted, rows)
+        return emitted, rows
 
     # full acceptance: bonus token from the trailing distribution
     bonus_dist = reviewer_dists[k]
     rows.append(bonus_dist)
     emitted.append(greedy_token(bonus_dist) if mode is DecodeMode.GREEDY
                    else sample(bonus_dist, rng))
-    return ReviewOutcome(k, emitted, rows)
+    return emitted, rows
 
 
 def acceptance_probability(p_target: np.ndarray, p_draft: np.ndarray,

@@ -183,10 +183,7 @@ class ScoringServer:
     """Threaded HTTP/1.1 server wrapping an in-process model.  It records
     every connection it accepts, so `close()` can end each one."""
 
-    def __init__(self, model: LanguageModel, host: str = "127.0.0.1",
-                 port: int = 0, deterministic: Optional[bool] = None):
-        if deterministic is None:
-            deterministic = getattr(model, "deterministic", True)
+    def __init__(self, model: LanguageModel, host: str = "127.0.0.1", port: int = 0):
         #: (handler thread, request socket) per connection, the finished
         #: ones dropped as new ones start
         self._connections: list = []
@@ -228,7 +225,7 @@ class ScoringServer:
                 self._reply(200, {
                     "vocab_size": model.vocab.size,
                     "name": model.descriptor,
-                    "deterministic": deterministic,
+                    "deterministic": model.deterministic,
                     "encodings": list(ENCODINGS),
                 })
 
@@ -312,6 +309,5 @@ class ScoringServer:
         self.close()
 
 
-def serve_model(model: LanguageModel, host: str = "127.0.0.1", port: int = 0,
-                deterministic: Optional[bool] = None) -> ScoringServer:
-    return ScoringServer(model, host, port, deterministic)
+def serve_model(model: LanguageModel, host: str = "127.0.0.1", port: int = 0) -> ScoringServer:
+    return ScoringServer(model, host, port)

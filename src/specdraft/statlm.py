@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
+    SUM_TOL,
     ConstructionError,
     ContextConditionedModel,
     ContractViolation,
@@ -354,19 +355,27 @@ def _tables_to_json(tables) -> Dict[str, list]:
         for ctx, row in sorted(tables.items())
     }
 
-def _tables_from_json(obj, size: int) -> Dict[Tuple[int, ...], Dict[int, float]]:
-    """The tables of a saved file, each token id, in a context or a row,
-    checked to be an integer in a vocabulary of `size` tokens."""
+def _tables_from_json(obj, size: int, lengths) -> Dict[Tuple[int, ...], Dict[int, float]]:
+    """The tables of a saved file, checked as the model's trainer counts them:
+    each token id, in a context or a row, an integer in a vocabulary of `size`
+    tokens, each context of a length in `lengths`, and each row a distribution
+    (every probability in [0, 1], summing to 1 within `SUM_TOL`)."""
     tables = {
         _parse_ctx(key): {integer(tok, f"table context {key!r} token id", None): float(p)
                           for tok, p in row}
         for key, row in obj.items()
     }
     for ctx, row in tables.items():
+        where = f"table context {_ctx_key(ctx)!r}"
         bad = next((t for t in chain(ctx, row) if not 0 <= t < size), None)
         if bad is not None:
-            raise ConstructionError(f"table context {_ctx_key(ctx)!r} holds token id {bad}, "
+            raise ConstructionError(f"{where} holds token id {bad}, "
                                     f"outside the vocabulary [0, {size})")
+        if len(ctx) not in lengths:
+            raise ConstructionError(f"{where} has {len(ctx)} tokens, a length never read")
+        if not (all(0.0 <= p <= 1.0 for p in row.values())
+                and abs(sum(row.values()) - 1.0) <= SUM_TOL):
+            raise ConstructionError(f"{where} row is not a distribution")
     return tables
 
 
@@ -394,10 +403,12 @@ def model_from_dict(obj: dict):
     kind = obj["type"]
     cost_weight = float(obj["cost_weight"])
     descriptor = obj["descriptor"]
-    tables = _tables_from_json(obj["tables"], vocab.size)
     if kind == "ngram":
-        return NGramModel(integer(obj["order"], "order", 1), vocab, tables,
+        order = integer(obj["order"], "order", 1)
+        return NGramModel(order, vocab, _tables_from_json(obj["tables"], vocab.size, range(order)),
                           float(obj["smoothing"]), cost_weight, descriptor)
+    # a bigram table, `mag`'s fallback included, counts contexts of length 1 only
+    tables = _tables_from_json(obj["tables"], vocab.size, (1,))
     if kind == "bigram":
         return BigramTable(vocab, tables, cost_weight, descriptor)
     if kind == "mag":

@@ -285,7 +285,7 @@ def test_criterion_08_bench_swi_ordering():
     config = json.loads((ROOT / "configs" / "bench_example.json").read_text())
     for key in ("train", "eval"):
         config["corpus"][key] = str(ROOT / config["corpus"][key])
-    report = run_bench(config, quiet=True)
+    report = run_bench(config)
     swi = {r["name"]: r["swi"]["ms"] for r in report["runs"]}
     best_sd = max(v for n, v in swi.items() if n.startswith("sd-"))
     cascade = swi["csd-n3-n2-mag"]
@@ -369,7 +369,7 @@ def test_criterion_11_reproducibility(tmp_path):
         config["corpus"][key] = str(ROOT / config["corpus"][key])
     paths = []
     for tag in ("a", "b"):
-        report = run_bench(copy.deepcopy(config), quiet=True)
+        report = run_bench(copy.deepcopy(config))
         jp = tmp_path / f"report_{tag}.json"
         cp = tmp_path / f"report_{tag}.csv"
         write_report(report, str(jp), str(cp))

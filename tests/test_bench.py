@@ -101,7 +101,7 @@ def test_curve_csv_schema(tmp_path):
     trace = measure_positional_acceptance(m, m, 3, [[0]], 10, RandomSource(0))
     out = tmp_path / "curve.csv"
     write_curve_csv(trace, out)
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == list(CURVE_COLUMNS)
     assert len(rows) == 4
 
@@ -114,7 +114,7 @@ def test_curve_rows_run_to_a_span_drafters_span(tmp_path):
     trace = measure_positional_acceptance(target, draft, 2, [[0]], 10, RandomSource(0))
     out = tmp_path / "curve.csv"
     write_curve_csv(trace, out)
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert [r[0] for r in rows[1:]] == ["1", "2", "3", "4", "5"]
     assert [r[2] for r in rows[1:]] == ["10"] * 5
 
@@ -148,7 +148,7 @@ def _tiny_config(**overrides):
 
 
 def test_run_bench_report_shape():
-    report = run_bench(_tiny_config(), quiet=True)
+    report = run_bench(_tiny_config())
     assert report["report_version"] == 1
     names = [r["name"] for r in report["runs"]]
     assert names == ["auto", "sd", "csd"]
@@ -163,7 +163,7 @@ def test_run_bench_report_shape():
 
 
 def test_run_bench_swi_recomputable():
-    report = run_bench(_tiny_config(), quiet=True)
+    report = run_bench(_tiny_config())
     auto = report["runs"][0]
     # the autoregressive run pins down the target's per-call weight
     target_weight = auto["cost_units"] / auto["calls_per_model"]["n5"]
@@ -176,14 +176,14 @@ def test_run_bench_unknown_method():
     cfg = _tiny_config(runs=[{"name": "x", "method": "warp", "target": "n5",
                               "mode": "greedy", "max_new_tokens": 8, "seed": 1}])
     with pytest.raises(ConfigError):
-        run_bench(cfg, quiet=True)
+        run_bench(cfg)
 
 
 def test_write_report_csv_schema(tmp_path):
-    report = run_bench(_tiny_config(), quiet=True)
+    report = run_bench(_tiny_config())
     jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
     write_report(report, str(jp), str(cp))
-    rows = list(csv.reader(cp.open()))
+    rows = list(csv.reader(cp.read_text().splitlines()))
     assert rows[0] == list(CSV_COLUMNS)
     assert len(rows) == 4
     loaded = json.loads(jp.read_text())
@@ -208,7 +208,7 @@ def test_shipped_bench_reports_keep_their_bytes(tmp_path, name):
     for key in ("train", "eval"):
         config["corpus"][key] = str(DATA.parent / config["corpus"][key])
     jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
-    write_report(run_bench(config, quiet=True), str(jp), str(cp))
+    write_report(run_bench(config), str(jp), str(cp))
     assert (hashlib.sha256(jp.read_bytes()).hexdigest(),
             hashlib.sha256(cp.read_bytes()).hexdigest()) == SHIPPED_REPORT_SHA256[name]
 
@@ -393,7 +393,7 @@ def test_cli_bench_and_analyze(tmp_path, capsys):
     grid_path.write_text(json.dumps(grid))
     out_path = tmp_path / "grid.csv"
     assert cli(["analyze", "--config", str(grid_path), "--out", str(out_path)]) == 0
-    rows = list(csv.reader(out_path.open()))
+    rows = list(csv.reader(out_path.read_text().splitlines()))
     assert rows[0][0] == "name" and len(rows) == 2
 
 
@@ -409,7 +409,7 @@ def test_cli_accept_curve(tmp_path):
               "--k", "8", "--steps", "50", "--corpus", str(DATA / "eval.txt"),
               "--num-prompts", "4", "--seed", "1", "--out", str(out)])
     assert rc == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == list(CURVE_COLUMNS)
     assert len(rows) == 9
 
@@ -560,7 +560,7 @@ def test_cli_accept_curve_tokenizes_in_the_targets_vocabulary(tmp_path):
     assert cli(["accept-curve", "--target", target, "--draft", draft, "--k", "4",
                 "--steps", "20", "--corpus", str(DATA / "eval.txt"), "--tokenizer", "word",
                 "--num-prompts", "3", "--seed", "1", "--out", str(out)]) == 0
-    assert len(list(csv.reader(out.open()))) == 5
+    assert len(list(csv.reader(out.read_text().splitlines()))) == 5
 
 
 # every input that does not fit is a config error (exit 2) that names its
@@ -755,7 +755,7 @@ def test_cli_analyze_grid_that_does_not_fit_is_a_config_error(tmp_path, capsys, 
 def test_cli_analyze_runs_each_shipped_grid(tmp_path, config):
     out = tmp_path / "grid.csv"
     assert cli(["analyze", "--config", str(CONFIGS / config), "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == len(json.loads((CONFIGS / config).read_text())["grid"])
     for row in rows:
         gap = abs(float(row["ewif_closed"]) - float(row["ewif_simulated"]))

@@ -29,7 +29,7 @@ from specdraft.statlm import BigramTable, MagModel, train_ngram
 def test_kmatrix_square_round_trip():
     m = KMatrix([[2, 10], [0, 10]])
     assert m.rows == ((2, 10), (10,))
-    assert m.n == 2
+    assert len(m.rows) == 2
     assert repr(m) == "KMatrix([[2, 10], [0, 10]])"
     assert m == KMatrix([[2, 10], [-7, 10]]) != KMatrix([[2, 10], [0, 9]])
 
@@ -249,6 +249,14 @@ def test_stop_token_truncates_mid_review():
     out, trace = generate(cfg, [0])
     assert out == [0, 1]
     assert trace.tokens_emitted == 1
+    # a prompt that ends in a stop token still decodes: only emitted tokens
+    # stop a run, and the budget counts from the prompt's end
+    for prompt, stops, budget, new in [([1], {1}, 50, [1]), ([0, 2], {2}, 5, [1] * 5)]:
+        cfg = CascadeConfig(m, [m], KMatrix([[4]]), DecodeMode.GREEDY,
+                            max_new_tokens=budget, seed=0, stop_tokens=frozenset(stops))
+        out, trace = generate(cfg, prompt)
+        assert out == prompt + new
+        assert trace.tokens_emitted == len(new)
 
 
 #: sha256 of the outputs below, recorded while drafting still called

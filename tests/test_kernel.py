@@ -81,41 +81,40 @@ def test_greedy_full_acceptance():
     p = np.array([0.1, 0.8, 0.1])
     dists = [p, p, p, p]
     q = np.array([0.05, 0.9, 0.05])
-    out = speculative_review(dists, [1, 1, 1], [q, q, q], mode=DecodeMode.GREEDY)
-    assert out.accepted_count == 3
-    assert out.emitted == [1, 1, 1, 1]
+    emitted, rows = speculative_review(dists, [1, 1, 1], [q, q, q], mode=DecodeMode.GREEDY)
+    assert emitted == [1, 1, 1, 1]
+    assert len(rows) == 4 and all(r is p for r in rows)
 
 
 def test_greedy_rejection_emits_argmax():
     p = np.array([0.8, 0.1, 0.1])
     q = np.array([0.05, 0.05, 0.9])
-    out = speculative_review([p, p], [2], [q], mode=DecodeMode.GREEDY, argmax_only=True)
-    assert out.accepted_count == 0
-    assert out.emitted == [0]
+    emitted, _ = speculative_review([p, p], [2], [q], mode=DecodeMode.GREEDY, argmax_only=True)
+    assert emitted == [0]
 
 
 def test_greedy_lenience_disjunction():
     # draft token is not the argmax, but q <= l*p lets it through internally
     p = np.array([0.5, 0.3, 0.2])
     rows = [np.array([0.4, 0.6, 0.0])]
-    strict = speculative_review([p, p], [1], rows, lenience=1.0, mode=DecodeMode.GREEDY)
-    lenient = speculative_review([p, p], [1], rows, lenience=3.0, mode=DecodeMode.GREEDY)
-    assert strict.accepted_count == 0 and strict.emitted[0] == 0
-    assert lenient.accepted_count == 1 and lenient.emitted[0] == 1
+    strict, _ = speculative_review([p, p], [1], rows, lenience=1.0, mode=DecodeMode.GREEDY)
+    lenient, _ = speculative_review([p, p], [1], rows, lenience=3.0, mode=DecodeMode.GREEDY)
+    assert strict == [0]  # rejected: the argmax in place of the draft
+    assert lenient == [1, 0]  # accepted, then the bonus argmax
     # argmax_only ignores the lenience escape hatch entirely
-    outer = speculative_review([p, p], [1], rows, lenience=3.0, mode=DecodeMode.GREEDY,
-                               argmax_only=True)
-    assert outer.accepted_count == 0
+    outer, _ = speculative_review([p, p], [1], rows, lenience=3.0, mode=DecodeMode.GREEDY,
+                                  argmax_only=True)
+    assert outer == [0]
 
 
 def test_sampling_deterministic_accept_branch():
     # q <= p: accepted without consuming randomness
     p = np.array([0.9, 0.1])
     q = np.array([0.5, 0.5])
-    out = speculative_review([p, p], [0], [q], mode=DecodeMode.SAMPLING,
-                             rng=RandomSource(0))
-    assert out.emitted[0] == 0
-    assert out.accepted_count == 1
+    emitted, _ = speculative_review([p, p], [0], [q], mode=DecodeMode.SAMPLING,
+                                    rng=RandomSource(0))
+    assert emitted[0] == 0
+    assert len(emitted) - 1 == 1  # accepted, then the bonus token
 
 
 def test_sampling_branch_enumeration_marginal():
@@ -139,9 +138,11 @@ def test_review_outcome_shape():
     for _ in range(100):
         out = speculative_review(reviewer, [1, 1], [q, q], mode=DecodeMode.SAMPLING,
                                  rng=rng)
-        assert len(out.emitted) == len(out.rows) == out.accepted_count + 1
+        assert type(out) is tuple and len(out) == 2
+        emitted, rows = out
         # the rows the review read, one per emitted token
-        assert all(a is b for a, b in zip(out.rows, reviewer))
+        assert 1 <= len(emitted) == len(rows) <= 3
+        assert all(a is b for a, b in zip(rows, reviewer))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +167,8 @@ def test_acceptance_probability_monte_carlo():
     dists = [p, p]
     for _ in range(trials):
         tok = 0 if rng.uniform() < q[0] else 1
-        out = speculative_review(dists, [tok], [q], mode=DecodeMode.SAMPLING, rng=rng)
-        accepted += out.accepted_count
+        emitted, _ = speculative_review(dists, [tok], [q], mode=DecodeMode.SAMPLING, rng=rng)
+        accepted += len(emitted) - 1
     assert abs(accepted / trials - 0.6) < 0.002
 
 

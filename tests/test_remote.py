@@ -74,7 +74,8 @@ def test_vocab_must_match_spec_width():
 
 def test_handshake_reports_determinism():
     model = ConstantModel(np.ones(4))
-    with serve_model(model, deterministic=False) as server:
+    model.deterministic = False  # the stub announces the served model's own flag
+    with serve_model(model) as server:
         remote = RemoteModel(RemoteModelSpec(server.url, vocab_size=4))
         assert remote.deterministic is False
         # the greedy engine records a warning for such a model

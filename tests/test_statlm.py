@@ -634,6 +634,30 @@ def test_load_rejects_token_ids_outside_the_vocabulary(kind, edit, named):
         model_from_dict(obj)
 
 
+_BAD_ROWS = {"nan": [[4, "nan"]], "inf": [[4, "inf"]], "negative": [[4, "-0.5"], [5, "1.5"]],
+             "short": [[4, "0.3"]], "empty": []}
+
+
+@pytest.mark.parametrize("kind,key,row,named", [
+    ("bigram", "", [[4, "1.0"]], "context '' has 0 tokens"),
+    ("mag", "", [[4, "1.0"]], "context '' has 0 tokens"),
+    ("bigram", "1,2", [[4, "1.0"]], "context '1,2' has 2 tokens"),
+    ("ngram", "1,2,1", [[4, "1.0"]], "context '1,2,1' has 3 tokens"),
+] + [(kind, "1", row, "context '1' row is not a distribution")
+     for kind in sorted(_SMALL_MODELS) for row in _BAD_ROWS.values()],
+    ids=["bigram-empty-context", "mag-empty-context", "bigram-2-token-context",
+         "ngram2-3-token-context"] + [f"{kind}-row-{name}" for kind in sorted(_SMALL_MODELS)
+                                      for name in _BAD_ROWS])
+def test_load_rejects_tables_the_trainer_never_counts(kind, key, row, named):
+    # each loaded: a bigram's '' key became the row after every token never
+    # seen as a predecessor, a context of another length was never read, and
+    # a NaN, infinite, negative or unnormalized row reached decoding
+    obj = model_to_dict(_SMALL_MODELS[kind]())
+    obj["tables"][key] = row
+    with pytest.raises(ConstructionError, match=named):
+        model_from_dict(obj)
+
+
 @pytest.mark.parametrize("kind,key,value,error,named", [
     ("ngram", "order", 2.5, ContractViolation, "order 2.5 is not an integer >= 1"),
     ("ngram", "order", True, ContractViolation, "order True is not an integer >= 1"),
