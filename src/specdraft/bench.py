@@ -187,7 +187,6 @@ def measure_positional_acceptance(
     if not prompts:
         raise ContractViolation("need at least one prompt")
     config = CascadeConfig(target, [draft], KMatrix([[k]]), mode, 256, rng.seed)
-    config.validate()
     trace = GenerationTrace(target.descriptor)
     seqs = [list(p) for p in prompts]
     limits = [len(p) + 256 for p in prompts]
@@ -252,7 +251,7 @@ def positional_curve(trace: GenerationTrace) -> List[dict]:
 
 def _run_config(run: dict, models: Dict[str, LanguageModel], stop_tokens,
                 index: int = 0) -> CascadeConfig:
-    """The validated cascade a run spec describes: autoregressive decoding
+    """The checked cascade a run spec describes: autoregressive decoding
     has no drafts, plain SD one draft with k-matrix [[k]].  A run's calls
     are counted and priced per descriptor, so two distinct models of one
     run may not share a descriptor (one model twice may).  A spec that does
@@ -289,7 +288,6 @@ def _run_config(run: dict, models: Dict[str, LanguageModel], stop_tokens,
             lenience=real(run.get("lenience", 1.0), "lenience"),
             stop_tokens=stop_tokens,
         )
-        config.validate()
     return config
 
 

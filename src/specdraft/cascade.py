@@ -78,9 +78,9 @@ class GenerationTrace:
         return sum(n * self.cost_weights[m] for m, n in self.calls_per_model.items())
 
 
-@dataclass
+@dataclass(frozen=True)
 class CascadeConfig:
-    """Everything one cascade generation run needs."""
+    """Everything one cascade generation run needs, checked when it is built."""
 
     target: LanguageModel
     drafts: List[LanguageModel]
@@ -91,10 +91,10 @@ class CascadeConfig:
     lenience: float = 1.0
     stop_tokens: frozenset = frozenset()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.lenience >= 1.0:
             raise ConfigError(f"lenience must be >= 1, got {self.lenience}")
-        if self.drafts and len(self.k_matrix.rows) != len(self.drafts):
+        if len(self.k_matrix.rows) != len(self.drafts):
             raise ConfigError(
                 f"k-matrix has {len(self.k_matrix.rows)} levels for {len(self.drafts)} drafts"
             )
@@ -110,9 +110,8 @@ class CascadeConfig:
 
 def csd_step(config: CascadeConfig, prefix: Sequence[int], rng: RandomSource,
              trace: GenerationTrace, rank: int = 0, level: int = 0, budget: int = 1):
-    """One recursive cascade step of the model at `rank` on the ladder of a
-    validated `config`: rank 0 is the target, rank r >= 1 is
-    `config.drafts[r - 1]`.
+    """One recursive cascade step of the model at `rank` on the ladder of
+    `config`: rank 0 is the target, rank r >= 1 is `config.drafts[r - 1]`.
 
     Returns (new_tokens, dists): tokens beyond `prefix` (accepted drafts
     plus one correction or bonus token) and the reviewer's distribution row
@@ -125,18 +124,18 @@ def csd_step(config: CascadeConfig, prefix: Sequence[int], rng: RandomSource,
     every other rank.  `level` is the recursion depth that the trace's
     reviews record, so one draft may review at several levels.
 
-    Base case (the last rank): the model proposes directly; a span drafter
-    emits its whole span in one call, anything else generates `budget`
-    tokens autoregressively.  Target-only decoding is this base case at the
-    top, with the default budget of one token per call.
+    Base case (the last rank): the model proposes directly, `span` tokens
+    per call; a span drafter emits its whole span in one call, anything else
+    generates `budget` tokens autoregressively.  Target-only decoding is
+    this base case at the top, with the default budget of one token per call.
     """
     if not prefix:
         raise ContractViolation("prefix must be non-empty")
     greedy = config.mode is DecodeMode.GREEDY
     reviewer = config.drafts[rank - 1] if rank else config.target
     if rank == len(config.drafts):
-        tokens, dists, calls = reviewer.propose(prefix, budget, rng, greedy)
-        trace.record_call(reviewer, calls)
+        tokens, dists = reviewer.propose(prefix, budget, rng, greedy)
+        trace.record_call(reviewer, len(tokens) // reviewer.span)
         return tokens, dists
 
     cur = list(prefix)
@@ -158,26 +157,15 @@ def csd_step(config: CascadeConfig, prefix: Sequence[int], rng: RandomSource,
     return emitted, rows
 
 
-def _check_determinism(trace: GenerationTrace, models: Sequence[LanguageModel],
-                       mode: DecodeMode) -> None:
-    if mode is not DecodeMode.GREEDY:
-        return
-    for m in models:
-        if not getattr(m, "deterministic", True):
-            trace.warnings.append(
-                f"model {m.descriptor!r} reports non-deterministic scoring; "
-                "greedy equivalence is not guaranteed"
-            )
-
-
 def _decode(config: CascadeConfig, prompt: Sequence[int], rng: RandomSource):
     """The outer generation loop: outermost cascade steps until the budget or
     a stop token; output truncated at the first stop token."""
-    config.validate()
     if not prompt:
         raise ContractViolation("prompt must be non-empty")
     trace = GenerationTrace(config.target.descriptor)
-    _check_determinism(trace, [config.target] + list(config.drafts), config.mode)
+    trace.warnings.extend(f"model {m.descriptor!r} reports non-deterministic scoring; greedy "
+                          "equivalence is not guaranteed" for m in [config.target, *config.drafts]
+                          if config.mode is DecodeMode.GREEDY and not m.deterministic)
     cur = list(prompt)
     end = len(cur) + config.max_new_tokens
     while len(cur) < end:
@@ -201,7 +189,7 @@ def sd_generate(target: LanguageModel, draft: LanguageModel, k: int,
                 stop_tokens=frozenset()):
     """Vanilla speculative decoding: the one-level cascade with k-matrix [[k]].
     The target is the only reviewer, so `lenience` never applies; it is
-    validated as for any cascade."""
+    checked as for any cascade."""
     if rng is None:
         rng = RandomSource(0)
     config = CascadeConfig(target, [draft], KMatrix([[k]]), mode, max_new_tokens,

@@ -223,6 +223,8 @@ class LanguageModel(ABC):
 
     #: whether repeated identical queries are guaranteed identical answers
     deterministic: bool = True
+    #: the tokens one `propose` call drafts
+    span: int = 1
 
     @abstractmethod
     def evaluate(self, tokens: Sequence[int], start: int) -> Sequence[np.ndarray]:
@@ -255,10 +257,10 @@ class LanguageModel(ABC):
         """Autoregressively extend `tokens` by `budget` tokens, one row per
         token from `_next_row`; this is the one token-by-token drafting loop.
 
-        Returns (new_tokens, dists, n_calls): the drafted tokens, this model's
+        Returns (new_tokens, dists): the drafted tokens and this model's
         distribution row at each (its proposal probability for a token is the
-        token's entry in the row), and the number of model calls, one per
-        token.  Overridden by drafters that emit a whole span per invocation.
+        token's entry in the row), drafted in one model call per `span`
+        tokens.  Overridden by drafters that emit a whole span per call.
         """
         cur = list(tokens)
         out, dists = [], []
@@ -268,7 +270,7 @@ class LanguageModel(ABC):
             out.append(tok)
             dists.append(d)
             cur.append(tok)
-        return out, dists, len(out)
+        return out, dists
 
 
 class ContextConditionedModel(LanguageModel):

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 import requests
 
-from .core import ConfigError, ContractViolation, LanguageModel, Vocab
+from .core import ConfigError, ContractViolation, LanguageModel, Vocab, integer, reading, real
 
 ROW_SUM_TOL = 1e-6
 #: row encodings of a score reply, baseline first
@@ -122,6 +122,10 @@ class RemoteModel(LanguageModel):
             raise ConfigError(
                 f"vocab has {vocab.size} pieces but the spec says {spec.vocab_size}"
             )
+        with reading(f"remote model {spec.descriptor!r}"):  # before any request is sent
+            integer(spec.retries, "retries")
+            if not 0 < real(spec.timeout, "timeout") < np.inf:
+                raise ValueError(f"timeout {spec.timeout!r} is not a finite number > 0")
         self.spec = spec
         self._url = spec.base_url.rstrip("/")
         self._session = _pinned_session(self._url)

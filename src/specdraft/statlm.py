@@ -25,6 +25,7 @@ from .core import (
     Vocab,
     greedy_token,
     integer,
+    reading,
     sample,
 )
 
@@ -334,7 +335,7 @@ class MagModel(ContextConditionedModel):
             dists.append(d)
             cur.append(tok)
             pos = self._copy_pos(cur) if pos is None else pos + 1
-        return out, dists, 1
+        return out, dists
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +346,15 @@ def _ctx_key(ctx: Tuple[int, ...]) -> str:
     return ",".join(str(t) for t in ctx)
 
 def _parse_ctx(key: str) -> Tuple[int, ...]:
-    return tuple(int(t) for t in key.split(",")) if key else ()
+    with reading(f"table context {key!r}", ConstructionError):
+        return tuple(int(t) for t in key.split(",")) if key else ()
+
+def _saved_real(text, what: str) -> float:
+    """A real as the writer saves it: the string of its repr, not a JSON number."""
+    if not isinstance(text, str):
+        raise ConstructionError(f"{what} {text!r} is not a saved real (a string)")
+    with reading(what, ConstructionError):
+        return float(text)
 
 
 def _tables_to_json(tables) -> Dict[str, list]:
@@ -361,8 +370,8 @@ def _tables_from_json(obj, size: int, lengths) -> Dict[Tuple[int, ...], Dict[int
     tokens, each context of a length in `lengths`, and each row a distribution
     (every probability in [0, 1], summing to 1 within `SUM_TOL`)."""
     tables = {
-        _parse_ctx(key): {integer(tok, f"table context {key!r} token id", None): float(p)
-                          for tok, p in row}
+        _parse_ctx(key): {integer(tok, f"table context {key!r} token id", None):
+                          _saved_real(p, f"table context {key!r} probability") for tok, p in row}
         for key, row in obj.items()
     }
     for ctx, row in tables.items():
@@ -399,22 +408,21 @@ def model_to_dict(model) -> dict:
 def model_from_dict(obj: dict):
     if obj.get("format_version") != FORMAT_VERSION:
         raise ConstructionError(f"unsupported format_version {obj.get('format_version')}")
-    vocab = Vocab(obj["vocab"])
-    kind = obj["type"]
-    cost_weight = float(obj["cost_weight"])
-    descriptor = obj["descriptor"]
+    with reading("model file", ConstructionError):
+        vocab, kind, saved = Vocab(obj["vocab"]), obj["type"], obj["tables"]
+        cost_weight, descriptor = _saved_real(obj["cost_weight"], "cost_weight"), obj["descriptor"]
     if kind == "ngram":
-        order = integer(obj["order"], "order", 1)
-        return NGramModel(order, vocab, _tables_from_json(obj["tables"], vocab.size, range(order)),
-                          float(obj["smoothing"]), cost_weight, descriptor)
+        order = integer(obj.get("order"), "order", 1)
+        return NGramModel(order, vocab, _tables_from_json(saved, vocab.size, range(order)),
+                          _saved_real(obj.get("smoothing"), "smoothing"), cost_weight, descriptor)
     # a bigram table, `mag`'s fallback included, counts contexts of length 1 only
-    tables = _tables_from_json(obj["tables"], vocab.size, (1,))
+    tables = _tables_from_json(saved, vocab.size, (1,))
     if kind == "bigram":
         return BigramTable(vocab, tables, cost_weight, descriptor)
     if kind == "mag":
-        if obj["policy"] != MATCH_PROMPT_AND_GENERATION:
-            raise ConstructionError(f"unknown match policy {obj['policy']!r}")
-        return MagModel(BigramTable(vocab, tables), integer(obj["span"], "span", 1),
+        if obj.get("policy") != MATCH_PROMPT_AND_GENERATION:
+            raise ConstructionError(f"unknown match policy {obj.get('policy')!r}")
+        return MagModel(BigramTable(vocab, tables), integer(obj.get("span"), "span", 1),
                         cost_weight, descriptor)
     raise ConstructionError(f"unknown model type {kind!r}")
 

@@ -1,4 +1,5 @@
 """K-matrix handling, the recursive cascade step, and the generation loops."""
+import dataclasses
 import hashlib
 import json
 
@@ -65,7 +66,7 @@ def test_base_case_mag_span_copy():
     tok = lambda ch: vocab.id_of(ch)
     prefix = [tok(c) for c in "abcdefg"] + [tok(c) for c in "abc"]
     trace = GenerationTrace("mag")
-    cfg = CascadeConfig(mag, [], KMatrix([[10]]), DecodeMode.GREEDY, 10, 0)
+    cfg = CascadeConfig(mag, [], KMatrix([]), DecodeMode.GREEDY, 10, 0)
     tokens, dists = csd_step(cfg, prefix, RandomSource(0), trace)
     assert len(tokens) == 10
     assert [vocab.piece_of(t) for t in tokens[:4]] == ["d", "e", "f", "g"]
@@ -162,7 +163,7 @@ def test_per_depth_trace_is_pinned(models, eval_prompts, mode, lenience):
 def test_csd_step_requires_prefix():
     m = ConstantModel([0.5, 0.5])
     with pytest.raises(ContractViolation):
-        csd_step(CascadeConfig(m, [], KMatrix([[1]]), DecodeMode.GREEDY, 1, 0), [],
+        csd_step(CascadeConfig(m, [], KMatrix([]), DecodeMode.GREEDY, 1, 0), [],
                  RandomSource(0), GenerationTrace())
 
 
@@ -172,7 +173,7 @@ def test_csd_step_requires_prefix():
 
 def test_generate_zero_budget():
     m = ConstantModel([0.5, 0.5])
-    out, trace = generate(CascadeConfig(m, [], KMatrix([[1]]), DecodeMode.GREEDY,
+    out, trace = generate(CascadeConfig(m, [], KMatrix([]), DecodeMode.GREEDY,
                                         max_new_tokens=0, seed=0), [0])
     assert out == [0]
     assert trace.tokens_emitted == 0
@@ -181,7 +182,7 @@ def test_generate_zero_budget():
 
 def test_generate_without_drafts_equals_autoregressive():
     target, _ = synthetic_pair([0.5, 0.3, 0.2], 0.8)
-    cfg = CascadeConfig(target, [], KMatrix([[1]]), DecodeMode.SAMPLING,
+    cfg = CascadeConfig(target, [], KMatrix([]), DecodeMode.SAMPLING,
                         max_new_tokens=32, seed=7)
     out_c, trace_c = generate(cfg, [0])
     out_a, trace_a = autoregressive_generate(target, [0], 32, DecodeMode.SAMPLING,
@@ -192,45 +193,59 @@ def test_generate_without_drafts_equals_autoregressive():
 
 def test_config_rejects_bad_lenience():
     m = ConstantModel([0.5, 0.5])
-    cfg = CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0, lenience=0.5)
     with pytest.raises(ConfigError):
-        cfg.validate()
+        CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0, lenience=0.5)
 
 
 def test_config_rejects_nan_lenience():
     # NaN fails every comparison, so only `not l >= 1` catches it, as in the kernel
     m = ConstantModel([0.5, 0.5])
-    cfg = CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0, lenience=float("nan"))
     with pytest.raises(ConfigError, match="lenience"):
-        cfg.validate()
+        CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0, lenience=float("nan"))
 
 
 def test_config_rejects_sampling_internal_lenience():
     m = ConstantModel([0.5, 0.5])
-    cfg = CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.SAMPLING, 4, 0, lenience=2.0)
     with pytest.raises(ConfigError):
-        cfg.validate()
+        CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.SAMPLING, 4, 0, lenience=2.0)
     # greedy mode permits any internal lenience
-    CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0, lenience=5.0).validate()
+    CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0, lenience=5.0)
 
 
 def test_config_rejects_mismatched_kmatrix():
     m = ConstantModel([0.5, 0.5])
-    cfg = CascadeConfig(m, [m, m], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0)
     with pytest.raises(ConfigError):
-        cfg.validate()
+        CascadeConfig(m, [m, m], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0)
+
+
+def test_config_rejects_kmatrix_rows_without_drafts():
+    # a ladder with no drafts has no stages; its rows were accepted and ignored
+    m = ConstantModel([0.5, 0.5])
+    with pytest.raises(ConfigError, match="1 levels for 0 drafts"):
+        CascadeConfig(m, [], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0)
+
+
+def test_config_is_checked_once_when_built():
+    m = ConstantModel([0.5, 0.5])
+    cfg = CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.lenience = 0.5
+    # replace builds a new config, so it is checked as any other
+    with pytest.raises(ConfigError, match="lenience"):
+        dataclasses.replace(cfg, lenience=0.5)
+    assert dataclasses.replace(cfg, seed=3).seed == 3
 
 
 def test_config_rejects_mismatched_vocab_size():
     target = ConstantModel(np.ones(4), descriptor="t")
     draft = ConstantModel(np.ones(5), descriptor="d")
     with pytest.raises(ConfigError, match="vocabulary size"):
-        CascadeConfig(target, [draft], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0).validate()
+        CascadeConfig(target, [draft], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0)
     with pytest.raises(ConfigError, match="vocabulary size"):
         sd_generate(target, draft, 2, 1.0, [0], 4, DecodeMode.GREEDY)
     # sizes are compared, not pieces: a remote client's placeholder pieces pass
     renamed = ConstantModel(np.ones(4), vocab=Vocab(("a", "b", "c", "d")))
-    CascadeConfig(target, [renamed], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0).validate()
+    CascadeConfig(target, [renamed], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0)
 
 
 def test_sd_generate_validates_like_any_cascade():
@@ -295,7 +310,7 @@ def test_cost_units_matches_call_counts(models, eval_prompts):
 def test_nondeterministic_model_warning():
     m = ConstantModel([0.5, 0.5], descriptor="flaky")
     m.deterministic = False
-    cfg = CascadeConfig(m, [], KMatrix([[1]]), DecodeMode.GREEDY, 2, 0)
+    cfg = CascadeConfig(m, [], KMatrix([]), DecodeMode.GREEDY, 2, 0)
     _, trace = generate(cfg, [0])
     assert any("flaky" in w for w in trace.warnings)
 

@@ -285,9 +285,9 @@ def test_evaluate_start_bounds():
 
 def test_propose_budget_and_probs():
     m = _CycleModel()
-    out, dists, calls = m.propose([0], 3, RandomSource(0), greedy=True)
+    out, dists = m.propose([0], 3, RandomSource(0), greedy=True)
     assert out == [1, 2, 3]
-    assert calls == 3
+    assert m.span == 1  # one model call per drafted token
     assert len(dists) == 3
     # each row is the model's distribution where its token was drafted
     for i, (tok, d) in enumerate(zip(out, dists)):

@@ -79,7 +79,7 @@ def test_handshake_reports_determinism():
         remote = RemoteModel(RemoteModelSpec(server.url, vocab_size=4))
         assert remote.deterministic is False
         # the greedy engine records a warning for such a model
-        _, trace = generate(CascadeConfig(remote, [], KMatrix([[1]]),
+        _, trace = generate(CascadeConfig(remote, [], KMatrix([]),
                                           DecodeMode.GREEDY, 2, 0), [0])
         assert trace.warnings
 
@@ -87,6 +87,26 @@ def test_handshake_reports_determinism():
 def test_unreachable_server():
     spec = RemoteModelSpec("http://127.0.0.1:9", vocab_size=4, timeout=0.2, retries=1)
     with pytest.raises(RemoteUnavailable):
+        RemoteModel(spec)
+
+
+@pytest.mark.parametrize("field,value,named", [
+    ("retries", -1, "retries -1 is not an integer >= 0"),
+    ("retries", 1.5, "retries 1.5 is not an integer"),
+    ("retries", True, "retries True is not an integer"),
+    ("timeout", -1, "timeout -1 is not a finite number > 0"),
+    ("timeout", 0, "timeout 0 is not a finite number > 0"),
+    ("timeout", float("nan"), "timeout nan is not a finite number > 0"),
+    ("timeout", float("inf"), "timeout inf is not a finite number > 0"),
+    ("timeout", "10", "timeout '10' is not a number"),
+], ids=["retries-negative", "retries-fraction", "retries-bool", "timeout-negative",
+        "timeout-zero", "timeout-nan", "timeout-inf", "timeout-string"])
+def test_spec_retries_and_timeout_are_checked_before_any_request(field, value, named):
+    # retries -1 gave up with RemoteUnavailable before sending anything, and
+    # timeout -1 surfaced as requests' own ValueError on the first request;
+    # the unreachable address shows no request is sent before the check
+    spec = RemoteModelSpec("http://127.0.0.1:9", vocab_size=4, **{field: value})
+    with pytest.raises(ConfigError, match=f"remote model 'remote': {named}"):
         RemoteModel(spec)
 
 

@@ -267,7 +267,7 @@ def _per_token_ngram_propose(model, context, budget, rng, greedy):
         out.append(tok)
         dists.append(d)
         cur.append(tok)
-    return out, dists, len(out)
+    return out, dists
 
 
 @given(st.data())
@@ -288,11 +288,10 @@ def test_ngram_propose_matches_per_token_evaluate_loop(data):
     make = _draw_table_model(data, corpus, order, vocab)
     model, ref = make(), make()
     rng, ref_rng = RandomSource(seed), RandomSource(seed)
-    out, dists, calls = model.propose(context, budget, rng, greedy)
-    ref_out, ref_dists, ref_calls = _per_token_ngram_propose(ref, context, budget,
-                                                             ref_rng, greedy)
+    out, dists = model.propose(context, budget, rng, greedy)
+    ref_out, ref_dists = _per_token_ngram_propose(ref, context, budget, ref_rng, greedy)
     assert out == ref_out
-    assert calls == ref_calls == budget
+    assert len(out) // model.span == budget  # one model call per token
     assert len(dists) == budget
     assert all(np.array_equal(a, b) for a, b in zip(dists, ref_dists))
     # the same number of uniform draws was consumed
@@ -304,7 +303,7 @@ def test_ngram_keeps_one_cdf_per_shared_row(corpus):
     model = train_ngram(train_seqs, 3, vocab)
     drafted = {}
     for j, seq in enumerate(eval_seqs[:40]):
-        _, dists, _ = model.propose(seq[:32], 48, RandomSource(j), greedy=False)
+        _, dists = model.propose(seq[:32], 48, RandomSource(j), greedy=False)
         drafted.update((id(d), d) for d in dists)
     # keyed by row, not by context: many contexts share a row and its sums
     assert set(model._cdfs) == set(drafted)
@@ -478,9 +477,8 @@ def test_mag_model_distribution_matches_oracle(data):
 def test_mag_model_propose_emits_span_as_one_call():
     table = BigramTable(V6, {})
     m = MagModel(table, span=5)
-    out, dists, calls = m.propose([1, 2, 3, 1, 2], 99, RandomSource(0), True)
-    assert calls == 1
-    assert len(out) == 5
+    out, dists = m.propose([1, 2, 3, 1, 2], 99, RandomSource(0), True)
+    assert len(out) == m.span == 5  # the whole span, one model call
     assert out[0] == 3 and dists[0][out[0]] == 1.0
 
 
@@ -514,9 +512,9 @@ def test_mag_propose_span_matches_per_token_loop(data):
     greedy = data.draw(st.booleans())
     seed = data.draw(st.integers(0, 2**16))
     rng, ref_rng = RandomSource(seed), RandomSource(seed)
-    out, dists, calls = model.propose(context, 1, rng, greedy)
+    out, dists = model.propose(context, 1, rng, greedy)
     ref_out, ref_probs, ref_dists = _per_token_propose(model, context, ref_rng, greedy)
-    assert calls == 1
+    assert len(out) // model.span == 1  # one model call
     assert out == ref_out
     assert [float(d[tok]) for tok, d in zip(out, dists)] == ref_probs
     assert len(dists) == len(ref_dists) == model.span
@@ -630,6 +628,29 @@ def test_load_rejects_token_ids_outside_the_vocabulary(kind, edit, named):
     # IndexError only once decoding first built the row
     obj = model_to_dict(_SMALL_MODELS[kind]())
     edit(obj["tables"])
+    with pytest.raises(ConstructionError, match=named):
+        model_from_dict(obj)
+
+
+@pytest.mark.parametrize("kind,edit,named", [
+    ("bigram", lambda obj: obj["tables"].__setitem__("1", [[2, True]]),
+     "context '1' probability True is not a saved real"),
+    ("ngram", lambda obj: obj["tables"].__setitem__("1", [[2, 0.5], [3, 0.5]]),
+     "context '1' probability 0.5 is not a saved real"),
+    ("bigram", lambda obj: obj.update(cost_weight=True), "cost_weight True is not a saved real"),
+    ("mag", lambda obj: obj.update(cost_weight=0.0), "cost_weight 0.0 is not a saved real"),
+    ("ngram", lambda obj: obj.update(smoothing=0.75), "smoothing 0.75 is not a saved real"),
+    ("bigram", lambda obj: obj["tables"].__setitem__("1,,2", obj["tables"].pop("1")),
+     "table context '1,,2': invalid literal"),
+    ("mag", lambda obj: obj.pop("vocab"), "model file lacks required key 'vocab'"),
+], ids=["row-true", "row-number", "cost-weight-true", "cost-weight-number",
+        "smoothing-number", "context-empty-token", "no-vocab"])
+def test_load_reads_saved_files_as_the_writer_writes_them(kind, edit, named):
+    # the writer saves every real as the string of its repr: a JSON true
+    # loaded as 1.0, a malformed context key raised a bare ValueError and a
+    # missing key a bare KeyError
+    obj = model_to_dict(_SMALL_MODELS[kind]())
+    edit(obj)
     with pytest.raises(ConstructionError, match=named):
         model_from_dict(obj)
 
