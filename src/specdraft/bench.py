@@ -317,7 +317,9 @@ def run_bench(config: dict) -> dict:
     train_seqs, vocab, tok = ingest_corpus(train_path, tokenizer)
     eval_seqs, _, _ = ingest_corpus(eval_path, tokenizer, existing=tok)
 
+    t0 = time.perf_counter()
     models = {name: build_model(name, spec, train_seqs, vocab) for name, spec in specs.items()}
+    build_s = time.perf_counter() - t0
 
     prompts = [seq[:prompt_tokens] for seq in eval_seqs[:n_prompts]]
     if not prompts:
@@ -336,6 +338,8 @@ def run_bench(config: dict) -> dict:
                 if not (0 <= real(price, "price") < np.inf and (price > 0 or name not in targets)):
                     raise ValueError("a price must be finite and >= 0, and a target's > 0")
     greedy_cache: Dict[tuple, List[List[int]]] = {}
+    # once every run is checked, next to the runs' wall= lines
+    print(f"[models] built {len(models)} models wall={build_s:.2f}s", file=sys.stderr)
 
     report_runs = []
     for run, cfg in zip(runs, run_configs):

@@ -183,107 +183,117 @@ class RemoteModel(LanguageModel):
         return _checked_rows(m, count, len(tokens) - start + 2)
 
 
+class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    # headers and body go out in two writes; with Nagle on, the
+    # second waits for the client's delayed ACK
+    disable_nagle_algorithm = True
+
+    def log_message(self, *args):
+        pass
+
+    def _reply(self, code: int, payload: dict):
+        data = json.dumps(payload).encode("utf-8")
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
+
+    def do_GET(self):
+        if self.path != "/v1/info":
+            return self._reply(404, {"error": "unknown endpoint"})
+        model = self.server.model
+        self._reply(200, {
+            "vocab_size": model.vocab.size,
+            "name": model.descriptor,
+            "deterministic": model.deterministic,
+            "encodings": list(ENCODINGS),
+        })
+
+    def do_POST(self):
+        # read the body first: left unread on a kept-alive
+        # connection it would be parsed as the next request
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            # the body has no known end: answer, then hang up
+            self.close_connection = True
+            return self._reply(400, {"error": "invalid Content-Length"})
+        data = self.rfile.read(length)
+        if self.path != "/v1/score":
+            return self._reply(404, {"error": "unknown endpoint"})
+        try:
+            req = json.loads(data)
+            tokens, start = req["tokens"], req["start"]
+        except (ValueError, RecursionError, TypeError, KeyError):
+            # not JSON, nested too deep to parse, not an object, or a key missing
+            return self._reply(400, {"error": "a score request is a JSON "
+                                              "object with tokens and start"})
+        model = self.server.model
+        size = model.vocab.size
+        # bools are ints to Python but not token ids or positions
+        if not (type(tokens) is list
+                and all(type(t) is int and 0 <= t < size for t in tokens)):
+            return self._reply(400, {"error": f"tokens must be a list of "
+                                              f"token ids in [0, {size})"})
+        if type(start) is not int:
+            return self._reply(400, {"error": "start must be an int"})
+        try:
+            encoding = req.get("encoding", "json")
+            if encoding not in ENCODINGS:
+                raise ContractViolation(f"unknown encoding {encoding!r}")
+            m = np.array(model.evaluate(tokens, start), dtype=np.float64)
+            finite = np.isfinite(m).all(axis=1)
+            if not finite.all():
+                # NaN and Infinity have no JSON spelling
+                bad = int(np.argmin(finite))
+                return self._reply(500, {"error": f"malformed distribution at row "
+                                                  f"{bad}: non-finite value"})
+            if encoding == "f64le":
+                raw = np.ascontiguousarray(m, dtype="<f8").tobytes()
+                reply = {"f64le": base64.b64encode(raw).decode("ascii")}
+            else:
+                reply = {"dists": m.tolist()}
+        except ContractViolation as err:
+            return self._reply(400, {"error": str(err)})
+        except Exception as err:  # noqa: BLE001 - wire boundary
+            return self._reply(500, {"error": str(err)})
+        self._reply(200, reply)
+
+
+class _Server(ThreadingHTTPServer):
+    """The stub's HTTP server.  The served model and the connections are
+    attributes, not closure cells of per-server classes, so no reference
+    cycle keeps a closed server's model alive until the next collection."""
+
+    def __init__(self, address, model: LanguageModel):
+        self.model = model
+        #: (handler thread, request socket) per connection, the finished
+        #: ones dropped as new ones start
+        self.connections: list = []
+        super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address):
+        # runs on the serving thread, so once shutdown() returns every
+        # connection is on the list
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address), daemon=True)
+        self.connections = [(t, s) for t, s in self.connections if t.is_alive()]
+        self.connections.append((thread, request))
+        thread.start()
+
+
 class ScoringServer:
     """Threaded HTTP/1.1 server wrapping an in-process model.  It records
     every connection it accepts, so `close()` can end each one."""
 
     def __init__(self, model: LanguageModel, host: str = "127.0.0.1", port: int = 0):
-        #: (handler thread, request socket) per connection, the finished
-        #: ones dropped as new ones start
-        self._connections: list = []
-        server = self
-        size = model.vocab.size
-
-        class Server(ThreadingHTTPServer):
-            def process_request(self, request, client_address):
-                # runs on the serving thread, so once shutdown() returns
-                # every connection is on the list
-                thread = threading.Thread(target=self.process_request_thread,
-                                          args=(request, client_address), daemon=True)
-                server._connections = [(t, s) for t, s in server._connections if t.is_alive()]
-                server._connections.append((thread, request))
-                thread.start()
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            # headers and body go out in two writes; with Nagle on, the
-            # second waits for the client's delayed ACK
-            disable_nagle_algorithm = True
-
-            def log_message(self, *args):
-                pass
-
-            def _reply(self, code: int, payload: dict):
-                data = json.dumps(payload).encode("utf-8")
-                self.send_response(code)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                if self.close_connection:
-                    self.send_header("Connection", "close")
-                self.end_headers()
-                self.wfile.write(data)
-
-            def do_GET(self):
-                if self.path != "/v1/info":
-                    return self._reply(404, {"error": "unknown endpoint"})
-                self._reply(200, {
-                    "vocab_size": model.vocab.size,
-                    "name": model.descriptor,
-                    "deterministic": model.deterministic,
-                    "encodings": list(ENCODINGS),
-                })
-
-            def do_POST(self):
-                # read the body first: left unread on a kept-alive
-                # connection it would be parsed as the next request
-                try:
-                    length = int(self.headers.get("Content-Length", 0))
-                    if length < 0:
-                        raise ValueError(length)
-                except ValueError:
-                    # the body has no known end: answer, then hang up
-                    self.close_connection = True
-                    return self._reply(400, {"error": "invalid Content-Length"})
-                data = self.rfile.read(length)
-                if self.path != "/v1/score":
-                    return self._reply(404, {"error": "unknown endpoint"})
-                try:
-                    req = json.loads(data)
-                    tokens, start = req["tokens"], req["start"]
-                except (ValueError, RecursionError, TypeError, KeyError):
-                    # not JSON, nested too deep to parse, not an object, or a key missing
-                    return self._reply(400, {"error": "a score request is a JSON "
-                                                      "object with tokens and start"})
-                # bools are ints to Python but not token ids or positions
-                if not (type(tokens) is list
-                        and all(type(t) is int and 0 <= t < size for t in tokens)):
-                    return self._reply(400, {"error": f"tokens must be a list of "
-                                                      f"token ids in [0, {size})"})
-                if type(start) is not int:
-                    return self._reply(400, {"error": "start must be an int"})
-                try:
-                    encoding = req.get("encoding", "json")
-                    if encoding not in ENCODINGS:
-                        raise ContractViolation(f"unknown encoding {encoding!r}")
-                    m = np.array(model.evaluate(tokens, start), dtype=np.float64)
-                    finite = np.isfinite(m).all(axis=1)
-                    if not finite.all():
-                        # NaN and Infinity have no JSON spelling
-                        bad = int(np.argmin(finite))
-                        return self._reply(500, {"error": f"malformed distribution at row "
-                                                          f"{bad}: non-finite value"})
-                    if encoding == "f64le":
-                        raw = np.ascontiguousarray(m, dtype="<f8").tobytes()
-                        reply = {"f64le": base64.b64encode(raw).decode("ascii")}
-                    else:
-                        reply = {"dists": m.tolist()}
-                except ContractViolation as err:
-                    return self._reply(400, {"error": str(err)})
-                except Exception as err:  # noqa: BLE001 - wire boundary
-                    return self._reply(500, {"error": str(err)})
-                self._reply(200, reply)
-
-        self._httpd = Server((host, port), Handler)
+        self._httpd = _Server((host, port), model)
         # shutdown() waits for the loop's next poll
         self._thread = threading.Thread(target=self._httpd.serve_forever, args=(0.05,),
                                         daemon=True)
@@ -295,13 +305,13 @@ class ScoringServer:
         loop, hangs up every kept-alive connection and waits for every
         handler thread."""
         self._httpd.shutdown()
-        for _, conn in self._connections:
+        for _, conn in self._httpd.connections:
             # a handler still setting up reads EOF at once
             try:
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:  # already closed
                 pass
-        for thread, _ in self._connections:
+        for thread, _ in self._httpd.connections:
             thread.join()
         self._httpd.server_close()
         self._thread.join()

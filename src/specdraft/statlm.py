@@ -173,16 +173,25 @@ class _Rows(abc.Sequence):
 
 def _counted(seqs: List[List[int]], lengths) -> Dict[Tuple[int, ...], Dict[int, float]]:
     """Each context of a length n in `lengths` with its next-token probabilities
-    in token order: one `Counter` of (n+1)-grams per n, freed before the next."""
+    in token order.  One `Counter` pass counts the (n+1)-grams of the longest
+    n.  Each shorter gram's count is the sum of the counts of the grams one
+    token longer that it starts, plus the number of sequences that end in it;
+    levels are derived down to the (n+1)-grams of the shortest n, each freed
+    once the next is built."""
+    top, low = max(lengths) + 1, min(lengths) + 1
+    counts = Counter(chain.from_iterable(zip(*(s[i:] for i in range(top))) for s in seqs))
     tables = {}
-    for n in lengths:
-        counts: Dict[Tuple[int, ...], Dict[int, int]] = defaultdict(dict)
-        grams = chain.from_iterable(zip(*(s[i:] for i in range(n + 1))) for s in seqs)
-        for gram, c in Counter(grams).items():
-            counts[gram[:-1]][gram[-1]] = c
-        for ctx, row in counts.items():
-            total = sum(row.values())
-            tables[ctx] = {tok: c / total for tok, c in sorted(row.items())}
+    for m in range(top, low - 1, -1):  # grams of m tokens: contexts of m - 1
+        rows: Dict[Tuple[int, ...], Dict[int, int]] = defaultdict(dict)
+        for gram, c in counts.items():
+            rows[gram[:-1]][gram[-1]] = c
+        totals = {ctx: sum(row.values()) for ctx, row in rows.items()}
+        if m - 1 in lengths:
+            for ctx, row in rows.items():
+                tables[ctx] = {tok: c / totals[ctx] for tok, c in sorted(row.items())}
+        if m > low:
+            counts = Counter(tuple(s[1 - m:]) for s in seqs if len(s) >= m - 1)
+            counts.update(totals)
     return tables
 
 
@@ -369,6 +378,13 @@ def _tables_from_json(obj, size: int, lengths) -> Dict[Tuple[int, ...], Dict[int
     each token id, in a context or a row, an integer in a vocabulary of `size`
     tokens, each context of a length in `lengths`, and each row a distribution
     (every probability in [0, 1], summing to 1 within `SUM_TOL`)."""
+    if not isinstance(obj, dict):
+        raise ConstructionError(f"tables is a {type(obj).__name__}, not a JSON object")
+    for key, row in obj.items():
+        if not (isinstance(row, list)
+                and all(isinstance(entry, list) and len(entry) == 2 for entry in row)):
+            raise ConstructionError(f"table context {key!r} row is not a list of "
+                                    f"[token id, probability] pairs")
     tables = {
         _parse_ctx(key): {integer(tok, f"table context {key!r} token id", None):
                           _saved_real(p, f"table context {key!r} probability") for tok, p in row}

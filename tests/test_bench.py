@@ -3,6 +3,7 @@ import ast
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,25 @@ def test_build_model_rejects_a_file_value_the_model_does_not_take(tmp_path, corp
         build_model("m", {"file": str(path)}, train_seqs, vocab)
 
 
+@pytest.mark.parametrize("tables,named", [
+    ([], "tables is a list, not a JSON object"),
+    ({"1": 5}, "table context '1' row is not a list of"),
+    ({"1": [[2]]}, "table context '1' row is not a list of"),
+], ids=["tables-list", "row-number", "entry-not-pair"])
+def test_cli_run_rejects_a_model_file_whose_tables_have_the_wrong_shape(tmp_path, capsys,
+                                                                        tables, named):
+    # each escaped as a bare error, and the CLI exited 1 ("error: 'list'
+    # object has no attribute 'items'") instead of 2
+    from specdraft.statlm import model_to_dict
+    obj = model_to_dict(BigramTable.from_corpus([1, 2, 1, 3], ByteTokenizer().vocab))
+    obj["tables"] = tables
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert cli(["run", "--target", str(path), "--prompt", "ab", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: model {str(path)!r}") and named in err, err
+
+
 def test_bench_rejects_unknown_mag_policy(tmp_path, corpus, capsys):
     train_seqs, _, vocab, _ = corpus
     spec = {"type": "mag", "policy": "prompt-only"}
@@ -385,7 +405,10 @@ def test_cli_bench_and_analyze(tmp_path, capsys):
     assert cli(["bench", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "report.csv").exists()
-    capsys.readouterr()
+    # the time spent building the models, then each run's, on stderr
+    err = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"\[models\] built 3 models wall=\d+\.\d\ds", err[0]), err
+    assert [line.split()[0] for line in err[1:]] == ["[auto]", "[sd]"], err
 
     grid = {"seed": 0, "trials": 10000,
             "grid": [{"name": "sd", "method": "sd", "alpha": 0.6, "c": 0.05, "k": 3}]}

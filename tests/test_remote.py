@@ -1,5 +1,6 @@
 """HTTP scoring client, stub server, and wire-transparency checks."""
 import base64
+import gc
 import http.client
 import json
 import socket
@@ -7,6 +8,7 @@ import socketserver
 import statistics
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
@@ -501,6 +503,23 @@ def test_close_hangs_up_kept_alive_connections():
     assert model.threads and not any(t.is_alive() for t in model.threads)
     with pytest.raises(RemoteUnavailable):
         remote.evaluate([0], 1)
+
+
+def test_closed_server_frees_its_model_without_the_cyclic_collector():
+    # the stub's per-server handler classes held the model in closure cells
+    # inside reference cycles, so a closed server's model, row cache and all,
+    # lived on until the next cyclic collection
+    model = _toy_model()
+    alive = weakref.ref(model)
+    gc.disable()
+    try:
+        with serve_model(model) as server:
+            remote = RemoteModel(RemoteModelSpec(server.url, vocab_size=V.size))
+            remote.evaluate([0, 1, 2], 1)
+        del model, server, remote
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_close_waits_for_late_handler_threads(monkeypatch):

@@ -120,6 +120,40 @@ def test_counting_matches_textbook_per_position_count(corpus, order):
                     for ctx, row in _textbook_tables(seqs, lengths).items()})
 
 
+def _rows(tables, keep=lambda ctx: True):
+    """`tables` with each row as its (token, probability) list, in row order."""
+    return {ctx: list(row.items()) for ctx, row in tables.items() if keep(ctx)}
+
+
+def _assert_counts_agree_across_orders(corpus, orders, vocab):
+    """Each order's tables are the contexts of the longest order's tables
+    shorter than it, and the bigram table its contexts of length 1."""
+    longest = train_ngram(corpus, max(orders), vocab).tables
+    for a in orders:
+        assert _rows(train_ngram(corpus, a, vocab).tables) == _rows(
+            longest, lambda ctx: len(ctx) < a)
+    assert _rows(BigramTable.from_corpus(corpus, vocab).tables) == _rows(
+        longest, lambda ctx: len(ctx) == 1)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_counts_agree_across_orders(data):
+    # shorter contexts are derived from the longest grams' counts, so a
+    # line-end or boundary slip in that derivation shows as a disagreement
+    b = data.draw(st.integers(2, 8), label="b")
+    a = data.draw(st.integers(1, b - 1), label="a")
+    # lines shorter than, as long as and longer than each order
+    corpus = data.draw(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=b + 2),
+                                min_size=1, max_size=6), label="corpus")
+    _assert_counts_agree_across_orders(corpus, (a, b), V6)
+
+
+def test_counts_agree_across_orders_on_the_shipped_corpus(corpus):
+    train_seqs, _, vocab, _ = corpus
+    _assert_counts_agree_across_orders(train_seqs, (2, 3, 7), vocab)
+
+
 def test_ngram_loop_vs_batch():
     m = train_ngram([1, 2, 3, 1, 2, 4], 3, V6)
     tokens = [1, 2, 3, 1]
@@ -651,6 +685,21 @@ def test_load_reads_saved_files_as_the_writer_writes_them(kind, edit, named):
     # missing key a bare KeyError
     obj = model_to_dict(_SMALL_MODELS[kind]())
     edit(obj)
+    with pytest.raises(ConstructionError, match=named):
+        model_from_dict(obj)
+
+
+@pytest.mark.parametrize("kind,tables,named", [
+    ("ngram", [], "tables is a list, not a JSON object"),
+    ("bigram", {"1": 5}, "table context '1' row is not a list of"),
+    ("mag", {"1": [[2]]}, "table context '1' row is not a list of"),
+], ids=["tables-list", "row-number", "entry-not-pair"])
+def test_load_rejects_tables_of_the_wrong_shape(kind, tables, named):
+    # each raised a bare error: AttributeError ('list' object has no
+    # attribute 'items'), TypeError (a number is not iterable) and
+    # ValueError (not enough values to unpack)
+    obj = model_to_dict(_SMALL_MODELS[kind]())
+    obj["tables"] = tables
     with pytest.raises(ConstructionError, match=named):
         model_from_dict(obj)
 
