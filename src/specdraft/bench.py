@@ -33,6 +33,8 @@ from .core import (ConfigError, ContractViolation, LanguageModel, RandomSource, 
                    integer, reading, real)
 from .kernel import DecodeMode
 from .statlm import (
+    DEFAULT_INTERPOLATION,
+    DEFAULT_SPAN,
     MATCH_PROMPT_AND_GENERATION,
     BigramTable,
     MagModel,
@@ -135,29 +137,38 @@ def build_model(name: str, spec: dict, train_seqs, vocab: Optional[Vocab]) -> La
     """The one loader of models: a `"file"` spec loads a saved model, any
     other spec trains one.  A spec that cannot be read or built is a
     ConfigError naming the model, and so is a model whose vocabulary is not
-    `vocab` (unless that is None)."""
+    `vocab` (unless that is None).  A `"file"` spec takes no other key, since
+    the type, parameters and weight come from the file, and any other spec
+    takes only the keys its type reads."""
     with reading(f"model {name!r}"):
         if not isinstance(spec, dict):
             raise TypeError(f"not a JSON object: {spec!r}")
-        kind = spec.get("type", "ngram")
-        # each type's default weight lives in its constructor
-        cost = spec.get("cost_weight")
-        weight = {} if cost is None else {"cost_weight": real(cost, "cost_weight")}
+        spec = dict(spec)  # each key is popped as it is read; one left over is refused
         if "file" in spec:
-            model = load_model(Path(spec["file"]))
-        elif kind == "ngram":
-            model = train_ngram(train_seqs, integer(spec.get("order", 3), "order"), vocab,
-                                real(spec.get("interpolation", 0.75), "interpolation"),
-                                descriptor=name, **weight)
-        elif kind == "bigram":
-            model = BigramTable.from_corpus(train_seqs, vocab, descriptor=name, **weight)
-        elif kind == "mag":
-            if spec.get("policy", MATCH_PROMPT_AND_GENERATION) != MATCH_PROMPT_AND_GENERATION:
-                raise ConfigError(f"unknown match policy {spec['policy']!r}")
-            model = MagModel(BigramTable.from_corpus(train_seqs, vocab),
-                             integer(spec.get("span", 10), "span"), descriptor=name, **weight)
+            kind, model = "file", load_model(Path(spec.pop("file")))
         else:
-            raise ConfigError(f"unknown model type {kind!r}")
+            kind = spec.pop("type", "ngram")
+            # each type's default weight lives in its constructor
+            cost = spec.pop("cost_weight", None)
+            weight = {} if cost is None else {"cost_weight": real(cost, "cost_weight")}
+            if kind == "ngram":
+                model = train_ngram(
+                    train_seqs, integer(spec.pop("order", 3), "order"), vocab,
+                    real(spec.pop("interpolation", DEFAULT_INTERPOLATION), "interpolation"),
+                    descriptor=name, **weight)
+            elif kind == "bigram":
+                model = BigramTable.from_corpus(train_seqs, vocab, descriptor=name, **weight)
+            elif kind == "mag":
+                policy = spec.pop("policy", MATCH_PROMPT_AND_GENERATION)
+                if policy != MATCH_PROMPT_AND_GENERATION:
+                    raise ConfigError(f"unknown match policy {policy!r}")
+                model = MagModel(BigramTable.from_corpus(train_seqs, vocab),
+                                 integer(spec.pop("span", DEFAULT_SPAN), "span"),
+                                 descriptor=name, **weight)
+            else:
+                raise ConfigError(f"unknown model type {kind!r}")
+        if spec:
+            raise ConfigError(f"a {kind!r} spec does not read key {next(iter(spec))!r}")
     if vocab is not None and model.vocab != vocab:
         raise ConfigError(f"model {name!r} was trained on a different vocabulary "
                           f"(vocabulary size {model.vocab.size}, expected {vocab.size})")
@@ -220,21 +231,6 @@ def write_curve_csv(trace: GenerationTrace, path: str) -> None:
 # bench runs
 # ---------------------------------------------------------------------------
 
-def _merge_traces(traces: Sequence[GenerationTrace], target_descriptor: str) -> GenerationTrace:
-    """One trace holding the calls, tokens, reviews and warnings of many runs."""
-    merged = GenerationTrace(target_descriptor)
-    for t in traces:
-        merged.tokens_emitted += t.tokens_emitted
-        for m, n in t.calls_per_model.items():
-            merged.calls_per_model[m] = merged.calls_per_model.get(m, 0) + n
-        merged.cost_weights.update(t.cost_weights)
-        merged.steps.extend(t.steps)
-        for w in t.warnings:
-            if w not in merged.warnings:
-                merged.warnings.append(w)
-    return merged
-
-
 def positional_curve(trace: GenerationTrace) -> List[dict]:
     """Per-position acceptance over the outermost reviews: position i of a
     review counts when more than i tokens were proposed, and is accepted
@@ -249,10 +245,10 @@ def positional_curve(trace: GenerationTrace) -> List[dict]:
     return curve
 
 
-def _run_config(run: dict, models: Dict[str, LanguageModel], stop_tokens,
-                index: int = 0) -> CascadeConfig:
+def _run_config(run: dict, models: Dict[str, LanguageModel], index: int = 0) -> CascadeConfig:
     """The checked cascade a run spec describes: autoregressive decoding
-    has no drafts, plain SD one draft with k-matrix [[k]].  A run's calls
+    has no drafts, plain SD one draft with k-matrix [[k]], and every run
+    stops at its target vocabulary's EOS token.  A run's calls
     are counted and priced per descriptor, so two distinct models of one
     run may not share a descriptor (one model twice may).  A spec that does
     not fit is a ConfigError naming the run."""
@@ -286,7 +282,7 @@ def _run_config(run: dict, models: Dict[str, LanguageModel], stop_tokens,
             max_new_tokens=integer(run["max_new_tokens"], "max_new_tokens", 1),
             seed=integer(run["seed"], "seed"),
             lenience=real(run.get("lenience", 1.0), "lenience"),
-            stop_tokens=stop_tokens,
+            stop_tokens=frozenset({picked[0].vocab.eos_id}),
         )
     return config
 
@@ -307,9 +303,11 @@ def run_bench(config: dict) -> dict:
         tokenizer = corpus.get("tokenizer", "byte")
         n_prompts = integer(config.get("num_prompts", sys.maxsize), "num_prompts")  # default: all
         prompt_tokens = integer(config.get("prompt_tokens", 32), "prompt_tokens", 1)
-        cost_models = config.get("cost_models") or {"ms": None}
-        if not isinstance(cost_models, dict):
-            raise TypeError(f"cost_models is not a JSON object: {cost_models!r}")
+        cost_models = config.get("cost_models")
+        if cost_models is None:
+            cost_models = {"ms": None}
+        if not (isinstance(cost_models, dict) and cost_models):
+            raise TypeError(f"cost_models {cost_models!r} is not a JSON object with a preset")
         for preset, prices in cost_models.items():
             if prices is not None and not isinstance(prices, dict):
                 raise TypeError(f"cost model {preset!r} is neither a JSON object nor null: "
@@ -324,16 +322,21 @@ def run_bench(config: dict) -> dict:
     prompts = [seq[:prompt_tokens] for seq in eval_seqs[:n_prompts]]
     if not prompts:
         raise ConfigError("bench has no prompts: num_prompts or the eval corpus is empty")
-    stop_tokens = frozenset({vocab.eos_id})
-    run_configs = [_run_config(run, models, stop_tokens, i) for i, run in enumerate(runs)]
+    run_configs = [_run_config(run, models, i) for i, run in enumerate(runs)]
+    used = [m for cfg in run_configs for m in [cfg.target, *cfg.drafts]]
+    # a null preset prices each model at its cost weight
+    weights = {m.descriptor: m.cost_weight for m in used}
+    clash = [m.descriptor for m in used if weights[m.descriptor] != m.cost_weight]
+    if clash and None in cost_models.values():
+        raise ConfigError(f"a null cost model would price model {clash[0]!r} at two weights")
+    cost_models = {preset: weights if prices is None else prices
+                   for preset, prices in cost_models.items()}
+    targets = {cfg.target.descriptor for cfg in run_configs}
     for preset, prices in cost_models.items():
-        unpriced = [m.descriptor for cfg in run_configs for m in [cfg.target, *cfg.drafts]
-                    if prices is not None and m.descriptor not in prices]
+        unpriced = [m.descriptor for m in used if m.descriptor not in prices]
         if unpriced:
             raise ConfigError(f"cost model {preset!r} has no price for model {unpriced[0]!r}")
-        # a null preset prices each model at its cost weight
-        targets = {cfg.target.descriptor: cfg.target.cost_weight for cfg in run_configs}
-        for name, price in (targets if prices is None else prices).items():
+        for name, price in prices.items():
             with reading(f"cost model {preset!r} prices model {name!r} at {price!r}"):
                 if not (0 <= real(price, "price") < np.inf and (price > 0 or name not in targets)):
                     raise ValueError("a price must be finite and >= 0, and a target's > 0")
@@ -344,19 +347,18 @@ def run_bench(config: dict) -> dict:
     report_runs = []
     for run, cfg in zip(runs, run_configs):
         t0 = time.perf_counter()
-        outs, traces = zip(*[generate(replace(cfg, seed=cfg.seed + j), prompt)
-                             for j, prompt in enumerate(prompts)])
+        trace = GenerationTrace(cfg.target.descriptor)
+        outs = [generate(replace(cfg, seed=cfg.seed + j), prompt, trace)[0]
+                for j, prompt in enumerate(prompts)]
         elapsed = time.perf_counter() - t0
-        target = cfg.target
-        merged = _merge_traces(traces, target.descriptor)
 
         if cfg.mode is DecodeMode.GREEDY:
             key = (run["target"], cfg.max_new_tokens)
             if key not in greedy_cache:
                 greedy_cache[key] = [
-                    autoregressive_generate(target, p, cfg.max_new_tokens,
+                    autoregressive_generate(cfg.target, p, cfg.max_new_tokens,
                                             DecodeMode.GREEDY, RandomSource(0),
-                                            stop_tokens)[0]
+                                            cfg.stop_tokens)[0]
                     for p in prompts
                 ]
             refs = greedy_cache[key]
@@ -369,25 +371,22 @@ def run_bench(config: dict) -> dict:
                     f"got {outs[j][len(prompts[j]):][:20]} vs "
                     f"target {refs[j][len(prompts[j]):][:20]}")
 
-        swi_values = {}
-        for preset, mapping in sorted(cost_models.items()):
-            price = dict(merged.cost_weights) if mapping is None else dict(mapping)
-            swi_values[preset] = swi(merged, price)
+        swi_values = {preset: swi(trace, prices) for preset, prices in sorted(cost_models.items())}
 
         report_runs.append({
             "name": run["name"],
             "method": run["method"],
-            "target": target.descriptor,
+            "target": cfg.target.descriptor,
             "mode": cfg.mode.value,
-            "tokens_emitted": merged.tokens_emitted,
-            "calls_per_model": dict(sorted(merged.calls_per_model.items())),
-            "cost_units": merged.cost_units,
+            "tokens_emitted": trace.tokens_emitted,
+            "calls_per_model": dict(sorted(trace.calls_per_model.items())),
+            "cost_units": trace.cost_units,
             "swi": swi_values,
             "greedy_equivalent": True if cfg.mode is DecodeMode.GREEDY else None,
-            "positional_acceptance": positional_curve(merged),
-            "warnings": merged.warnings,
+            "positional_acceptance": positional_curve(trace),
+            "warnings": trace.warnings,
         })
-        print(f"[{run['name']}] tokens={merged.tokens_emitted} "
+        print(f"[{run['name']}] tokens={trace.tokens_emitted} "
               f"swi={ {k: round(v, 3) for k, v in swi_values.items()} } "
               f"wall={elapsed:.2f}s", file=sys.stderr)
 
@@ -418,7 +417,8 @@ def write_report(report: dict, json_path: str, csv_path: str) -> None:
 
 def _cmd_train(args) -> int:
     seqs, vocab, _ = ingest_corpus(args.corpus, args.tokenizer)
-    spec = {k: v for k, v in vars(args).items() if v is not None}
+    spec = {k: getattr(args, k) for k in ("type", "order", "span", "interpolation", "cost_weight")
+            if getattr(args, k) is not None}
     model = build_model(args.name or Path(args.out).stem, spec, seqs, vocab)
     save_model(model, args.out)
     print(f"trained {model.descriptor} on {len(seqs)} sequences -> {args.out}")
@@ -432,7 +432,7 @@ def _cmd_run(args) -> int:
     models = {p: build_model(p, {"file": p}, None, tok.vocab) for p in paths}
     run = dict({k: v for k, v in vars(args).items() if v is not None}, name="run",
                method="csd" if args.drafts else "sd" if args.draft else "autoregressive")
-    cfg = _run_config(run, models, frozenset({tok.vocab.eos_id}))
+    cfg = _run_config(run, models)
     out, trace = generate(cfg, [tok.vocab.bos_id] + tok.encode(args.prompt))
     print(tok.decode(out))
     print(f"-- tokens={trace.tokens_emitted} calls={trace.calls_per_model} "
@@ -501,12 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train a statistical model from a corpus")
     t.add_argument("--corpus", required=True)
-    t.add_argument("--order", type=int, default=3)
-    t.add_argument("--type", choices=["ngram", "bigram", "mag"], default="ngram")
+    # a model flag left out is left out of the spec, so build_model's default applies
+    t.add_argument("--order", type=int)
+    t.add_argument("--type", choices=["ngram", "bigram", "mag"])
     t.add_argument("--tokenizer", choices=["byte", "word"], default="byte")
-    t.add_argument("--span", type=int, default=10)
-    t.add_argument("--interpolation", type=float, default=0.75)
-    t.add_argument("--cost-weight", type=float, default=None)
+    t.add_argument("--span", type=int)
+    t.add_argument("--interpolation", type=float)
+    t.add_argument("--cost-weight", type=float)
     t.add_argument("--name", default=None)
     t.add_argument("--out", required=True)
     t.set_defaults(func=_cmd_train)
@@ -517,9 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--drafts", nargs="*", default=None)
     r.add_argument("--k", type=int, default=8)
     r.add_argument("--k-matrix", type=json.loads, default=None, help="JSON square matrix")
-    r.add_argument("--lenience", type=float, default=1.0)
+    r.add_argument("--lenience", type=float)
     r.add_argument("--prompt", required=True)
-    r.add_argument("--mode", choices=["greedy", "sampling"], default="greedy")
+    r.add_argument("--mode", choices=["greedy", "sampling"])
     r.add_argument("--max-new-tokens", type=int, default=128)
     r.add_argument("--seed", type=int, required=True)
     r.set_defaults(func=_cmd_run)

@@ -157,15 +157,19 @@ def csd_step(config: CascadeConfig, prefix: Sequence[int], rng: RandomSource,
     return emitted, rows
 
 
-def _decode(config: CascadeConfig, prompt: Sequence[int], rng: RandomSource):
+def _decode(config: CascadeConfig, prompt: Sequence[int], rng: RandomSource,
+            trace: Optional[GenerationTrace] = None):
     """The outer generation loop: outermost cascade steps until the budget or
-    a stop token; output truncated at the first stop token."""
+    a stop token; output truncated at the first stop token.  Records into
+    `trace` (a fresh one when None), listing each warning in it once."""
     if not prompt:
         raise ContractViolation("prompt must be non-empty")
-    trace = GenerationTrace(config.target.descriptor)
-    trace.warnings.extend(f"model {m.descriptor!r} reports non-deterministic scoring; greedy "
-                          "equivalence is not guaranteed" for m in [config.target, *config.drafts]
-                          if config.mode is DecodeMode.GREEDY and not m.deterministic)
+    if trace is None:
+        trace = GenerationTrace(config.target.descriptor)
+    warnings = [f"model {m.descriptor!r} reports non-deterministic scoring; greedy "
+                "equivalence is not guaranteed" for m in [config.target, *config.drafts]
+                if config.mode is DecodeMode.GREEDY and not m.deterministic]
+    trace.warnings.extend(w for w in dict.fromkeys(warnings) if w not in trace.warnings)
     cur = list(prompt)
     end = len(cur) + config.max_new_tokens
     while len(cur) < end:
@@ -178,9 +182,11 @@ def _decode(config: CascadeConfig, prompt: Sequence[int], rng: RandomSource):
     return cur, trace
 
 
-def generate(config: CascadeConfig, prompt: Sequence[int]):
-    """Cascade generation with the random stream seeded from `config.seed`."""
-    return _decode(config, prompt, RandomSource(config.seed))
+def generate(config: CascadeConfig, prompt: Sequence[int],
+             trace: Optional[GenerationTrace] = None):
+    """Cascade generation with the random stream seeded from `config.seed`,
+    recorded into `trace` (a fresh one when None); returns (tokens, trace)."""
+    return _decode(config, prompt, RandomSource(config.seed), trace)
 
 
 def sd_generate(target: LanguageModel, draft: LanguageModel, k: int,

@@ -33,6 +33,8 @@ FORMAT_VERSION = 1
 
 DEFAULT_INTERPOLATION = 0.75
 
+DEFAULT_SPAN = 10
+
 # the match corpus of a MagModel, written to saved files as their "policy"
 MATCH_PROMPT_AND_GENERATION = "prompt+generation"
 
@@ -125,15 +127,6 @@ class NGramModel(ContextConditionedModel):
         self._check_start(tokens, start)
         return _Rows(self, tokens, start)
 
-    def perplexity(self, corpus) -> float:
-        seqs = _as_sequences(corpus)
-        logp, n = 0.0, 0
-        for seq in seqs:
-            for tok, dist in zip(seq, self.evaluate(seq, 1)):
-                logp += float(np.log(dist[tok]))
-                n += 1
-        return float(np.exp(-logp / n))
-
 
 class _Rows(abc.Sequence):
     """`NGramModel.evaluate(tokens, start)`: row i is the model's row at
@@ -224,9 +217,6 @@ class BigramTable(NGramModel):
                  cost_weight: float = 1.0, descriptor: str = "bigram"):
         super().__init__(2, vocab, tables, 1.0, cost_weight, descriptor)
 
-    def row(self, token: int) -> np.ndarray:
-        return self._row((token,))
-
     @classmethod
     def from_corpus(cls, corpus, vocab: Vocab, **kwargs) -> "BigramTable":
         """Counted as `train_ngram` counts contexts of length 1; `kwargs` go to the constructor."""
@@ -281,7 +271,7 @@ class MagModel(ContextConditionedModel):
     match against itself and leaves every match a following token to copy.
     """
 
-    def __init__(self, fallback: BigramTable, span: int = 10,
+    def __init__(self, fallback: BigramTable, span: int = DEFAULT_SPAN,
                  cost_weight: float = 0.0, descriptor: str = "mag"):
         if span < 1:
             raise ConstructionError("span must be >= 1")

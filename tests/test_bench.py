@@ -288,6 +288,24 @@ def test_cli_run_rejects_a_model_file_whose_tables_have_the_wrong_shape(tmp_path
     assert err.startswith(f"config error: model {str(path)!r}") and named in err, err
 
 
+@pytest.mark.parametrize("spec,key", [
+    ({"file": "m.json", "cost_weight": 5}, "'file' spec does not read key 'cost_weight'"),
+    ({"file": "m.json", "type": "mag"}, "'file' spec does not read key 'type'"),
+    ({"type": "ngram", "order": 2, "span": 4}, "'ngram' spec does not read key 'span'"),
+    ({"type": "bigram", "order": 2}, "'bigram' spec does not read key 'order'"),
+    ({"type": "mag", "interpolation": 0.5}, "'mag' spec does not read key 'interpolation'"),
+], ids=["file-cost-weight", "file-type", "ngram-span", "bigram-order", "mag-interpolation"])
+def test_build_model_refuses_a_key_its_spec_does_not_read(tmp_path, corpus, spec, key):
+    # each was dropped unread: a file spec's weight of 5 passed its check and
+    # the run kept the file's weight
+    from specdraft.statlm import save_model
+    train_seqs, _, vocab, _ = corpus
+    save_model(BigramTable.from_corpus(train_seqs[:20], vocab), tmp_path / "m.json")
+    spec = {k: str(tmp_path / v) if k == "file" else v for k, v in spec.items()}
+    with pytest.raises(ConfigError, match=f"^model 'm': a {key}$"):
+        build_model("m", spec, train_seqs[:20], vocab)
+
+
 def test_bench_rejects_unknown_mag_policy(tmp_path, corpus, capsys):
     train_seqs, _, vocab, _ = corpus
     spec = {"type": "mag", "policy": "prompt-only"}
@@ -527,6 +545,34 @@ def test_cli_bench_rejects_distinct_models_sharing_a_descriptor(tmp_path, capsys
     assert cli(_write_config(tmp_path, cfg)) == 0
 
 
+def test_cli_bench_refuses_a_null_cost_model_over_two_weights_of_one_descriptor(tmp_path,
+                                                                                capsys):
+    # a null preset is one price map, the runs' models at their cost weights,
+    # so it cannot hold both weights of two models named alike
+    cfg = _tiny_config(models={"a": {"file": _train(tmp_path, "a.json", "--name", "n")},
+                               "b": {"file": _train(tmp_path, "b.json", "--order", "2",
+                                                    "--name", "n")}},
+                       runs=[_FULL_RUNS["autoregressive"] | {"name": n, "target": n}
+                             for n in "ab"])
+    capsys.readouterr()
+    assert cli(_write_config(tmp_path, cfg)) == 2
+    err = capsys.readouterr().err
+    assert "null cost model would price model 'n' at two weights" in err and "[a]" not in err
+    cfg["cost_models"] = {"ms": {"n": 1.0}}
+    assert cli(_write_config(tmp_path, cfg)) == 0
+
+
+def test_cli_run_flag_defaults_are_the_run_specs(tmp_path, capsys):
+    model = _train(tmp_path, "m.json", "--order", "2")
+    flags = ["run", "--target", model, "--draft", model, "--k", "3", "--prompt", "the",
+             "--seed", "1", "--max-new-tokens", "16"]
+    capsys.readouterr()
+    assert cli(flags) == 0
+    default = capsys.readouterr()
+    assert cli(flags + ["--lenience", "1", "--mode", "greedy"]) == 0
+    assert capsys.readouterr() == default
+
+
 def _train(tmp_path, name, *flags, corpus="eval.txt"):
     path = tmp_path / name
     assert cli(["train", "--corpus", str(DATA / corpus), "--out", str(path), *flags]) == 0
@@ -638,6 +684,15 @@ def _prices(**prices):
     # read outside the reading block, these exited 1 with a bare Python error
     (lambda cfg: cfg.update(cost_models={"ms": 3}), "cost model 'ms'"),
     (lambda cfg: cfg.update(cost_models=[1]), "cost_models"),
+    # the falsy ones ran the default preset, and {} left no preset to report
+    (lambda cfg: cfg.update(cost_models=[]), "cost_models []"),
+    (lambda cfg: cfg.update(cost_models=0), "cost_models 0"),
+    (lambda cfg: cfg.update(cost_models=False), "cost_models False"),
+    (lambda cfg: cfg.update(cost_models=""), "cost_models ''"),
+    (lambda cfg: cfg.update(cost_models={}), "cost_models {}"),
+    # a misspelt key trained at the default interpolation
+    (_bad_model({"type": "ngram", "order": 2, "interploation": 0.1}),
+     "model 'bad': a 'ngram' spec does not read key 'interploation'"),
     # a prompt length below 1 silently ran 1-token prompts
     (lambda cfg: cfg.update(prompt_tokens=-5), "prompt_tokens -5"),
     (lambda cfg: cfg.update(prompt_tokens=0), "prompt_tokens 0"),
@@ -676,7 +731,9 @@ def _prices(**prices):
         "corpus-without-train", "corpus-without-eval", "corpus-path-int", "num-prompts-x", "runs-object",
         "run-int", "num-prompts-negative", "k-matrix-fractional", "mag-target-default-price",
         "target-cost-weight-0", "target-price-0", "draft-price-negative", "price-infinite",
-        "price-string", "cost-preset-int", "cost-models-list", "prompt-tokens-negative",
+        "price-string", "cost-preset-int", "cost-models-list", "cost-models-empty-list",
+        "cost-models-0", "cost-models-false", "cost-models-empty-string",
+        "cost-models-empty-object", "spec-key-misspelt", "prompt-tokens-negative",
         "prompt-tokens-0", "max-new-tokens-fractional", "order-fractional", "order-bool",
         "span-bool", "seed-fractional", "seed-negative", "num-prompts-fractional",
         "prompt-tokens-fractional", "max-new-tokens-infinite", "order-infinite",
@@ -721,9 +778,11 @@ def test_cli_bench_writes_the_csv_beside_a_report_without_a_suffix(tmp_path):
 @pytest.mark.parametrize("flags", [["--order", "0"], ["--type", "mag", "--span", "0"],
                                    ["--interpolation", "1.5"], ["--cost-weight", "-1"],
                                    ["--interpolation", "0"], ["--interpolation", "nan"],
-                                   ["--interpolation", "1.0000001"]],
+                                   ["--interpolation", "1.0000001"],
+                                   ["--type", "ngram", "--span", "4"]],
                          ids=["order-0", "span-0", "interpolation", "cost-weight",
-                              "interpolation-0", "interpolation-nan", "interpolation-above-1"])
+                              "interpolation-0", "interpolation-nan", "interpolation-above-1",
+                              "span-of-ngram"])
 def test_cli_train_flags_that_do_not_fit_are_config_errors(tmp_path, capsys, flags):
     out = tmp_path / "m.json"
     assert cli(["train", "--corpus", str(DATA / "eval.txt"), "--out", str(out), *flags]) == 2

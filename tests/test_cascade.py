@@ -307,12 +307,28 @@ def test_cost_units_matches_call_counts(models, eval_prompts):
     assert trace.calls_per_model["n7"] == len(outer)
 
 
+def test_generate_into_one_trace_adds_up_two_fresh_traces(models, eval_prompts):
+    cfg = CascadeConfig(models["n7"], [models["n3"], models["mag"]],
+                        KMatrix([[2, 10], [0, 10]]), DecodeMode.GREEDY,
+                        max_new_tokens=48, seed=1)
+    (out_a, a), (out_b, b) = (generate(cfg, p) for p in eval_prompts[:2])
+    both = GenerationTrace("n7")
+    assert [generate(cfg, p, both) for p in eval_prompts[:2]] == [(out_a, both), (out_b, both)]
+    assert both.tokens_emitted == a.tokens_emitted + b.tokens_emitted
+    assert both.calls_per_model == {m: a.calls_per_model.get(m, 0) + b.calls_per_model.get(m, 0)
+                                    for m in {**a.calls_per_model, **b.calls_per_model}}
+    assert both.steps == a.steps + b.steps
+    assert both.cost_units == a.cost_units + b.cost_units
+
+
 def test_nondeterministic_model_warning():
     m = ConstantModel([0.5, 0.5], descriptor="flaky")
     m.deterministic = False
-    cfg = CascadeConfig(m, [], KMatrix([]), DecodeMode.GREEDY, 2, 0)
+    # one model at two ranks, and a second decode into the same trace
+    cfg = CascadeConfig(m, [m], KMatrix([[2]]), DecodeMode.GREEDY, 2, 0)
     _, trace = generate(cfg, [0])
-    assert any("flaky" in w for w in trace.warnings)
+    generate(cfg, [1], trace)
+    assert len(trace.warnings) == 1 and "flaky" in trace.warnings[0]
 
 
 def test_sd_generate_full_acceptance_call_count():
