@@ -35,10 +35,10 @@ class AcceptanceProfile:
         if len(self.alphas) != len(self.costs):
             raise ContractViolation("alphas and costs length mismatch")
         for a in self.alphas:
-            if not 0.0 <= a < 1.0:
-                raise ContractViolation(f"acceptance rate {a} outside [0, 1)")
+            if not 0.0 <= a <= 1.0:
+                raise ContractViolation(f"acceptance rate {a} outside [0, 1]")
         for c in self.costs:
-            if c < 0.0:
+            if not c >= 0.0:  # NaN included
                 raise ContractViolation(f"cost {c} must be non-negative")
 
     @property
@@ -80,23 +80,28 @@ def gen_fn_coeffs(alpha: float, k: int) -> np.ndarray:
 
 
 def sd_ewif(alpha: float, c: float, k: int) -> float:
-    """Expected walltime improvement of plain speculative decoding."""
-    if not (0.0 <= alpha <= 1.0 and c >= 0 and k >= 1):
-        raise ContractViolation("sd needs alpha in [0, 1], c >= 0 and k >= 1")
-    if alpha >= 1.0:
-        return (k + 1) / (c * k + 1)  # analytic limit at alpha -> 1
-    return (1.0 - alpha ** (k + 1)) / ((1.0 - alpha) * (c * k + 1.0))
+    """Expected walltime improvement of plain speculative decoding: the
+    horizontal cascade of k equal stages."""
+    return horizontal_ewif(AcceptanceProfile.uniform(alpha, c, integer(k, "k", 1)))
 
 
 def t_alpha_expectation(coeffs: Sequence[float], alpha: float) -> float:
-    """(1 - alpha*f(alpha)) / (1 - alpha) for a probability polynomial f:
-    the expected accepted-token count of a follow-up review at rate alpha."""
+    """sum_j f_j (1 + alpha + ... + alpha^j), the expected accepted-token
+    count of a follow-up review at rate alpha; for a probability polynomial
+    f it equals (1 - alpha*f(alpha)) / (1 - alpha) and holds at alpha = 1."""
     c = np.asarray(coeffs, dtype=np.float64)
-    if alpha >= 1.0:
-        # limit: f(1) + f'(1) = 1 + mean of f
-        return 1.0 + float(np.arange(len(c)) @ c)
-    f = float(np.polynomial.polynomial.polyval(alpha, c))
-    return (1.0 - alpha * f) / (1.0 - alpha)
+    return float(c @ np.cumsum(alpha ** np.arange(len(c))))
+
+
+def _vertical_checked(alpha: float, alpha_prime: float, k: int, n: int,
+                      c1: float, c2: float) -> Tuple[int, int, float]:
+    """(k, n, cost of one outer review) of the two-level cascade, once its
+    arguments are checked."""
+    k, n = integer(k, "k", 1), integer(n, "n", 1)
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= alpha_prime <= 1.0 and c1 >= 0 and c2 >= 0):
+        raise ContractViolation("vertical needs alpha and alpha_prime in [0, 1] "
+                                "and c1, c2 >= 0")
+    return k, n, 1.0 + n * c1 + n * k * c2
 
 
 def vertical_ewif(alpha: float, alpha_prime: float, k: int, n: int,
@@ -104,14 +109,9 @@ def vertical_ewif(alpha: float, alpha_prime: float, k: int, n: int,
     """Improvement factor of the two-level recursive cascade: the inner pair
     runs n review steps at rate alpha_prime with budget k, and the top model
     reviews the pooled draft at rate alpha."""
-    if not (0.0 <= alpha <= 1.0 and k >= 1 and n >= 1 and c1 >= 0 and c2 >= 0):
-        raise ContractViolation("vertical needs alpha in [0, 1], k, n >= 1 and c1, c2 >= 0")
-    cost = 1.0 + n * c1 + n * k * c2
-    phi_n = gen_fn(alpha_prime, k, alpha) ** n
-    if alpha >= 1.0:
-        # limit of (1 - a*phi^n(a))/(1 - a): 1 + n * phi'(1)
-        return (1.0 + n * (1.0 - alpha_prime ** (k + 1)) / (1.0 - alpha_prime)) / cost
-    return (1.0 - alpha * phi_n) / ((1.0 - alpha) * cost)
+    k, n, cost = _vertical_checked(alpha, alpha_prime, k, n, c1, c2)
+    phi_n = np.polynomial.polynomial.polypow(gen_fn_coeffs(alpha_prime, k), n)
+    return t_alpha_expectation(phi_n, alpha) / cost
 
 
 def horizontal_ewif(profile: AcceptanceProfile) -> float:
@@ -157,24 +157,16 @@ def _estimate(tokens: np.ndarray, cost: float) -> EwifEstimate:
 
 def simulate_sd_ewif(alpha: float, c: float, k: int, trials: int,
                      rng: RandomSource) -> EwifEstimate:
-    if not (0.0 <= alpha <= 1.0 and c >= 0 and k >= 1 and trials >= 1):
-        raise ContractViolation("sd needs alpha in [0, 1], c >= 0, k >= 1 and trials >= 1")
-    acc = rng.uniforms((trials, k)) < alpha
-    tokens = _leading_run(acc) + 1.0
-    return _estimate(tokens, c * k + 1.0)
+    return simulate_horizontal_ewif(AcceptanceProfile.uniform(alpha, c, integer(k, "k", 1)),
+                                    trials, rng)
 
 
 def simulate_horizontal_ewif(profile: AcceptanceProfile, trials: int,
                              rng: RandomSource) -> EwifEstimate:
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
-    alphas = np.asarray(profile.alphas)
-    if profile.k == 0:
-        tokens = np.ones(trials)
-    else:
-        acc = rng.uniforms((trials, profile.k)) < alphas[None, :]
-        tokens = _leading_run(acc) + 1.0
-    return _estimate(tokens, 1.0 + sum(profile.costs))
+    acc = rng.uniforms((trials, profile.k)) < np.asarray(profile.alphas)[None, :]
+    return _estimate(_leading_run(acc) + 1.0, 1.0 + sum(profile.costs))
 
 
 def simulate_vertical_ewif(alpha: float, alpha_prime: float, k: int, n: int,
@@ -183,8 +175,9 @@ def simulate_vertical_ewif(alpha: float, alpha_prime: float, k: int, n: int,
     """Literal reading of the two-level cascade cost model: every outer
     review prices one target run plus n inner-reviewer runs plus n*k base
     runs, regardless of early rejections inside the inner steps."""
-    if not (0.0 <= alpha <= 1.0 and k >= 1 and n >= 1 and c1 >= 0 and c2 >= 0 and trials >= 1):
-        raise ContractViolation("vertical needs alpha in [0, 1], k, n, trials >= 1, c1, c2 >= 0")
+    k, n, cost = _vertical_checked(alpha, alpha_prime, k, n, c1, c2)
+    if trials < 1:
+        raise ContractViolation("trials must be >= 1")
     inner = rng.uniforms((trials, n, k)) < alpha_prime
     drafted = _leading_run(inner).sum(axis=-1) + n  # tokens pooled for review
     if alpha <= 0.0:
@@ -195,7 +188,7 @@ def simulate_vertical_ewif(alpha: float, alpha_prime: float, k: int, n: int,
         # leading-success count of an unbounded Bernoulli(alpha) sequence
         run = np.floor(np.log(rng.uniforms(trials)) / np.log(alpha))
     tokens = np.minimum(run, drafted) + 1.0
-    return _estimate(tokens, 1.0 + n * c1 + n * k * c2)
+    return _estimate(tokens, cost)
 
 
 def ewif_comparison_table(rows: Sequence[dict], trials: int,

@@ -35,7 +35,6 @@ from .kernel import DecodeMode
 from .statlm import (
     DEFAULT_INTERPOLATION,
     DEFAULT_SPAN,
-    MATCH_PROMPT_AND_GENERATION,
     BigramTable,
     MagModel,
     load_model,
@@ -159,9 +158,6 @@ def build_model(name: str, spec: dict, train_seqs, vocab: Optional[Vocab]) -> La
             elif kind == "bigram":
                 model = BigramTable.from_corpus(train_seqs, vocab, descriptor=name, **weight)
             elif kind == "mag":
-                policy = spec.pop("policy", MATCH_PROMPT_AND_GENERATION)
-                if policy != MATCH_PROMPT_AND_GENERATION:
-                    raise ConfigError(f"unknown match policy {policy!r}")
                 model = MagModel(BigramTable.from_corpus(train_seqs, vocab),
                                  integer(spec.pop("span", DEFAULT_SPAN), "span"),
                                  descriptor=name, **weight)
@@ -251,22 +247,24 @@ def _run_config(run: dict, models: Dict[str, LanguageModel], index: int = 0) -> 
     stops at its target vocabulary's EOS token.  A run's calls
     are counted and priced per descriptor, so two distinct models of one
     run may not share a descriptor (one model twice may).  A spec that does
-    not fit is a ConfigError naming the run."""
+    not fit, or has a key its method does not read, is a ConfigError naming
+    the run."""
     label = run.get("name", index) if isinstance(run, dict) else index
     with reading(f"run {label!r}"):
         if not isinstance(run, dict):
             raise TypeError(f"not a JSON object: {run!r}")
-        run["name"]  # required: the report lists runs by name
-        method = run["method"]
+        run = dict(run)  # each key is popped as it is read; one left over is refused
+        run.pop("name")  # required: the report lists runs by name
+        method = run.pop("method")
         if method == "sd":
-            drafts, k_rows = [run["draft"]], [[run["k"]]]
+            drafts, k_rows = [run.pop("draft")], [[run.pop("k")]]
         elif method == "csd":
-            drafts, k_rows = run["drafts"], run["k_matrix"]
+            drafts, k_rows = run.pop("drafts"), run.pop("k_matrix")
         elif method == "autoregressive":
             drafts, k_rows = [], []
         else:
             raise ConfigError(f"unknown run method {method!r}")
-        names = [run["target"], *drafts]
+        names = [run.pop("target"), *drafts]
         for name in names:
             if name not in models:
                 raise ConfigError(f"unknown model {name!r}")
@@ -278,12 +276,14 @@ def _run_config(run: dict, models: Dict[str, LanguageModel], index: int = 0) -> 
             target=picked[0],
             drafts=picked[1:],
             k_matrix=KMatrix(k_rows),
-            mode=DecodeMode(run.get("mode", "greedy")),
-            max_new_tokens=integer(run["max_new_tokens"], "max_new_tokens", 1),
-            seed=integer(run["seed"], "seed"),
-            lenience=real(run.get("lenience", 1.0), "lenience"),
+            mode=DecodeMode(run.pop("mode", "greedy")),
+            max_new_tokens=integer(run.pop("max_new_tokens"), "max_new_tokens", 1),
+            seed=integer(run.pop("seed"), "seed"),
+            lenience=real(run.pop("lenience", 1.0), "lenience"),
             stop_tokens=frozenset({picked[0].vocab.eos_id}),
         )
+        if run:
+            raise ConfigError(f"method {method!r} does not read key {next(iter(run))!r}")
     return config
 
 
@@ -430,8 +430,13 @@ def _cmd_run(args) -> int:
     tok = ByteTokenizer()
     paths = dict.fromkeys(p for p in [args.target, args.draft, *(args.drafts or [])] if p)
     models = {p: build_model(p, {"file": p}, None, tok.vocab) for p in paths}
-    run = dict({k: v for k, v in vars(args).items() if v is not None}, name="run",
+    run = {k: getattr(args, k) for k in ("target", "draft", "drafts", "k", "k_matrix",
+                                          "lenience", "mode", "max_new_tokens", "seed")
+           if getattr(args, k) is not None}
+    run.update(name="run",
                method="csd" if args.drafts else "sd" if args.draft else "autoregressive")
+    if run["method"] == "sd":
+        run.setdefault("k", 8)  # --draft alone drafts 8
     cfg = _run_config(run, models)
     out, trace = generate(cfg, [tok.vocab.bos_id] + tok.encode(args.prompt))
     print(tok.decode(out))
@@ -516,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--target", required=True)
     r.add_argument("--draft", default=None)
     r.add_argument("--drafts", nargs="*", default=None)
-    r.add_argument("--k", type=int, default=8)
+    r.add_argument("--k", type=int, help="draft budget of --draft (default 8)")
     r.add_argument("--k-matrix", type=json.loads, default=None, help="JSON square matrix")
     r.add_argument("--lenience", type=float)
     r.add_argument("--prompt", required=True)

@@ -266,17 +266,23 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(200, reply)
 
 
-class _Server(ThreadingHTTPServer):
-    """The stub's HTTP server.  The served model and the connections are
+class ScoringServer(ThreadingHTTPServer):
+    """Threaded HTTP/1.1 server wrapping an in-process model, serving from
+    its own thread once built.  The served model and the connections are
     attributes, not closure cells of per-server classes, so no reference
-    cycle keeps a closed server's model alive until the next collection."""
+    cycle keeps a closed server's model alive until the next collection.
+    It records every connection it accepts, so `close()` can end each one."""
 
-    def __init__(self, address, model: LanguageModel):
+    def __init__(self, model: LanguageModel, host: str = "127.0.0.1", port: int = 0):
         self.model = model
         #: (handler thread, request socket) per connection, the finished
         #: ones dropped as new ones start
         self.connections: list = []
-        super().__init__(address, _Handler)
+        super().__init__((host, port), _Handler)
+        self.url = f"http://{host}:{self.server_address[1]}"
+        # shutdown() waits for the loop's next poll
+        self._thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
+        self._thread.start()
 
     def process_request(self, request, client_address):
         # runs on the serving thread, so once shutdown() returns every
@@ -287,39 +293,24 @@ class _Server(ThreadingHTTPServer):
         self.connections.append((thread, request))
         thread.start()
 
-
-class ScoringServer:
-    """Threaded HTTP/1.1 server wrapping an in-process model.  It records
-    every connection it accepts, so `close()` can end each one."""
-
-    def __init__(self, model: LanguageModel, host: str = "127.0.0.1", port: int = 0):
-        self._httpd = _Server((host, port), model)
-        # shutdown() waits for the loop's next poll
-        self._thread = threading.Thread(target=self._httpd.serve_forever, args=(0.05,),
-                                        daemon=True)
-        self._thread.start()
-        self.url = f"http://{host}:{self._httpd.server_address[1]}"
-
     def close(self):
         """Stops accepting, which takes at most one 0.05 s poll of the serving
         loop, hangs up every kept-alive connection and waits for every
         handler thread."""
-        self._httpd.shutdown()
-        for _, conn in self._httpd.connections:
+        self.shutdown()
+        for _, conn in self.connections:
             # a handler still setting up reads EOF at once
             try:
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:  # already closed
                 pass
-        for thread, _ in self._httpd.connections:
+        for thread, _ in self.connections:
             thread.join()
-        self._httpd.server_close()
+        self.server_close()
         self._thread.join()
 
-    def __enter__(self):
-        return self
-
     def __exit__(self, *exc):
+        # BaseServer's would only close the listening socket
         self.close()
 
 

@@ -119,7 +119,8 @@ def test_simulated_vertical_at_alpha_one_passes_every_pooled_token():
 
 
 @pytest.mark.parametrize("alpha,c,k", [(1.5, 0.05, 4), (-0.1, 0.05, 4), (0.8, -0.25, 4),
-                                       (0.8, 0.05, 0)])
+                                       (0.8, 0.05, 0), (0.8, float("nan"), 4),
+                                       (float("nan"), 0.05, 4)])
 def test_sd_closed_form_and_simulation_reject_what_they_cannot_price(alpha, c, k):
     with pytest.raises(ContractViolation):
         sd_ewif(alpha, c, k)
@@ -135,6 +136,44 @@ def test_vertical_closed_form_and_simulation_reject_what_they_cannot_price(alpha
         simulate_vertical_ewif(alpha, 0.7, 4, 3, c1, 0.001, 10, RandomSource(0))
 
 
+@pytest.mark.parametrize("k,n,named", [(True, 3, "k True"), (4, 2.5, "n 2.5"), (0, 3, "k 0")])
+def test_vertical_forms_refuse_a_k_or_n_that_is_not_a_whole_number_above_0(k, n, named):
+    # the closed form took True as 1, and the simulation failed inside
+    # numpy with a message that named no key
+    for form in (lambda: vertical_ewif(0.8, 0.7, k, n, 0.05, 0.001),
+                 lambda: simulate_vertical_ewif(0.8, 0.7, k, n, 0.05, 0.001, 10,
+                                                RandomSource(0))):
+        with pytest.raises(ContractViolation, match=named):
+            form()
+
+
+def test_vertical_forms_take_a_whole_float_k_and_n():
+    # JSON may spell a count 2.0; the simulation's draw needed an int
+    args = (0.8, 0.7, 4, 2, 0.05, 0.001)
+    assert vertical_ewif(0.8, 0.7, 4.0, 2.0, 0.05, 0.001) == vertical_ewif(*args)
+    assert (simulate_vertical_ewif(0.8, 0.7, 4.0, 2.0, 0.05, 0.001, 100, RandomSource(0))
+            == simulate_vertical_ewif(*args, 100, RandomSource(0)))
+
+
+@pytest.mark.parametrize("alpha_prime", [1.5, -0.5])
+def test_vertical_forms_refuse_an_inner_rate_outside_0_1(alpha_prime):
+    # the simulation drew with any alpha_prime, and a rate above 1 accepted every draft
+    with pytest.raises(ContractViolation, match="alpha_prime in"):
+        vertical_ewif(0.8, alpha_prime, 4, 3, 0.05, 0.001)
+    with pytest.raises(ContractViolation, match="alpha_prime in"):
+        simulate_vertical_ewif(0.8, alpha_prime, 4, 3, 0.05, 0.001, 10, RandomSource(0))
+
+
+def test_vertical_at_alpha_and_alpha_prime_one_pools_every_draft():
+    # every inner step emits k + 1 tokens and the top model accepts them all
+    k, n, c1, c2 = 4, 3, 0.05, 0.001
+    cost = 1 + n * c1 + n * k * c2
+    closed = vertical_ewif(1.0, 1.0, k, n, c1, c2)
+    assert abs(closed - (1 + n * (k + 1)) / cost) < 1e-12
+    est = simulate_vertical_ewif(1.0, 1.0, k, n, c1, c2, 10_000, RandomSource(7))
+    assert abs(est.mean - closed) <= 3 * est.ci95 + 1e-12
+
+
 def test_phi_contraction_property():
     # phi_{a',k}(a) < a on a dense grid, including near-1 corners
     grid = list(np.linspace(0.05, 0.95, 19)) + [0.999]
@@ -148,6 +187,9 @@ def test_horizontal_ewif_values():
     assert horizontal_ewif(AcceptanceProfile((), ())) == 1.0
     prof = AcceptanceProfile((0.9, 0.5), (0.05, 0.01))
     assert abs(horizontal_ewif(prof) - (1 + 0.9 + 0.45) / 1.06) < 1e-12
+    # a measured rate of 1 passes every token of its stage
+    assert abs(horizontal_ewif(AcceptanceProfile((1.0, 0.5), (0.05, 0.01)))
+               - (1 + 1 + 0.5) / 1.06) < 1e-12
     # uniform profile degenerates to plain SD
     uni = AcceptanceProfile.uniform(0.7, 0.03, 5)
     assert abs(horizontal_ewif(uni) - sd_ewif(0.7, 0.03, 5)) < 1e-12
@@ -172,7 +214,7 @@ def test_profile_validation():
     with pytest.raises(ContractViolation):
         AcceptanceProfile((0.5,), (0.1, 0.1))
     with pytest.raises(ContractViolation):
-        AcceptanceProfile((1.0,), (0.1,))
+        AcceptanceProfile((1.5,), (0.1,))
     with pytest.raises(ContractViolation):
         AcceptanceProfile((0.5,), (-0.1,))
 
@@ -198,6 +240,11 @@ def test_t_alpha_linearity():
     lhs = t_alpha_expectation(0.3 * f + 0.7 * g, alpha)
     rhs = 0.3 * t_alpha_expectation(f, alpha) + 0.7 * t_alpha_expectation(g, alpha)
     assert abs(lhs - rhs) < 1e-12
+
+
+def test_t_alpha_at_one_is_one_plus_the_mean():
+    f = np.array([0.1, 0.2, 0.3, 0.4])
+    assert abs(t_alpha_expectation(f, 1.0) - (1 + f @ np.arange(4))) < 1e-12
 
 
 def test_t_alpha_ties_to_vertical_numerator():

@@ -12,6 +12,7 @@ from specdraft.analytics import ConstantModel
 from specdraft.bench import (
     CSV_COLUMNS,
     CURVE_COLUMNS,
+    BenchError,
     ByteTokenizer,
     WordTokenizer,
     build_model,
@@ -23,6 +24,7 @@ from specdraft.bench import (
     write_curve_csv,
     write_report,
 )
+from specdraft.cascade import autoregressive_generate
 from specdraft.core import ConfigError, RandomSource
 from specdraft.kernel import DecodeMode
 from specdraft.statlm import BigramTable, MagModel
@@ -180,6 +182,31 @@ def test_run_bench_unknown_method():
         run_bench(cfg)
 
 
+def _spoil_reference(monkeypatch, prompt_index):
+    """The greedy gate's reference decode, one token longer on one prompt."""
+    seen = []
+
+    def spoiled(*args):
+        out, trace = autoregressive_generate(*args)
+        seen.append(out)
+        return (out + [out[-1]] if len(seen) == prompt_index + 1 else out), trace
+    monkeypatch.setattr("specdraft.bench.autoregressive_generate", spoiled)
+
+
+def test_greedy_gate_refuses_a_run_that_differs_from_the_target(tmp_path, monkeypatch,
+                                                                capsys):
+    cfg = _tiny_config(runs=[_tiny_config()["runs"][1]])  # the sd run alone
+    _spoil_reference(monkeypatch, 1)
+    with pytest.raises(BenchError, match="^run 'sd' broke greedy equivalence on 1 prompts; "
+                                         "first mismatch prompt 1: "):
+        run_bench(cfg)
+    _spoil_reference(monkeypatch, 1)
+    assert cli(_write_config(tmp_path, cfg)) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error: run 'sd' broke greedy equivalence")
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.csv").exists()
+
+
 def test_write_report_csv_schema(tmp_path):
     report = run_bench(_tiny_config())
     jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
@@ -221,6 +248,12 @@ def test_build_model_from_file(tmp_path, corpus, models):
     save_model(models["n2"], path)
     loaded = build_model("n2", {"file": str(path)}, train_seqs, vocab)
     assert loaded.descriptor == "n2"
+
+
+def test_build_model_refuses_an_unknown_type(corpus):
+    train_seqs, _, vocab, _ = corpus
+    with pytest.raises(ConfigError, match="^model 'x': unknown model type 'transformer'$"):
+        build_model("x", {"type": "transformer"}, train_seqs, vocab)
 
 
 def test_build_model_vocab_mismatch(tmp_path, corpus):
@@ -307,15 +340,18 @@ def test_build_model_refuses_a_key_its_spec_does_not_read(tmp_path, corpus, spec
 
 
 def test_bench_rejects_unknown_mag_policy(tmp_path, corpus, capsys):
+    # a mag spec has no policy key: its one match policy is not a choice
     train_seqs, _, vocab, _ = corpus
-    spec = {"type": "mag", "policy": "prompt-only"}
-    with pytest.raises(ConfigError, match="prompt-only"):
-        build_model("mag", spec, train_seqs, vocab)
+    unread = "model 'mag': a 'mag' spec does not read key 'policy'"
+    for policy in ("prompt-only", "prompt+generation"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(unread)}$"):
+            build_model("mag", {"type": "mag", "policy": policy}, train_seqs, vocab)
     # a config error, so the CLI exits 2
     cfg_path = tmp_path / "bench.json"
+    spec = {"type": "mag", "policy": "prompt-only"}
     cfg_path.write_text(json.dumps(_tiny_config(models={"mag": spec}, runs=[])))
     assert cli(["bench", "--config", str(cfg_path)]) == 2
-    assert "prompt-only" in capsys.readouterr().err
+    assert unread in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +556,26 @@ def test_cli_bench_rejects_config_that_is_not_json(tmp_path, capsys):
     assert err.startswith("config error:") and str(cfg_path) in err
 
 
+def test_cli_bench_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text("[1, 2]")
+    assert cli(["bench", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (f"config error: bench config {cfg_path}: "
+                                       "not a JSON object: [1, 2]\n")
+
+
+def test_cli_bench_without_cost_models_prices_each_model_at_its_weight(tmp_path):
+    null = _tiny_config(runs=_tiny_config()["runs"][:2])
+    assert null["cost_models"] == {"ms": None}
+    absent = {k: v for k, v in null.items() if k != "cost_models"}
+    reports = []
+    for name, cfg in (("null", null), ("absent", absent)):
+        (tmp_path / name).mkdir()
+        assert cli(_write_config(tmp_path / name, cfg)) == 0
+        reports.append([(tmp_path / name / f).read_bytes() for f in ("r.json", "r.csv")])
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("key", ["corpus", "models", "runs"])
 def test_cli_bench_rejects_config_without_required_key(tmp_path, capsys, key):
     cfg = _tiny_config()
@@ -564,13 +620,26 @@ def test_cli_bench_refuses_a_null_cost_model_over_two_weights_of_one_descriptor(
 
 def test_cli_run_flag_defaults_are_the_run_specs(tmp_path, capsys):
     model = _train(tmp_path, "m.json", "--order", "2")
-    flags = ["run", "--target", model, "--draft", model, "--k", "3", "--prompt", "the",
+    flags = ["run", "--target", model, "--draft", model, "--prompt", "the",
              "--seed", "1", "--max-new-tokens", "16"]
     capsys.readouterr()
     assert cli(flags) == 0
     default = capsys.readouterr()
-    assert cli(flags + ["--lenience", "1", "--mode", "greedy"]) == 0
+    assert cli(flags + ["--k", "8", "--lenience", "1", "--mode", "greedy"]) == 0
     assert capsys.readouterr() == default
+
+
+@pytest.mark.parametrize("flags,key", [(["--k-matrix", "[[2]]"], "k_matrix"),
+                                       (["--k", "3"], "k")])
+def test_cli_run_refuses_a_flag_its_method_does_not_read(tmp_path, capsys, flags, key):
+    # without --drafts or --draft the run decodes autoregressively, and
+    # dropped these flags without a word
+    model = _train(tmp_path, "m.json", "--order", "2")
+    capsys.readouterr()
+    assert cli(["run", "--target", model, "--prompt", "x", "--seed", "1", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: run 'run'")
+    assert f"method 'autoregressive' does not read key {key!r}" in err
 
 
 def _train(tmp_path, name, *flags, corpus="eval.txt"):
@@ -673,7 +742,8 @@ def _prices(**prices):
     (_bad_run(k_matrix=[[2.7]]), "run 'bad'"),
     # a target priced 0 gave a division by zero once every run had decoded,
     # and a negative price a meaningless swi
-    (_all(_bad_model({"type": "mag"}), _bad_run(method="autoregressive", target="bad")),
+    (_all(_bad_model({"type": "mag"}), lambda cfg: cfg["runs"].__setitem__(
+        1, _FULL_RUNS["autoregressive"] | {"target": "bad"})),
      "cost model 'ms' prices model 'bad'"),
     (lambda cfg: cfg["models"]["n2"].update(cost_weight=0), "cost model 'ms' prices model 'n2'"),
     (_prices(n2=0), "cost model 'ms' prices model 'n2'"),
@@ -693,6 +763,8 @@ def _prices(**prices):
     # a misspelt key trained at the default interpolation
     (_bad_model({"type": "ngram", "order": 2, "interploation": 0.1}),
      "model 'bad': a 'ngram' spec does not read key 'interploation'"),
+    # and a misspelt run key decoded at lenience 1
+    (_bad_run(lenince=3), "run 'bad': method 'csd' does not read key 'lenince'"),
     # a prompt length below 1 silently ran 1-token prompts
     (lambda cfg: cfg.update(prompt_tokens=-5), "prompt_tokens -5"),
     (lambda cfg: cfg.update(prompt_tokens=0), "prompt_tokens 0"),
@@ -733,7 +805,8 @@ def _prices(**prices):
         "target-cost-weight-0", "target-price-0", "draft-price-negative", "price-infinite",
         "price-string", "cost-preset-int", "cost-models-list", "cost-models-empty-list",
         "cost-models-0", "cost-models-false", "cost-models-empty-string",
-        "cost-models-empty-object", "spec-key-misspelt", "prompt-tokens-negative",
+        "cost-models-empty-object", "spec-key-misspelt", "run-key-misspelt",
+        "prompt-tokens-negative",
         "prompt-tokens-0", "max-new-tokens-fractional", "order-fractional", "order-bool",
         "span-bool", "seed-fractional", "seed-negative", "num-prompts-fractional",
         "prompt-tokens-fractional", "max-new-tokens-infinite", "order-infinite",
@@ -831,6 +904,23 @@ def test_cli_analyze_grid_that_does_not_fit_is_a_config_error(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith(f"config error: grid {grid}") and named in err
     assert not (tmp_path / "g.csv").exists()
+
+
+def test_cli_analyze_takes_rates_of_one(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"trials": 10_000, "grid": [
+        {"name": "v", "method": "vertical", "alpha": 1, "alpha_prime": 1,
+         "k": 4, "n": 3, "c1": 0.05, "c2": 0.001},
+        {"name": "h", "method": "horizontal", "alphas": [1.0, 0.5], "cs": [0.05, 0.01],
+         "ks": [2, 1]}]}))
+    out = tmp_path / "grid.csv"
+    assert cli(["analyze", "--config", str(grid), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert float(rows[0]["ewif_closed"]) == pytest.approx((1 + 3 * 5) / 1.162, abs=1e-12)
+    assert float(rows[1]["ewif_closed"]) == pytest.approx((1 + 1 + 1 + 0.5) / 1.11, abs=1e-12)
+    for row in rows:  # the vertical row's draws all agree, so its CI is 0
+        gap = abs(float(row["ewif_closed"]) - float(row["ewif_simulated"]))
+        assert gap <= 3 * float(row["ci95"]) + 1e-12, row
 
 
 @pytest.mark.parametrize("config", ["analyze_grid.json", "table1_template.json"])

@@ -401,6 +401,41 @@ def test_non_object_json_reply_is_a_protocol_error(info, reply):
             RemoteModel(RemoteModelSpec(url, vocab_size=3)).evaluate([0], 1)
 
 
+@pytest.mark.parametrize("row", [["a", "b", "c"], {"p": 1}], ids=["strings", "object"])
+def test_json_row_numpy_cannot_read_is_malformed(row):
+    with _stub(_canned(_INFO, {"dists": [_ROW, row]})) as url:
+        remote = RemoteModel(RemoteModelSpec(url, vocab_size=3))
+        with pytest.raises(ProtocolError, match="^malformed distribution at row 1$"):
+            remote.evaluate([0], 1)
+
+
+class _HtmlScoreHandler(_NanWireHandler):
+    """Answers a score request with a page that is not JSON."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self._send("<html>bad gateway</html>")
+
+
+def test_reply_that_is_not_json_is_a_protocol_error():
+    with _stub(_HtmlScoreHandler) as url:
+        remote = RemoteModel(RemoteModelSpec(url, vocab_size=3))
+        with pytest.raises(ProtocolError, match="/v1/score: non-JSON response$"):
+            remote.evaluate([0], 1)
+
+
+class _FailingModel(ConstantModel):
+    def evaluate(self, tokens, start):
+        raise RuntimeError("scorer crashed")
+
+
+def test_stub_answers_500_when_its_model_fails():
+    with serve_model(_FailingModel(np.ones(4))) as server:
+        remote = RemoteModel(RemoteModelSpec(server.url, vocab_size=4))
+        with pytest.raises(ProtocolError, match="HTTP 500: scorer crashed$"):
+            remote.evaluate([0], 1)
+
+
 _NOT_A_REQUEST = "a score request is a JSON object with tokens and start"
 _NOT_TOKENS = "tokens must be a list of token ids in [0, 4)"
 
