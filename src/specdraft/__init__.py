@@ -4,7 +4,6 @@ with the matching expected-walltime analysis toolkit."""
 from .core import (
     ConfigError,
     ConstructionError,
-    ContextConditionedModel,
     ContractViolation,
     DegenerateDistribution,
     LanguageModel,

@@ -12,8 +12,8 @@ import numpy as np
 
 from .core import (
     ConstructionError,
-    ContextConditionedModel,
     ContractViolation,
+    LanguageModel,
     RandomSource,
     Vocab,
     integer,
@@ -239,7 +239,7 @@ def ewif_comparison_table(rows: Sequence[dict], trials: int,
 # synthetic live models
 # ---------------------------------------------------------------------------
 
-class ConstantModel(ContextConditionedModel):
+class ConstantModel(LanguageModel):
     """Context-free model: the same distribution at every position."""
 
     def __init__(self, dist, vocab: Optional[Vocab] = None,

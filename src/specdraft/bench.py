@@ -406,7 +406,7 @@ def write_report(report: dict, json_path: str, csv_path: str) -> None:
                 run["name"], run["method"], run["tokens_emitted"],
                 calls.get(run["target"], 0), sum(calls.values()),
                 repr(run["cost_units"]),
-                repr(run["swi"].get("ms", run["swi"][sorted(run["swi"])[0]])),
+                repr(run["swi"]["ms"]) if "ms" in run["swi"] else "",
                 run["greedy_equivalent"],
             ])
 
@@ -485,6 +485,7 @@ def _cmd_accept_curve(args) -> int:
     """Measure over the corpus tokenized in the target's vocabulary."""
     integer(args.num_prompts, "--num-prompts", 1)
     integer(args.prompt_tokens, "--prompt-tokens", 1)
+    integer(args.seed, "--seed")
     target = build_model(args.target, {"file": args.target}, None,
                          Vocab.byte_level() if args.tokenizer == "byte" else None)
     tok = WordTokenizer(target.vocab) if args.tokenizer == "word" else ByteTokenizer()

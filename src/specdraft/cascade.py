@@ -92,6 +92,8 @@ class CascadeConfig:
     stop_tokens: frozenset = frozenset()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, DecodeMode):
+            raise ConfigError(f"mode {self.mode!r} is not a DecodeMode")
         if not self.lenience >= 1.0:
             raise ConfigError(f"lenience must be >= 1, got {self.lenience}")
         if len(self.k_matrix.rows) != len(self.drafts):

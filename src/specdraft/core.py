@@ -1,15 +1,16 @@
 """Vocabulary, probability distributions, seeded randomness, and the model interface.
 
 Distributions are dense 1-D float64 numpy arrays over a fixed vocabulary.
-All models implement :class:`LanguageModel`; simple per-position conditional
-models subclass :class:`ContextConditionedModel` instead.
+Every model is a :class:`LanguageModel`, defined by its `distribution`; its
+`evaluate` reads that at many positions, lazily, through one row sequence.
 """
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import abc
 from contextlib import contextmanager
 from numbers import Real
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -211,7 +212,7 @@ class LanguageModel(ABC):
     """Parallel next-token scorer over a fixed vocabulary.
 
     Implementations are immutable after construction and safe to share
-    across concurrent readers.  `evaluate` must be pure.
+    across concurrent readers.  `distribution` and `evaluate` must be pure.
     """
 
     def __init__(self, vocab: Vocab, cost_weight: float, descriptor: str):
@@ -225,8 +226,17 @@ class LanguageModel(ABC):
     deterministic: bool = True
     #: the tokens one `propose` call drafts
     span: int = 1
+    #: how many of a context's last tokens a row depends on; None, all of them
+    window: Optional[int] = None
 
     @abstractmethod
+    def distribution(self, context: Sequence[int]) -> np.ndarray:
+        """Normalized next-token distribution given the preceding tokens."""
+
+    def _row(self, ctx: Tuple[int, ...]) -> np.ndarray:
+        """The row after `ctx`, a context's last `window` tokens, as `evaluate` reads it."""
+        return self.distribution(ctx)
+
     def evaluate(self, tokens: Sequence[int], start: int) -> Sequence[np.ndarray]:
         """A read-only sequence of one normalized distribution per position p
         in [start, len(tokens)+1], supporting len, indexing, slicing and
@@ -234,10 +244,12 @@ class LanguageModel(ABC):
 
         The distribution at position p conditions on tokens[:p-1] (positions
         are 1-based); the final entry scores the next token after the full
-        sequence.  A model may return a list, or build each row only when it
-        is first read, so that a review that stops early builds no later row;
-        either way a later change to `tokens` changes no row.
+        sequence.  Each row is built only when it is first read, so a review
+        that stops early builds no later row, and a later change to `tokens`
+        changes no row.
         """
+        self._check_start(tokens, start)
+        return _Rows(self, tokens, start)
 
     def _check_start(self, tokens: Sequence[int], start: int) -> None:
         if not 1 <= start <= len(tokens) + 1:
@@ -273,14 +285,37 @@ class LanguageModel(ABC):
         return out, dists
 
 
-class ContextConditionedModel(LanguageModel):
-    """Base for models defined by a per-position conditional distribution."""
+class _Rows(abc.Sequence):
+    """`model.evaluate(tokens, start)`: row i is `model._row` at position
+    `start + i`, read when it is read, from a copy of only the tokens the rows
+    condition on, so a later change to `tokens` changes no row."""
 
-    @abstractmethod
-    def distribution(self, context: Sequence[int]) -> np.ndarray:
-        """Normalized next-token distribution given the preceding tokens."""
+    __slots__ = ("_model", "_window", "_tokens", "_end", "_len")
 
-    def evaluate(self, tokens: Sequence[int], start: int) -> list:
-        self._check_start(tokens, start)
-        tokens = list(tokens)
-        return [self.distribution(tokens[: p - 1]) for p in range(start, len(tokens) + 2)]
+    def __init__(self, model: LanguageModel, tokens: Sequence[int], start: int):
+        window = len(tokens) if model.window is None else model.window
+        first = max(0, start - 1 - window)
+        self._model = model
+        self._window = window
+        self._tokens = tuple(tokens[first:])
+        self._end = start - 1 - first  # where row 0's context ends in _tokens
+        self._len = len(tokens) - start + 2
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._row_to(self._end + j) for j in range(*i.indices(self._len))]
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"row index out of range for {self._len} rows")
+        return self._row_to(self._end + i)
+
+    def __iter__(self):
+        return map(self._row_to, range(self._end, self._end + self._len))
+
+    def _row_to(self, end: int) -> np.ndarray:
+        """The row after `_tokens[:end]`, keyed by its last `window` tokens."""
+        return self._model._row(self._tokens[max(0, end - self._window):end])

@@ -170,6 +170,9 @@ class RemoteModel(LanguageModel):
             )
         return info
 
+    def distribution(self, context: Sequence[int]) -> np.ndarray:
+        return self.evaluate(context, len(context) + 1)[0]
+
     def evaluate(self, tokens: Sequence[int], start: int) -> list:
         self._check_start(tokens, start)
         body = {"tokens": list(tokens), "start": start}

@@ -1,6 +1,8 @@
 """Statistical language models: interpolated n-grams, the bigram table (the
 order-2 n-gram at interpolation weight 1), and the longest-suffix-copy
 drafter, which copies from the context and falls back to the bigram table.
+Each is a `LanguageModel`, defined by its `distribution`; an n-gram's rows
+read a `window` of `order - 1` tokens, from its row cache.
 
 All models here are deterministic, immutable after training, and serialize to
 a single JSON document (format_version 1) whose probabilities round-trip
@@ -9,7 +11,7 @@ bit-faithfully.
 from __future__ import annotations
 
 import json
-from collections import Counter, abc, defaultdict
+from collections import Counter, defaultdict
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -18,8 +20,8 @@ import numpy as np
 from .core import (
     SUM_TOL,
     ConstructionError,
-    ContextConditionedModel,
     ContractViolation,
+    LanguageModel,
     RandomSource,
     TrainingError,
     Vocab,
@@ -50,7 +52,7 @@ def _as_sequences(corpus) -> List[List[int]]:
     return seqs
 
 
-class NGramModel(ContextConditionedModel):
+class NGramModel(LanguageModel):
     """Interpolated-backoff n-gram model.
 
     tables maps a context tuple (length < order) to that context's
@@ -65,7 +67,7 @@ class NGramModel(ContextConditionedModel):
     tabled suffix it is shares that array.  Drafting reads rows straight from
     that cache, and sampled drafting keeps each shared row's cumulative sums
     once, keyed by the row's identity (cached rows live as long as the model).
-    `evaluate` looks a position's row up only when a reader asks for it.
+    `evaluate`'s rows read that cache through `_row`, as `distribution` does.
     """
 
     def __init__(self, order: int, vocab: Vocab,
@@ -78,6 +80,7 @@ class NGramModel(ContextConditionedModel):
         if not 0.0 < interpolation <= 1.0:
             raise ConstructionError("interpolation weight must be in (0, 1]")
         self.order = order
+        self.window = order - 1
         self.tables = tables
         self.interpolation = float(interpolation)
         self._cache: Dict[Tuple[int, ...], np.ndarray] = {}
@@ -110,7 +113,7 @@ class NGramModel(ContextConditionedModel):
         return row
 
     def distribution(self, context: Sequence[int]) -> np.ndarray:
-        return self._row(tuple(context[max(0, len(context) - self.order + 1):]))
+        return self._row(tuple(context[max(0, len(context) - self.window):]))
 
     def _next_row(self, tokens: Sequence[int], greedy: bool):
         row = self.distribution(tokens)
@@ -120,48 +123,6 @@ class NGramModel(ContextConditionedModel):
         if cdf is None:
             cdf = self._cdfs[id(row)] = row.cumsum()
         return row, cdf
-
-    def evaluate(self, tokens: Sequence[int], start: int) -> "_Rows":
-        """Rows as `ContextConditionedModel.evaluate` gives them, each built
-        only when first read (a review stops at its first rejection)."""
-        self._check_start(tokens, start)
-        return _Rows(self, tokens, start)
-
-
-class _Rows(abc.Sequence):
-    """`NGramModel.evaluate(tokens, start)`: row i is the model's row at
-    position `start + i`, looked up in (or built into) the row cache when it
-    is read.  It keeps only the tokens those rows condition on, copied at
-    call time, so it never copies the prefix and a later change to `tokens`
-    changes no row."""
-
-    __slots__ = ("_model", "_tokens", "_end", "_len")
-
-    def __init__(self, model: NGramModel, tokens: Sequence[int], start: int):
-        first = max(0, start - model.order)
-        self._model = model
-        self._tokens = tuple(tokens[first:])
-        self._end = start - 1 - first  # where row 0's context ends in _tokens
-        self._len = len(tokens) - start + 2
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._row_to(self._end + j) for j in range(*i.indices(self._len))]
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError(f"row index out of range for {self._len} rows")
-        return self._row_to(self._end + i)
-
-    def __iter__(self):
-        return map(self._row_to, range(self._end, self._end + self._len))
-
-    def _row_to(self, end: int) -> np.ndarray:
-        """The row after `_tokens[:end]`, keyed by its last `order - 1` tokens."""
-        return self._model._row(self._tokens[max(0, end - self._model.order + 1):end])
 
 
 def _counted(seqs: List[List[int]], lengths) -> Dict[Tuple[int, ...], Dict[int, float]]:
@@ -262,7 +223,7 @@ def mag_propose(generated: Sequence[int], corpus: Sequence[int], n: int = 1,
     return list(corpus[start + m:start + m + n])
 
 
-class MagModel(ContextConditionedModel):
+class MagModel(LanguageModel):
     """Suffix-copy drafter: point mass on the token that followed the first
     occurrence of the context's longest suffix earlier in the context (prompt
     plus generation so far); the bigram row when the last token is new.
@@ -412,6 +373,8 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(obj: dict):
+    if not isinstance(obj, dict):
+        raise ConstructionError(f"model file is a {type(obj).__name__}, not a JSON object")
     if obj.get("format_version") != FORMAT_VERSION:
         raise ConstructionError(f"unsupported format_version {obj.get('format_version')}")
     with reading("model file", ConstructionError):

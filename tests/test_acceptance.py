@@ -39,7 +39,7 @@ from specdraft.cascade import (
     csd_step,
     generate,
 )
-from specdraft.core import ContextConditionedModel, RandomSource, Vocab, normalize, residual
+from specdraft.core import LanguageModel, RandomSource, Vocab, normalize, residual
 from specdraft.kernel import DecodeMode
 from specdraft.remote import RemoteModel, RemoteModelSpec, serve_model
 from specdraft.statlm import mag_propose, train_ngram
@@ -85,7 +85,7 @@ def test_criterion_01_greedy_exactness(models, eval_prompts):
 # 2. sampling exactness
 # ---------------------------------------------------------------------------
 
-class _RowModel(ContextConditionedModel):
+class _RowModel(LanguageModel):
     """V=5 toy family: the conditional depends on the last token only."""
 
     def __init__(self, rows, descriptor):

@@ -218,6 +218,16 @@ def test_write_report_csv_schema(tmp_path):
     assert loaded == report
 
 
+def test_csv_swi_ms_is_empty_without_an_ms_preset(tmp_path):
+    # it held the first sorted preset's SWI under the ms column
+    report = run_bench(_tiny_config(runs=_tiny_config()["runs"][:2],
+                                    cost_models={"flops": None}))
+    assert all(set(run["swi"]) == {"flops"} for run in report["runs"])
+    write_report(report, str(tmp_path / "r.json"), str(tmp_path / "r.csv"))
+    rows = list(csv.DictReader((tmp_path / "r.csv").read_text().splitlines()))
+    assert [row["swi_ms"] for row in rows] == ["", ""]
+
+
 #: sha256 of report.json and of its CSV for each shipped bench config,
 #: recorded while n-gram reviews still built every row before reviewing
 SHIPPED_REPORT_SHA256 = {
@@ -319,6 +329,20 @@ def test_cli_run_rejects_a_model_file_whose_tables_have_the_wrong_shape(tmp_path
     assert cli(["run", "--target", str(path), "--prompt", "ab", "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: model {str(path)!r}") and named in err, err
+
+
+@pytest.mark.parametrize("text,kind", [("[]", "list"), ('"x"', "str"), ("3", "int")])
+def test_a_model_file_that_is_not_an_object_is_a_config_error(tmp_path, capsys, text, kind):
+    # the loader called .get on it: exit 1, "'list' object has no attribute 'get'"
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    named = f"model file is a {kind}, not a JSON object"
+    assert cli(["run", "--target", str(path), "--prompt", "ab", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"config error: model {str(path)!r}: {named}\n"
+    cfg = _tiny_config(models={"bad": {"file": str(path)}},
+                       runs=[_tiny_config()["runs"][0] | {"target": "bad"}])
+    assert cli(_write_config(tmp_path, cfg)) == 2
+    assert capsys.readouterr().err == f"config error: model 'bad': {named}\n"
 
 
 @pytest.mark.parametrize("spec,key", [
@@ -943,6 +967,18 @@ def test_cli_accept_curve_rejects_a_prompt_count_below_one(tmp_path, capsys):
               "--seed", "1", "--out", str(tmp_path / "curve.csv")])
     assert rc == 2
     assert "--num-prompts -3" in capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
+
+
+def test_cli_accept_curve_rejects_a_negative_seed(tmp_path, capsys):
+    # numpy refused it, naming no flag, and the CLI exited 1
+    model = _train(tmp_path, "m.json", "--order", "2")
+    capsys.readouterr()
+    rc = cli(["accept-curve", "--target", model, "--draft", model, "--k", "4",
+              "--steps", "10", "--corpus", str(DATA / "eval.txt"),
+              "--seed", "-1", "--out", str(tmp_path / "curve.csv")])
+    assert rc == 2
+    assert "--seed -1" in capsys.readouterr().err
     assert not (tmp_path / "curve.csv").exists()
 
 

@@ -131,6 +131,28 @@ def test_sd_step_reads_each_reviewer_row_once(models, eval_prompts, monkeypatch,
         assert all(a is b for a, b in zip(rows, read))
 
 
+@pytest.mark.parametrize("kind", ["constant", "mag"])
+def test_whole_context_reviewer_builds_only_the_rows_its_review_reads(monkeypatch, kind):
+    # the draft's tokens are never the reviewer's argmax, so the review
+    # rejects at position 0 and reads one of its five rows
+    vocab = Vocab(tuple(f"<{i}>" for i in range(6)))
+    reviewer = (ConstantModel(np.eye(6)[3] + 0.01, vocab) if kind == "constant"
+                else MagModel(BigramTable.from_corpus([1, 2, 3, 1, 2, 4], vocab), span=3))
+    draft = ConstantModel(np.eye(6)[5] + 0.01, vocab, descriptor="draft")
+    built = []
+
+    def distribution(context, build=reviewer.distribution):
+        built.append(tuple(context))
+        return build(context)
+
+    monkeypatch.setattr(reviewer, "distribution", distribution)
+    prefix = [1, 2, 3, 1, 2]
+    cfg = CascadeConfig(reviewer, [draft], KMatrix([[4]]), DecodeMode.GREEDY, 8, 0)
+    tokens, rows = csd_step(cfg, prefix, RandomSource(0), GenerationTrace())
+    assert tokens == [3] and len(rows) == 1
+    assert built == [tuple(prefix)]
+
+
 #: (reviews, proposed, accepted) per (level, model) of csd-n3-n2-mag over
 #: four eval prompts, recorded before `csd_step` read its ladder from the
 #: config.  `level` is the recursion depth, so n2 reviews at depth 1 (a
@@ -210,6 +232,14 @@ def test_config_rejects_sampling_internal_lenience():
         CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.SAMPLING, 4, 0, lenience=2.0)
     # greedy mode permits any internal lenience
     CascadeConfig(m, [m], KMatrix([[1]]), DecodeMode.GREEDY, 4, 0, lenience=5.0)
+
+
+@pytest.mark.parametrize("mode,lenience", [("greedy", 1.0), ("sampling", 5.0)])
+def test_config_rejects_a_mode_that_is_not_a_decode_mode(mode, lenience):
+    # "greedy" decoded as sampling, and "sampling" escaped the lenience check
+    t = ConstantModel([0.5, 0.5])
+    with pytest.raises(ConfigError, match=f"mode '{mode}' is not a DecodeMode"):
+        CascadeConfig(t, [t], KMatrix([[3]]), mode, 10, 0, lenience)
 
 
 def test_config_rejects_mismatched_kmatrix():

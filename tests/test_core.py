@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from specdraft.core import (
     ConstructionError,
-    ContextConditionedModel,
+    LanguageModel,
     ContractViolation,
     DegenerateDistribution,
     RandomSource,
@@ -235,7 +235,7 @@ def test_piece_of_out_of_range():
 # model contract
 # ---------------------------------------------------------------------------
 
-class _CycleModel(ContextConditionedModel):
+class _CycleModel(LanguageModel):
     """Deterministic toy: next token = (last token + 1) mod V, slightly smoothed."""
 
     def __init__(self, vocab_size=4):
@@ -256,6 +256,39 @@ def test_evaluate_position_contract():
     assert len(dists) == 2
     assert greedy_token(dists[0]) == 1
     assert greedy_token(dists[1]) == 2
+
+
+class _CountingCycleModel(_CycleModel):
+    """`_CycleModel` recording the context of every row it builds."""
+
+    def __init__(self, vocab_size=4):
+        super().__init__(vocab_size)
+        self.contexts = []
+
+    def distribution(self, context):
+        self.contexts.append(tuple(context))
+        return super().distribution(context)
+
+
+def test_whole_context_rows_are_built_when_read():
+    m = _CountingCycleModel()
+    tokens = [0, 1, 2, 3]
+    rows = m.evaluate(tokens, 2)
+    assert len(rows) == 4 and m.contexts == []
+    assert greedy_token(rows[2]) == 3 and m.contexts == [(0, 1, 2)]
+    # each row reads every token before its position, not a window of them
+    list(rows)
+    assert m.contexts[1:] == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)]
+
+
+def test_appending_to_the_tokens_after_evaluate_changes_no_row():
+    m = _CountingCycleModel(5)
+    tokens = [0, 3, 1]
+    rows = m.evaluate(tokens, 2)
+    tokens.append(4)
+    assert len(rows) == 3
+    assert [greedy_token(r) for r in rows] == [1, 4, 2]
+    assert m.contexts == [(0,), (0, 3), (0, 3, 1)]
 
 
 def test_evaluate_loop_vs_batch():

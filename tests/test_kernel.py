@@ -6,7 +6,7 @@ import pytest
 
 from specdraft.cascade import CascadeConfig, GenerationTrace, KMatrix, csd_step
 from specdraft.core import (
-    ContextConditionedModel,
+    LanguageModel,
     ContractViolation,
     RandomSource,
     Vocab,
@@ -26,7 +26,7 @@ def _const_model(dist, descriptor="const", cost=1.0):
     return ConstantModel(dist, cost_weight=cost, descriptor=descriptor)
 
 
-class _CountingModel(ContextConditionedModel):
+class _CountingModel(LanguageModel):
     """Wraps a fixed distribution and counts evaluate invocations."""
 
     def __init__(self, dist, descriptor):

@@ -51,6 +51,17 @@ def test_uniform_stub_round_trip():
             assert np.allclose(d, 0.25)
 
 
+def test_remote_distribution_is_the_served_models_row():
+    model = _toy_model()
+    tokens = [0, 1, 2, 4, 0, 1]
+    with serve_model(model) as server:
+        remote = RemoteModel(RemoteModelSpec(server.url, vocab_size=V.size), vocab=V)
+        for cut in range(len(tokens) + 1):
+            want = model.distribution(tokens[:cut])
+            # the client renormalizes each row it receives
+            assert np.array_equal(remote.distribution(tokens[:cut]), want / want.sum())
+
+
 def test_client_side_start_check():
     model = ConstantModel(np.ones(4))
     with serve_model(model) as server:

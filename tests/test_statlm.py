@@ -224,6 +224,9 @@ def test_ngram_evaluate_reads_the_per_position_rows(data):
     # contexts shorter and longer than the order - 1 token window
     tokens = data.draw(st.lists(st.integers(0, 5), max_size=14), label="tokens")
     model = _draw_table_model(data, corpus, order, V6)()
+    if data.draw(st.booleans(), label="whole context"):
+        # the suffix-copy drafter reads every context token through the same rows
+        model = MagModel(BigramTable.from_corpus(corpus, V6))
     shuffle = data.draw(st.randoms(use_true_random=False), label="read order").shuffle
     for start in range(1, len(tokens) + 2):
         rows = model.evaluate(tokens, start)
