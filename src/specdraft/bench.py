@@ -323,6 +323,10 @@ def run_bench(config: dict) -> dict:
     if not prompts:
         raise ConfigError("bench has no prompts: num_prompts or the eval corpus is empty")
     run_configs = [_run_config(run, models, i) for i, run in enumerate(runs)]
+    names = [run["name"] for run in runs]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # the report lists runs by name
+            raise ConfigError(f"two runs are named {name!r}")
     used = [m for cfg in run_configs for m in [cfg.target, *cfg.drafts]]
     # a null preset prices each model at its cost weight
     weights = {m.descriptor: m.cost_weight for m in used}
@@ -456,6 +460,8 @@ def _cmd_bench(args) -> int:
         if not isinstance(json_path, str):
             raise TypeError(f"report {json_path!r} is not a path")
         csv_path = Path(json_path).with_suffix(".csv")
+        if csv_path == Path(json_path):
+            raise ValueError(f"report {json_path!r} is the path of its own CSV")
     report = run_bench(config)
     write_report(report, json_path, csv_path)
     print(f"report written to {json_path} and {csv_path}")

@@ -1,8 +1,8 @@
 """Vocabulary, probability distributions, seeded randomness, and the model interface.
 
 Distributions are dense 1-D float64 numpy arrays over a fixed vocabulary.
-Every model is a :class:`LanguageModel`, defined by its `distribution`; its
-`evaluate` reads that at many positions, lazily, through one row sequence.
+Every model is a :class:`LanguageModel`, defined by its `distribution`, which
+`propose` drafts from and `evaluate` reads lazily through one row sequence.
 """
 from __future__ import annotations
 
@@ -257,17 +257,16 @@ class LanguageModel(ABC):
                 f"start={start} out of bounds for sequence of length {len(tokens)}"
             )
 
-    def _next_row(self, tokens: Sequence[int], greedy: bool):
-        """(row, cdf): this model's row for the token after `tokens`, and for
-        sampling the row's cumulative sums if the model keeps them, else None
-        (then `sample` sums the row).  Models with cheaper rows than a full
-        `evaluate` override this, not `propose`."""
-        return self.evaluate(tokens, len(tokens) + 1)[0], None
+    def _cdf(self, row: np.ndarray) -> Optional[np.ndarray]:
+        """`row.cumsum()` if this model keeps it, else None (then `sample`
+        sums the row)."""
+        return None
 
     def propose(self, tokens: Sequence[int], budget: int, rng: RandomSource,
                 greedy: bool):
-        """Autoregressively extend `tokens` by `budget` tokens, one row per
-        token from `_next_row`; this is the one token-by-token drafting loop.
+        """Autoregressively extend `tokens` by `budget` tokens, one
+        `distribution` row per token; this is the one token-by-token
+        drafting loop.  A sampled token reads the row's sums from `_cdf`.
 
         Returns (new_tokens, dists): the drafted tokens and this model's
         distribution row at each (its proposal probability for a token is the
@@ -277,8 +276,8 @@ class LanguageModel(ABC):
         cur = list(tokens)
         out, dists = [], []
         for _ in range(budget):
-            d, cdf = self._next_row(cur, greedy)
-            tok = greedy_token(d) if greedy else sample(d, rng, cdf)
+            d = self.distribution(cur)
+            tok = greedy_token(d) if greedy else sample(d, rng, self._cdf(d))
             out.append(tok)
             dists.append(d)
             cur.append(tok)

@@ -20,7 +20,7 @@ import base64
 import json
 import socket
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Sequence
 
@@ -118,15 +118,16 @@ class RemoteModel(LanguageModel):
     announces it."""
 
     def __init__(self, spec: RemoteModelSpec, vocab: Optional[Vocab] = None):
-        if vocab is not None and vocab.size != spec.vocab_size:
-            raise ConfigError(
-                f"vocab has {vocab.size} pieces but the spec says {spec.vocab_size}"
-            )
         with reading(f"remote model {spec.descriptor!r}"):  # before any request is sent
+            size = integer(spec.vocab_size, "vocab_size", 2)
+            if not 0 <= real(spec.cost_weight, "cost_weight") < np.inf:
+                raise ValueError(f"cost_weight {spec.cost_weight!r} is not a finite number >= 0")
             integer(spec.retries, "retries")
             if not 0 < real(spec.timeout, "timeout") < np.inf:
                 raise ValueError(f"timeout {spec.timeout!r} is not a finite number > 0")
-        self.spec = spec
+        if vocab is not None and vocab.size != size:
+            raise ConfigError(f"vocab has {vocab.size} pieces but the spec says {size}")
+        self.spec = replace(spec, vocab_size=size)
         self._url = spec.base_url.rstrip("/")
         self._session = _pinned_session(self._url)
         info = self.handshake()

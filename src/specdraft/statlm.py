@@ -66,7 +66,7 @@ class NGramModel(LanguageModel):
     built and cached per tabled context, and every context whose longest
     tabled suffix it is shares that array.  Drafting reads rows straight from
     that cache, and sampled drafting keeps each shared row's cumulative sums
-    once, keyed by the row's identity (cached rows live as long as the model).
+    once (`_cdf`), keyed by the identity of a row the cache keeps alive.
     `evaluate`'s rows read that cache through `_row`, as `distribution` does.
     """
 
@@ -115,14 +115,11 @@ class NGramModel(LanguageModel):
     def distribution(self, context: Sequence[int]) -> np.ndarray:
         return self._row(tuple(context[max(0, len(context) - self.window):]))
 
-    def _next_row(self, tokens: Sequence[int], greedy: bool):
-        row = self.distribution(tokens)
-        if greedy:
-            return row, None
+    def _cdf(self, row: np.ndarray) -> np.ndarray:
         cdf = self._cdfs.get(id(row))
         if cdf is None:
             cdf = self._cdfs[id(row)] = row.cumsum()
-        return row, cdf
+        return cdf
 
 
 def _counted(seqs: List[List[int]], lengths) -> Dict[Tuple[int, ...], Dict[int, float]]:
@@ -184,10 +181,10 @@ class BigramTable(NGramModel):
         return cls(vocab, _counted(_as_sequences(corpus), (1,)), **kwargs)
 
 
-def _longest_suffix_starts(generated: Sequence[int], corpus: Sequence[int],
-                           ) -> Optional[Tuple[int, int]]:
-    """(first_start, match_len) of the longest suffix of `generated` occurring
-    in `corpus`, or None if even the last token never occurs."""
+def _copy_start(generated: Sequence[int], corpus: Sequence[int]) -> Optional[int]:
+    """The index in `corpus` just past the first occurrence of the longest
+    suffix of `generated` occurring there, or None if even the last token
+    never occurs."""
     last = generated[-1]
     starts = [j for j in range(len(corpus)) if corpus[j] == last]
     if not starts:
@@ -200,7 +197,7 @@ def _longest_suffix_starts(generated: Sequence[int], corpus: Sequence[int],
             break
         starts = new
         m += 1
-    return starts[0], m
+    return starts[0] + m
 
 
 def mag_propose(generated: Sequence[int], corpus: Sequence[int], n: int = 1,
@@ -216,11 +213,8 @@ def mag_propose(generated: Sequence[int], corpus: Sequence[int], n: int = 1,
         raise ContractViolation("n must be >= 1")
     if not generated:
         raise ContractViolation("generated sequence must be non-empty")
-    hit = _longest_suffix_starts(generated, corpus)
-    if hit is None:
-        return None
-    start, m = hit
-    return list(corpus[start + m:start + m + n])
+    pos = _copy_start(generated, corpus)
+    return None if pos is None else list(corpus[pos:pos + n])
 
 
 class MagModel(LanguageModel):
@@ -244,13 +238,7 @@ class MagModel(LanguageModel):
     def _copy_pos(self, context: Sequence[int]) -> Optional[int]:
         """Index in `context` of the token the suffix copy emits next, or None
         when the drafter falls back to the bigram row."""
-        if not context:
-            return None
-        hit = _longest_suffix_starts(context, context[:-1])
-        if hit is None:
-            return None
-        start, m = hit
-        return start + m
+        return _copy_start(context, context[:-1]) if context else None
 
     def _copy_row(self, token: int) -> np.ndarray:
         row = self._one_hot.get(token)
@@ -276,8 +264,9 @@ class MagModel(LanguageModel):
         turn, with one suffix search per span: once the token at `pos` after
         the first longest match is copied, that match grown by one is the new
         first longest match, so the next copy is `pos + 1`.  Only a fallback
-        token needs a fresh search.  A sampled copy still consumes one
-        uniform draw, which a one-hot row always maps to its token.
+        token needs a fresh search, and a sampled one reads the bigram row's
+        kept sums.  A sampled copy still consumes one uniform draw, which a
+        one-hot row always maps to its token.
         """
         cur = list(tokens)
         out, dists = [], []
@@ -285,7 +274,7 @@ class MagModel(LanguageModel):
         for _ in range(self.span):
             if pos is None:
                 d = self.fallback.distribution(cur)
-                tok = greedy_token(d) if greedy else sample(d, rng)
+                tok = greedy_token(d) if greedy else sample(d, rng, self.fallback._cdf(d))
             else:
                 tok = cur[pos]
                 d = self._copy_row(tok)
@@ -355,6 +344,11 @@ def _tables_from_json(obj, size: int, lengths) -> Dict[Tuple[int, ...], Dict[int
     return tables
 
 
+#: the keys `model_to_dict` writes for every type; a `mag` file adds span and policy
+_SAVED_KEYS = frozenset({"format_version", "type", "vocab", "tables", "cost_weight",
+                         "descriptor", "order", "smoothing"})
+
+
 def model_to_dict(model) -> dict:
     out = {"format_version": FORMAT_VERSION, "order": 2, "vocab": list(model.vocab.pieces),
            "smoothing": None, "cost_weight": repr(model.cost_weight),
@@ -380,18 +374,29 @@ def model_from_dict(obj: dict):
     with reading("model file", ConstructionError):
         vocab, kind, saved = Vocab(obj["vocab"]), obj["type"], obj["tables"]
         cost_weight, descriptor = _saved_real(obj["cost_weight"], "cost_weight"), obj["descriptor"]
+    keys = _SAVED_KEYS | ({"span", "policy"} if kind == "mag" else set())
+    missing, unread = sorted(keys.difference(obj)), [key for key in obj if key not in keys]
+    if missing:
+        raise ConstructionError(f"model file lacks required key {missing[0]!r}")
+    if unread:
+        raise ConstructionError(f"a {kind!r} model file does not hold key {unread[0]!r}")
+    if kind in ("bigram", "mag"):  # saved as the order-2 n-gram's table, unsmoothed
+        for key, value in (("order", 2), ("smoothing", None)):
+            if obj[key] != value:
+                raise ConstructionError(f"a {kind!r} model file has {key} {value!r}, "
+                                        f"not {obj[key]!r}")
     if kind == "ngram":
-        order = integer(obj.get("order"), "order", 1)
+        order = integer(obj["order"], "order", 1)
         return NGramModel(order, vocab, _tables_from_json(saved, vocab.size, range(order)),
-                          _saved_real(obj.get("smoothing"), "smoothing"), cost_weight, descriptor)
+                          _saved_real(obj["smoothing"], "smoothing"), cost_weight, descriptor)
     # a bigram table, `mag`'s fallback included, counts contexts of length 1 only
     tables = _tables_from_json(saved, vocab.size, (1,))
     if kind == "bigram":
         return BigramTable(vocab, tables, cost_weight, descriptor)
     if kind == "mag":
-        if obj.get("policy") != MATCH_PROMPT_AND_GENERATION:
-            raise ConstructionError(f"unknown match policy {obj.get('policy')!r}")
-        return MagModel(BigramTable(vocab, tables), integer(obj.get("span"), "span", 1),
+        if obj["policy"] != MATCH_PROMPT_AND_GENERATION:
+            raise ConstructionError(f"unknown match policy {obj['policy']!r}")
+        return MagModel(BigramTable(vocab, tables), integer(obj["span"], "span", 1),
                         cost_weight, descriptor)
     raise ConstructionError(f"unknown model type {kind!r}")
 

@@ -331,6 +331,24 @@ def test_cli_run_rejects_a_model_file_whose_tables_have_the_wrong_shape(tmp_path
     assert err.startswith(f"config error: model {str(path)!r}") and named in err, err
 
 
+@pytest.mark.parametrize("via", ["run", "bench"])
+def test_cli_refuses_a_model_file_holding_a_key_its_writer_never_writes(tmp_path, capsys, via):
+    # the bigram file loaded with its order 9 ignored
+    from specdraft.statlm import model_to_dict
+    obj = model_to_dict(BigramTable.from_corpus([1, 2, 1, 3], ByteTokenizer().vocab))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj | {"order": 9}))
+    if via == "run":
+        argv = ["run", "--target", str(path), "--prompt", "ab", "--seed", "1"]
+    else:
+        argv = _write_config(tmp_path, _tiny_config(
+            models={"bad": {"file": str(path)}},
+            runs=[_FULL_RUNS["autoregressive"] | {"target": "bad"}]))
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "has order 2, not 9" in err, err
+
+
 @pytest.mark.parametrize("text,kind", [("[]", "list"), ('"x"', "str"), ("3", "int")])
 def test_a_model_file_that_is_not_an_object_is_a_config_error(tmp_path, capsys, text, kind):
     # the loader called .get on it: exit 1, "'list' object has no attribute 'get'"
@@ -822,6 +840,8 @@ def _prices(**prices):
     (_bad_model({"type": "bigram", "cost_weight": True}),
      "model 'bad': cost_weight True is not a number"),
     (_prices(n2=True), "cost model 'ms' prices model 'n2' at True: price True is not a number"),
+    # both decoded, and the report and CSV held two rows named 'good'
+    (_bad_run(name="good"), "two runs are named 'good'"),
 ], ids=["span-0", "order-0", "order-x", "interpolation-2", "cost-weight-negative",
         "model-spec-list", "model-file-int", "max-new-tokens-many", "k-matrix-int", "seed-x", "lenience-x",
         "corpus-without-train", "corpus-without-eval", "corpus-path-int", "num-prompts-x", "runs-object",
@@ -837,7 +857,7 @@ def _prices(**prices):
         "k-matrix-infinite", "draft-cost-weight-nan", "cost-weight-infinite",
         "inexact-sampling-false-string", "inexact-sampling-true", "lenience-string",
         "lenience-inf-string", "lenience-bool", "interpolation-string", "cost-weight-bool",
-        "price-bool"])
+        "price-bool", "run-name-repeated"])
 def test_cli_bench_input_that_does_not_fit_is_a_config_error(tmp_path, capsys, change, named):
     cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
                        runs=[_FULL_RUNS["autoregressive"] | {"name": "good"},
@@ -857,6 +877,21 @@ def test_cli_bench_checks_the_report_path_before_any_run_decodes(tmp_path, capsy
     assert cli(_write_config(tmp_path, cfg)[:-2]) == 2  # without --out
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "report 5" in err and "[good]" not in err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_cli_bench_refuses_a_report_path_its_csv_would_overwrite(tmp_path, capsys, where):
+    # "report written to r.csv and r.csv": the CSV overwrote the JSON report
+    report = str(tmp_path / "r.csv")
+    cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
+                       runs=[_FULL_RUNS["autoregressive"] | {"name": "good"}])
+    if where == "config":
+        cfg["report"] = report
+    argv = _write_config(tmp_path, cfg)[:-2] + (["--out", report] if where == "flag" else [])
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "is the path of its own CSV" in err, err
+    assert "[models]" not in err and not (tmp_path / "r.csv").exists()
 
 
 def test_cli_bench_writes_the_csv_beside_a_report_without_a_suffix(tmp_path):

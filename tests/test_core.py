@@ -316,6 +316,23 @@ def test_evaluate_start_bounds():
         m.evaluate([0, 1], 4)
 
 
+@pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "sampled"])
+def test_whole_context_drafter_builds_no_row_sequence(monkeypatch, greedy):
+    # drafting read each row from a whole `evaluate` row sequence, copying
+    # the context twice per drafted token
+    from specdraft import core
+
+    def no_rows(*args):
+        raise AssertionError("propose built a row sequence")
+
+    monkeypatch.setattr(core, "_Rows", no_rows)
+    m = _CountingCycleModel()
+    out, dists = m.propose([0, 1], 5, RandomSource(3), greedy)
+    assert len(out) == len(dists) == 5
+    # one `distribution` call per drafted token, after the tokens before it
+    assert m.contexts == [tuple([0, 1] + out[:i]) for i in range(5)]
+
+
 def test_propose_budget_and_probs():
     m = _CycleModel()
     out, dists = m.propose([0], 3, RandomSource(0), greedy=True)

@@ -27,11 +27,11 @@ def _const_model(dist, descriptor="const", cost=1.0):
 
 
 class _CountingModel(LanguageModel):
-    """Wraps a fixed distribution and counts evaluate invocations."""
+    """Wraps a fixed distribution and counts evaluate and distribution invocations."""
 
     def __init__(self, dist, descriptor):
         self._dist = normalize(dist)
-        self.n_evaluate = 0
+        self.n_evaluate = self.n_distribution = 0
         vocab = Vocab(tuple(f"<{i}>" for i in range(len(self._dist))))
         super().__init__(vocab, 1.0, descriptor)
 
@@ -40,6 +40,7 @@ class _CountingModel(LanguageModel):
         return super().evaluate(tokens, start)
 
     def distribution(self, context):
+        self.n_distribution += 1
         return self._dist
 
 
@@ -220,7 +221,9 @@ def test_sd_step_budget_accounting():
     draft = _CountingModel([0.5, 0.5], "d")
     _sd_step(target, draft, 6, [0], DecodeMode.GREEDY, RandomSource(0))
     assert target.n_evaluate == 1
-    assert draft.n_evaluate == 6
+    # one model call per drafted token, read straight from `distribution`
+    assert draft.n_distribution == 6
+    assert draft.n_evaluate == 0
 
 
 def test_sd_step_greedy_exactness_any_draft():

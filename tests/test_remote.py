@@ -123,6 +123,28 @@ def test_spec_retries_and_timeout_are_checked_before_any_request(field, value, n
         RemoteModel(spec)
 
 
+@pytest.mark.parametrize("field,value,named", [
+    ("vocab_size", "3", "vocab_size '3' is not an integer >= 2"),
+    ("vocab_size", 1, "vocab_size 1 is not an integer >= 2"),
+    ("vocab_size", 2.5, "vocab_size 2.5 is not an integer >= 2"),
+    ("vocab_size", True, "vocab_size True is not an integer >= 2"),
+    ("cost_weight", "1", "cost_weight '1' is not a number"),
+    ("cost_weight", True, "cost_weight True is not a number"),
+    ("cost_weight", -1, "cost_weight -1 is not a finite number >= 0"),
+    ("cost_weight", float("nan"), "cost_weight nan is not a finite number >= 0"),
+    ("cost_weight", float("inf"), "cost_weight inf is not a finite number >= 0"),
+], ids=["vocab-size-string", "vocab-size-1", "vocab-size-fraction", "vocab-size-bool",
+        "cost-weight-string", "cost-weight-bool", "cost-weight-negative", "cost-weight-nan",
+        "cost-weight-inf"])
+def test_spec_vocab_size_and_cost_weight_are_checked_before_any_request(field, value, named):
+    # vocab_size "3" failed after the handshake ("server vocab size 3 does not
+    # match configured 3"), and cost_weight "1" raised a bare TypeError there;
+    # the unreachable address shows no request is sent before the check
+    spec = RemoteModelSpec("http://127.0.0.1:9", **({"vocab_size": 4} | {field: value}))
+    with pytest.raises(ConfigError, match=f"remote model 'remote': {named}"):
+        RemoteModel(spec)
+
+
 class _BadRowModel(ConstantModel):
     """Returns rows violating the normalization tolerance."""
 

@@ -541,6 +541,18 @@ def test_mag_propose_span_matches_per_token_loop(data):
     assert rng.uniform() == ref_rng.uniform()
 
 
+def test_sampled_mag_fallback_keeps_the_bigram_rows_sums():
+    # the fallback draw summed the bigram row again on every token
+    table = BigramTable.from_corpus([1, 2, 3, 1, 2, 4], V6)
+    model = MagModel(table, span=8)
+    # token 5 occurs nowhere before, so the span starts with a fallback token
+    out, dists = model.propose([5], 1, RandomSource(0), greedy=False)
+    fallback = {id(d): d for d in dists if any(d is row for row in table._cache.values())}
+    assert fallback and set(table._cdfs) == set(fallback)
+    for key, cdf in table._cdfs.items():
+        assert np.array_equal(cdf, fallback[key].cumsum())
+
+
 def test_mag_determinism():
     table = BigramTable.from_corpus([1, 2, 3, 1, 2, 4], V6)
     m = MagModel(table, span=8)
@@ -731,6 +743,29 @@ def test_load_rejects_values_that_are_not_what_the_model_takes(kind, key, value,
     else:
         obj[key] = value
     with pytest.raises(error, match=named):
+        model_from_dict(obj)
+
+
+@pytest.mark.parametrize("kind,edit,named", [
+    ("bigram", lambda obj: obj.update(order=9), "a 'bigram' model file has order 2, not 9"),
+    ("bigram", lambda obj: obj.update(smoothing="0.5"),
+     "a 'bigram' model file has smoothing None, not '0.5'"),
+    ("mag", lambda obj: obj.update(order=3), "a 'mag' model file has order 2, not 3"),
+    ("ngram", lambda obj: obj.update(span=4), "a 'ngram' model file does not hold key 'span'"),
+    ("mag", lambda obj: obj.update(interpolation="0.5"),
+     "a 'mag' model file does not hold key 'interpolation'"),
+    ("bigram", lambda obj: obj.update(policy="prompt+generation"),
+     "a 'bigram' model file does not hold key 'policy'"),
+    ("bigram", lambda obj: obj.pop("smoothing"), "model file lacks required key 'smoothing'"),
+    ("ngram", lambda obj: obj.pop("order"), "model file lacks required key 'order'"),
+], ids=["bigram-order", "bigram-smoothing", "mag-order", "ngram-span", "mag-interpolation",
+        "bigram-policy", "bigram-no-smoothing", "ngram-no-order"])
+def test_load_takes_exactly_the_keys_the_writer_writes(kind, edit, named):
+    # each but the missing order loaded with the key ignored, as a misspelt
+    # spec key once trained; a missing order was a ContractViolation
+    obj = model_to_dict(_SMALL_MODELS[kind]())
+    edit(obj)
+    with pytest.raises(ConstructionError, match=named):
         model_from_dict(obj)
 
 
