@@ -29,8 +29,8 @@ from .cascade import (
     csd_step,
     generate,
 )
-from .core import (ConfigError, ContractViolation, LanguageModel, RandomSource, Vocab,
-                   integer, reading, real)
+from .core import (ConfigError, Context, ContractViolation, LanguageModel, RandomSource,
+                   Vocab, integer, reading, real)
 from .kernel import DecodeMode
 from .statlm import (
     DEFAULT_INTERPOLATION,
@@ -195,7 +195,7 @@ def measure_positional_acceptance(
         raise ContractViolation("need at least one prompt")
     config = CascadeConfig(target, [draft], KMatrix([[k]]), mode, 256, rng.seed)
     trace = GenerationTrace(target.descriptor)
-    seqs = [list(p) for p in prompts]
+    seqs = [Context(p) for p in prompts]
     limits = [len(p) + 256 for p in prompts]
     idx = 0
     for _ in range(steps):
@@ -203,7 +203,7 @@ def measure_positional_acceptance(
         emitted, _ = csd_step(config, seq, rng, trace)
         seq.extend(emitted)
         if len(seq) >= limits[idx]:
-            seqs[idx] = list(prompts[idx])
+            seqs[idx] = Context(prompts[idx])
         idx = (idx + 1) % len(prompts)
     return trace
 
@@ -462,6 +462,8 @@ def _cmd_bench(args) -> int:
         csv_path = Path(json_path).with_suffix(".csv")
         if csv_path == Path(json_path):
             raise ValueError(f"report {json_path!r} is the path of its own CSV")
+        if not csv_path.parent.is_dir() or Path(json_path).is_dir() or csv_path.is_dir():
+            raise ValueError(f"report {json_path!r} is not a file in an existing directory")
     report = run_bench(config)
     write_report(report, json_path, csv_path)
     print(f"report written to {json_path} and {csv_path}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .core import ConfigError, ContractViolation, LanguageModel, RandomSource, integer
+from .core import ConfigError, Context, ContractViolation, LanguageModel, RandomSource, integer
 from .kernel import DecodeMode, speculative_review
 
 
@@ -130,6 +130,8 @@ def csd_step(config: CascadeConfig, prefix: Sequence[int], rng: RandomSource,
     per call; a span drafter emits its whole span in one call, anything else
     generates `budget` tokens autoregressively.  Target-only decoding is
     this base case at the top, with the default budget of one token per call.
+    Every rank drafts into one `Context`: `prefix` itself when it is one (cut
+    back to its entry length before the step returns), else one copy of it.
     """
     if not prefix:
         raise ContractViolation("prefix must be non-empty")
@@ -140,7 +142,8 @@ def csd_step(config: CascadeConfig, prefix: Sequence[int], rng: RandomSource,
         trace.record_call(reviewer, len(tokens) // reviewer.span)
         return tokens, dists
 
-    cur = list(prefix)
+    cur = prefix if isinstance(prefix, Context) else Context(prefix)
+    entry = len(cur)
     dists: List = []
     for drafter, k in enumerate(config.k_matrix.rows[rank], rank + 1):
         taken = 0
@@ -150,11 +153,12 @@ def csd_step(config: CascadeConfig, prefix: Sequence[int], rng: RandomSource,
             dists.extend(d2)
             taken += len(t2)
 
-    reviewer_dists = reviewer.evaluate(cur, len(prefix) + 1)
+    reviewer_dists = reviewer.evaluate(cur, entry + 1)
     trace.record_call(reviewer)
-    emitted, rows = speculative_review(reviewer_dists, cur[len(prefix):], dists,
+    emitted, rows = speculative_review(reviewer_dists, cur[entry:], dists,
                                        config.lenience if rank else 1.0, config.mode, rng,
                                        argmax_only=greedy and not rank)
+    del cur[entry:]
     trace.add_review(level, reviewer, len(dists), len(emitted) - 1)
     return emitted, rows
 
@@ -172,7 +176,7 @@ def _decode(config: CascadeConfig, prompt: Sequence[int], rng: RandomSource,
                 "equivalence is not guaranteed" for m in [config.target, *config.drafts]
                 if config.mode is DecodeMode.GREEDY and not m.deterministic]
     trace.warnings.extend(w for w in dict.fromkeys(warnings) if w not in trace.warnings)
-    cur = list(prompt)
+    cur = Context(prompt)
     end = len(cur) + config.max_new_tokens
     while len(cur) < end:
         new, _ = csd_step(config, cur, rng, trace)
@@ -180,8 +184,8 @@ def _decode(config: CascadeConfig, prompt: Sequence[int], rng: RandomSource,
             cur.append(tok)
             trace.tokens_emitted += 1
             if tok in config.stop_tokens or len(cur) >= end:
-                return cur, trace
-    return cur, trace
+                return list(cur), trace
+    return list(cur), trace
 
 
 def generate(config: CascadeConfig, prompt: Sequence[int],

@@ -1,11 +1,17 @@
-"""Vocabulary, probability distributions, seeded randomness, and the model interface.
+"""Vocabulary, probability distributions, seeded randomness, the model
+interface, and the decode's token buffer.
 
 Distributions are dense 1-D float64 numpy arrays over a fixed vocabulary.
 Every model is a :class:`LanguageModel`, defined by its `distribution`, which
 `propose` drafts from and `evaluate` reads lazily through one row sequence.
+A decode owns one :class:`Context` that every model reads and none changes: a
+cascade step appends its drafts and cuts them off after its review.  Its `text`
+mirrors it as one code point per token id, `chr(t)`, for searches at C speed.
+Any index of the live context lives there, so models stay immutable and shareable.
 """
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from collections import abc
 from contextlib import contextmanager
@@ -19,6 +25,9 @@ SUM_TOL = 1e-9
 BOS_PIECE = "<bos>"
 EOS_PIECE = "<eos>"
 UNK_PIECE = "<unk>"
+
+#: the most pieces a vocabulary holds: a `Context` mirrors token id t as chr(t)
+MAX_VOCAB_SIZE = sys.maxunicode + 1
 
 
 class DegenerateDistribution(ValueError):
@@ -79,6 +88,8 @@ class Vocab:
         pieces = tuple(pieces)
         if len(pieces) < 2:
             raise ConstructionError("vocabulary needs at least 2 pieces")
+        if len(pieces) > MAX_VOCAB_SIZE:
+            raise ConstructionError(f"vocabulary of {len(pieces)} pieces exceeds {MAX_VOCAB_SIZE}")
         if len(set(pieces)) != len(pieces):
             raise ConstructionError("duplicate pieces in vocabulary")
         self.pieces = pieces
@@ -272,8 +283,9 @@ class LanguageModel(ABC):
         distribution row at each (its proposal probability for a token is the
         token's entry in the row), drafted in one model call per `span`
         tokens.  Overridden by drafters that emit a whole span per call.
+        Only the last `window` tokens are copied, not the whole context.
         """
-        cur = list(tokens)
+        cur = list(tokens[-self.window:] if self.window else tokens)
         out, dists = [], []
         for _ in range(budget):
             d = self.distribution(cur)
@@ -318,3 +330,32 @@ class _Rows(abc.Sequence):
     def _row_to(self, end: int) -> np.ndarray:
         """The row after `_tokens[:end]`, keyed by its last `window` tokens."""
         return self._model._row(self._tokens[max(0, end - self._window):end])
+
+
+class Context(list):
+    """The decode's token buffer, with `text`, its mirror of one code point
+    per token id, synced on read from the first token it no longer mirrors.
+    Only `append`, `extend` and `del buf[n:]` change it; any other change to
+    the list is refused, since the mirror could not follow it."""
+
+    _text = ""
+    _valid = 0  # how many of `_text`'s code points still mirror the buffer
+
+    def __delitem__(self, key):
+        if not (isinstance(key, slice) and key.stop is None and key.step is None):
+            self._refuse()
+        list.__delitem__(self, key)
+        if len(self) < self._valid:
+            self._valid = len(self)
+
+    def _refuse(self, *args, **kwargs):
+        raise ContractViolation("a Context changes only by append, extend and del buf[n:]")
+
+    __setitem__ = __imul__ = insert = pop = remove = clear = sort = reverse = _refuse
+
+    @property
+    def text(self) -> str:
+        if not self._valid == len(self) == len(self._text):
+            self._text = self._text[:self._valid] + "".join(map(chr, self[self._valid:]))
+            self._valid = len(self)
+        return self._text

@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     SUM_TOL,
     ConstructionError,
+    Context,
     ContractViolation,
     LanguageModel,
     RandomSource,
@@ -181,23 +182,27 @@ class BigramTable(NGramModel):
         return cls(vocab, _counted(_as_sequences(corpus), (1,)), **kwargs)
 
 
-def _copy_start(generated: Sequence[int], corpus: Sequence[int]) -> Optional[int]:
-    """The index in `corpus` just past the first occurrence of the longest
-    suffix of `generated` occurring there, or None if even the last token
-    never occurs."""
-    last = generated[-1]
-    starts = [j for j in range(len(corpus)) if corpus[j] == last]
-    if not starts:
+def _mirror(tokens: Sequence[int]) -> str:
+    """`tokens` as one code point per token id: a `Context`'s own mirror, else built."""
+    return tokens.text if isinstance(tokens, Context) else "".join(map(chr, tokens))
+
+
+def _copy_start(generated: str, corpus: str, end: int) -> Optional[int]:
+    """The index just past the first occurrence in `corpus[:end]` of the
+    longest suffix of `generated` occurring there, or None if even the last
+    token never occurs.  A suffix of a suffix that occurs occurs too, so that
+    length is galloped to (1, 2, 4, ...) and bisected, one `str.find` a probe."""
+    if end < 1 or (at := corpus.find(generated[-1], 0, end)) < 0:
         return None
-    m = 1
-    while m < len(generated):
-        tok = generated[-(m + 1)]
-        new = [j - 1 for j in starts if j - 1 >= 0 and corpus[j - 1] == tok]
-        if not new:
-            break
-        starts = new
-        m += 1
-    return starts[0] + m
+    found, missing = 1, min(len(generated), end) + 1
+    while missing - found > 1:
+        m = min(2 * found, (found + missing) // 2)
+        i = corpus.find(generated[-m:], 0, end)
+        if i < 0:
+            missing = m
+        else:
+            at, found = i, m
+    return at + found
 
 
 def mag_propose(generated: Sequence[int], corpus: Sequence[int], n: int = 1,
@@ -213,7 +218,8 @@ def mag_propose(generated: Sequence[int], corpus: Sequence[int], n: int = 1,
         raise ContractViolation("n must be >= 1")
     if not generated:
         raise ContractViolation("generated sequence must be non-empty")
-    pos = _copy_start(generated, corpus)
+    text = _mirror(corpus)
+    pos = _copy_start(_mirror(generated), text, len(text))
     return None if pos is None else list(corpus[pos:pos + n])
 
 
@@ -235,11 +241,6 @@ class MagModel(LanguageModel):
         self._one_hot: Dict[int, np.ndarray] = {}
         super().__init__(fallback.vocab, cost_weight, descriptor)
 
-    def _copy_pos(self, context: Sequence[int]) -> Optional[int]:
-        """Index in `context` of the token the suffix copy emits next, or None
-        when the drafter falls back to the bigram row."""
-        return _copy_start(context, context[:-1]) if context else None
-
     def _copy_row(self, token: int) -> np.ndarray:
         row = self._one_hot.get(token)
         if row is None:
@@ -247,7 +248,8 @@ class MagModel(LanguageModel):
         return row
 
     def distribution(self, context: Sequence[int]) -> np.ndarray:
-        pos = self._copy_pos(context)
+        text = _mirror(context)
+        pos = _copy_start(text, text, len(text) - 1)
         if pos is None:
             return self.fallback.distribution(context)
         return self._copy_row(context[pos])
@@ -261,29 +263,32 @@ class MagModel(LanguageModel):
         entry (see `KMatrix`).
 
         Tokens and rows equal drawing each token from `distribution` in
-        turn, with one suffix search per span: once the token at `pos` after
-        the first longest match is copied, that match grown by one is the new
-        first longest match, so the next copy is `pos + 1`.  Only a fallback
-        token needs a fresh search, and a sampled one reads the bigram row's
-        kept sums.  A sampled copy still consumes one uniform draw, which a
-        one-hot row always maps to its token.
+        turn.  Only a fallback token needs a fresh suffix search: once the
+        token at `pos` after the first longest match is copied, that match
+        grown by one is the new first longest match, so the rest of the span
+        is the context from `pos` on, repeated with period `len - pos`.  A
+        sampled fallback token reads the bigram row's kept sums; a sampled
+        copy still consumes one uniform draw, which its one-hot row maps to it.
         """
-        cur = list(tokens)
+        text = _mirror(tokens)
         out, dists = [], []
-        pos = self._copy_pos(cur)
-        for _ in range(self.span):
-            if pos is None:
-                d = self.fallback.distribution(cur)
-                tok = greedy_token(d) if greedy else sample(d, rng, self.fallback._cdf(d))
-            else:
-                tok = cur[pos]
-                d = self._copy_row(tok)
+        while len(out) < self.span:
+            pos = _copy_start(text, text, len(text) - 1)
+            if pos is not None:
+                left = self.span - len(out)
+                head = text[pos:pos + left]  # one period, or the whole copy if shorter
+                copied = list(map(ord, (head * (left // len(head) + 1))[:left]))
+                out += copied
+                dists += map(self._copy_row, copied)
                 if not greedy:
-                    rng.uniform()
+                    for _ in copied:
+                        rng.uniform()
+                break
+            d = self.fallback.distribution(out or tokens)  # reads the last token only
+            tok = greedy_token(d) if greedy else sample(d, rng, self.fallback._cdf(d))
             out.append(tok)
             dists.append(d)
-            cur.append(tok)
-            pos = self._copy_pos(cur) if pos is None else pos + 1
+            text += chr(tok)
         return out, dists
 
 

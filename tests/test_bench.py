@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from specdraft import bench
 from specdraft.analytics import ConstantModel
 from specdraft.bench import (
     CSV_COLUMNS,
@@ -892,6 +893,32 @@ def test_cli_bench_refuses_a_report_path_its_csv_would_overwrite(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "is the path of its own CSV" in err, err
     assert "[models]" not in err and not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("path", ["missing/r.json", "out", "r.json"],
+                         ids=["no-directory", "a-directory", "csv-a-directory"])
+def test_cli_bench_refuses_a_report_path_it_cannot_write(tmp_path, capsys, monkeypatch,
+                                                          where, path):
+    # found by write_report once every run had trained and decoded: exit 1
+    # with "[Errno 2] No such file or directory" or "[Errno 21] Is a directory"
+    (tmp_path / "out").mkdir()
+    (tmp_path / "r.csv").mkdir()
+
+    def decode(*args, **kwargs):
+        raise AssertionError("a run decoded")
+
+    monkeypatch.setattr(bench, "generate", decode)
+    report = str(tmp_path / path)
+    cfg = _tiny_config(models={"n2": {"type": "ngram", "order": 2}},
+                       runs=[_FULL_RUNS["autoregressive"] | {"name": "good"}])
+    if where == "config":
+        cfg["report"] = report
+    argv = _write_config(tmp_path, cfg)[:-2] + (["--out", report] if where == "flag" else [])
+    assert cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:"), err
+    assert "is not a file in an existing directory" in err and "[models]" not in err
 
 
 def test_cli_bench_writes_the_csv_beside_a_report_without_a_suffix(tmp_path):

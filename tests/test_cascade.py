@@ -18,7 +18,8 @@ from specdraft.cascade import (
     generate,
     sd_generate,
 )
-from specdraft.core import ConfigError, ContractViolation, RandomSource, Vocab, normalize
+from specdraft.core import (ConfigError, Context, ContractViolation, RandomSource, Vocab,
+                            normalize)
 from specdraft.kernel import DecodeMode
 from specdraft.statlm import BigramTable, MagModel, train_ngram
 
@@ -180,6 +181,35 @@ def test_per_depth_trace_is_pinned(models, eval_prompts, mode, lenience):
             t[1] += s.proposed
             t[2] += s.accepted
     assert {k: tuple(v) for k, v in totals.items()} == CSD_N3_N2_MAG_TRACE[mode, lenience]
+
+
+#: (drafts, k-matrix) of the ladders the buffer contract is checked on
+_LADDERS = [(["n3"], [[6]]), (["n3", "mag"], [[2, 10], [0, 10]]),
+            (["n3", "n2", "mag"], [[3, 2, 10], [0, 2, 10], [0, 0, 10]])]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_csd_step_leaves_its_prefix_as_it_found_it(models, eval_prompts, data):
+    # every rank drafts into one Context and cuts it back after its review; a
+    # plain list is copied once at the top and never changed
+    names, rows = data.draw(st.sampled_from(_LADDERS))
+    mode = data.draw(st.sampled_from(list(DecodeMode)))
+    lenience = 1.0 if mode is DecodeMode.SAMPLING else data.draw(st.sampled_from([1.0, 3.0]))
+    cfg = CascadeConfig(models["n7"], [models[n] for n in names], KMatrix(rows), mode, 64,
+                        0, lenience)
+    prompt = data.draw(st.sampled_from(eval_prompts[:20]))[:data.draw(st.integers(1, 48))]
+    seed = data.draw(st.integers(0, 2**16))
+    plain = list(prompt)
+    tokens, dists = csd_step(cfg, plain, RandomSource(seed), GenerationTrace())
+    assert type(plain) is list and plain == prompt
+    buf = Context(prompt)
+    if data.draw(st.booleans()):
+        buf.text  # a mirror synced before the step must follow the cut too
+    buf_tokens, buf_dists = csd_step(cfg, buf, RandomSource(seed), GenerationTrace())
+    assert buf == prompt and buf.text == "".join(map(chr, prompt))
+    assert buf_tokens == tokens and len(buf_dists) == len(dists)
+    assert all(np.array_equal(a, b) for a, b in zip(buf_dists, dists))
 
 
 def test_csd_step_requires_prefix():

@@ -1,11 +1,16 @@
-"""Vocabulary, distribution arithmetic, randomness, and the model contract."""
+"""Vocabulary, distribution arithmetic, randomness, the model contract, and
+the decode's token buffer."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specdraft import core
 from specdraft.core import (
     ConstructionError,
+    Context,
     LanguageModel,
     ContractViolation,
     DegenerateDistribution,
@@ -226,6 +231,16 @@ def test_vocab_from_words_is_linear():
     assert Word.comparisons < len(words)
 
 
+def test_vocab_refuses_more_pieces_than_a_mirror_has_code_points(monkeypatch):
+    # a Context mirrors token id t as chr(t), so no id may pass sys.maxunicode
+    assert core.MAX_VOCAB_SIZE == sys.maxunicode + 1
+    assert len(chr(core.MAX_VOCAB_SIZE - 1)) == 1
+    monkeypatch.setattr(core, "MAX_VOCAB_SIZE", 4)
+    assert Vocab(["a", "b", "c", "d"]).size == 4
+    with pytest.raises(ConstructionError, match="5 pieces exceeds 4"):
+        Vocab(["a", "b", "c", "d", "e"])
+
+
 def test_piece_of_out_of_range():
     with pytest.raises(ContractViolation):
         Vocab.byte_level().piece_of(999)
@@ -333,6 +348,19 @@ def test_whole_context_drafter_builds_no_row_sequence(monkeypatch, greedy):
     assert m.contexts == [tuple([0, 1] + out[:i]) for i in range(5)]
 
 
+class _WindowCycleModel(_CountingCycleModel):
+    """`_CountingCycleModel` whose rows read only the last token."""
+
+    window = 1
+
+
+def test_propose_copies_only_the_window_of_the_context():
+    m = _WindowCycleModel()
+    out, _ = m.propose(Context([3, 0, 1, 2]), 3, RandomSource(0), greedy=True)
+    assert out == [3, 0, 1]
+    assert m.contexts == [(2,), (2, 3), (2, 3, 0)]
+
+
 def test_propose_budget_and_probs():
     m = _CycleModel()
     out, dists = m.propose([0], 3, RandomSource(0), greedy=True)
@@ -343,3 +371,50 @@ def test_propose_budget_and_probs():
     for i, (tok, d) in enumerate(zip(out, dists)):
         assert np.array_equal(d, m.distribution([0] + out[:i]))
         assert d[tok] == d.max()
+
+
+# ---------------------------------------------------------------------------
+# Context
+# ---------------------------------------------------------------------------
+
+_IDS = st.integers(0, sys.maxunicode)
+_BUFFER_OPS = st.lists(st.one_of(
+    st.tuples(st.just("extend"), st.lists(_IDS, max_size=6)),
+    st.tuples(st.just("append"), _IDS),
+    st.tuples(st.just("cut"), st.integers(-10, 10)),
+    st.tuples(st.just("read"), st.none()),
+), max_size=40)
+
+
+@given(st.lists(_IDS, max_size=8), _BUFFER_OPS)
+@settings(max_examples=300, deadline=None)
+def test_context_text_mirrors_its_tokens(start, ops):
+    buf, ref = Context(start), list(start)
+    for op, arg in ops:
+        if op == "extend":
+            buf.extend(arg)
+            ref.extend(arg)
+        elif op == "append":
+            buf.append(arg)
+            ref.append(arg)
+        elif op == "cut":
+            del buf[arg:]
+            del ref[arg:]
+        assert buf == ref
+        if op == "read":  # a read between changes syncs the mirror part way
+            assert buf.text == "".join(map(chr, ref))
+    assert buf.text == "".join(map(chr, buf))
+
+
+def test_context_refuses_changes_its_mirror_cannot_follow():
+    changes = [lambda b: b.__setitem__(0, 5), lambda b: b.insert(0, 5), lambda b: b.pop(),
+               lambda b: b.remove(1), lambda b: b.clear(), lambda b: b.sort(),
+               lambda b: b.reverse(), lambda b: b.__imul__(2),
+               lambda b: b.__delitem__(0), lambda b: b.__delitem__(slice(0, 1)),
+               lambda b: b.__delitem__(slice(1, None, 2))]
+    for change in changes:
+        buf = Context([1, 2, 3])
+        assert buf.text == "\x01\x02\x03"
+        with pytest.raises(ContractViolation, match="del buf"):
+            change(buf)
+        assert buf == [1, 2, 3] and buf.text == "\x01\x02\x03"

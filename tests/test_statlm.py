@@ -1,6 +1,7 @@
 """N-gram training, the bigram table, suffix-copy drafting, serialization."""
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from specdraft.core import (
     ConstructionError,
+    Context,
     ContractViolation,
     RandomSource,
     TrainingError,
@@ -440,6 +442,43 @@ def test_mag_propose_matches_oracle(data):
     assert mag_propose(generated, corpus, n) == _brute_force_mag(generated, corpus, n)
 
 
+#: token ids the suffix matcher must handle that `bytes` cannot hold, or that
+#: are specials: bos, eos and unk, byte-level ids 256-258, a lone surrogate,
+#: and the last code point
+_WIDE_IDS = (0, 1, 2, 256, 257, 258, 0xD800, sys.maxunicode)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_suffix_matcher_matches_oracle_on_wide_ids(data):
+    # the oracle searches bytes, so it runs on small labels that map one to
+    # one onto wide ids; the matcher's answer does not depend on the labels
+    ids = data.draw(st.permutations(_WIDE_IDS))
+    v = data.draw(st.integers(1, len(ids) - 1))
+    labels = st.integers(0, v - 1)
+    # a repeated block gives matches whose length crosses powers of two and
+    # reaches len - 1; a last label never seen before has no match at all
+    block = data.draw(st.lists(labels, min_size=1, max_size=12))
+    context = (block * data.draw(st.integers(1, 40)))[:150] + data.draw(
+        st.lists(labels, max_size=3))
+    if data.draw(st.booleans()):
+        context.append(v)
+    corpus = data.draw(st.lists(labels, max_size=64)) + context[:data.draw(st.integers(0, 80))]
+    n = data.draw(st.integers(1, 12))
+    wide = lambda labelled: None if labelled is None else [ids[t] for t in labelled]
+    for generated, searched in ((context, context[:-1]), (context, corpus)):
+        expected = wide(_brute_force_mag(generated, searched, n))
+        assert mag_propose(wide(generated), wide(searched), n) == expected
+        assert mag_propose(Context(wide(generated)), Context(wide(searched)), n) == expected
+
+
+def test_suffix_matcher_finds_a_match_of_every_length_up_to_len_minus_one():
+    for length in range(1, 70):
+        context = [257] * length
+        assert mag_propose(context, context[:-1], 2) == (None if length == 1 else [])
+        assert mag_propose(context + [258], context, 1) is None
+
+
 # ---------------------------------------------------------------------------
 # MagModel
 # ---------------------------------------------------------------------------
@@ -490,6 +529,37 @@ def test_mag_model_distribution_matches_oracle(data):
     model = MagModel(table, span=4)
     assert np.array_equal(model.distribution(context),
                           _brute_force_mag_distribution(table, context))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_mag_model_on_a_context_matches_oracle_on_ids_that_are_not_bytes(data):
+    vocab = Vocab.byte_level()
+    ids = (vocab.bos_id, vocab.eos_id, vocab.unk_id, 256, 257, 258)
+    labels = st.integers(0, data.draw(st.integers(0, len(ids) - 2)))
+    block = data.draw(st.lists(labels, min_size=1, max_size=12))
+    context = (block * data.draw(st.integers(1, 30)))[:120] + data.draw(
+        st.lists(labels, max_size=3))
+    if data.draw(st.booleans()):
+        context.append(len(ids) - 1)  # a last token never seen before
+    table = BigramTable.from_corpus([list(ids), [3, 4, 5]], vocab)
+    model = MagModel(table, span=data.draw(st.integers(1, 12)))
+    tokens = [ids[t] for t in context]
+    # a match that ends the search corpus, context[:-1], copies the last token
+    copied = _brute_force_mag(context, context[:-1], 1)
+    expected = (table.distribution(tokens) if copied is None
+                else model._copy_row(ids[(copied or context[-1:])[0]]))
+    buf = Context(tokens)
+    assert np.array_equal(model.distribution(buf), expected)
+    assert np.array_equal(model.distribution(tokens), expected)
+    greedy = data.draw(st.booleans())
+    seed = data.draw(st.integers(0, 2**16))
+    rng, ref_rng = RandomSource(seed), RandomSource(seed)
+    out, dists = model.propose(buf, 1, rng, greedy)
+    ref_out, ref_dists = model.propose(tokens, 1, ref_rng, greedy)
+    assert out == ref_out and rng.uniform() == ref_rng.uniform()
+    assert all(a is b for a, b in zip(dists, ref_dists))
+    assert buf == tokens  # propose only reads the context
 
 
 def test_mag_model_propose_emits_span_as_one_call():
