@@ -170,6 +170,10 @@ def _decode(config: CascadeConfig, prompt: Sequence[int], rng: RandomSource,
     `trace` (a fresh one when None), listing each warning in it once."""
     if not prompt:
         raise ContractViolation("prompt must be non-empty")
+    size = config.target.vocab.size
+    if min(prompt) < 0 or max(prompt) >= size:
+        bad = next(t for t in prompt if not 0 <= t < size)
+        raise ContractViolation(f"prompt token id {bad} out of range [0, {size})")
     if trace is None:
         trace = GenerationTrace(config.target.descriptor)
     warnings = [f"model {m.descriptor!r} reports non-deterministic scoring; greedy "

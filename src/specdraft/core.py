@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from collections import abc
 from contextlib import contextmanager
 from numbers import Real
@@ -163,27 +164,40 @@ def residual(p_target: np.ndarray, p_draft: np.ndarray) -> np.ndarray:
     q = np.asarray(p_draft, dtype=np.float64)
     if p.shape != q.shape:
         raise ContractViolation("distributions live on different vocabularies")
-    diff = np.maximum(p - q, 0.0)
+    diff = p - q
+    np.maximum(diff, 0.0, out=diff)
     total = float(diff.sum())
     if total <= 0.0:
         raise DegenerateDistribution("zero residual: target equals draft")
-    return diff / total
+    return np.divide(diff, total, out=diff)
 
 
 class RandomSource:
-    """Deterministic uniform stream; identical seed, identical stream."""
+    """Deterministic uniform stream; identical seed, identical stream.
+
+    `uniform` serves blocks of 64 draws taken in one generator call; `uniforms`
+    hands out what is left of a block before fresh draws.  PCG64 fills an array
+    draw by draw, so this is its one-at-a-time stream, in order and in bits."""
 
     def __init__(self, seed: int, _seq: Optional[np.random.SeedSequence] = None):
         self.seed = int(seed)
         self._seq = _seq if _seq is not None else np.random.SeedSequence(self.seed)
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
+        self._block: list = []  # the block's unserved draws, the next one last
 
     def uniform(self) -> float:
         """Next uniform draw on [0, 1)."""
-        return float(self._gen.random())
+        if not self._block:
+            self._block = self._gen.random(64).tolist()[::-1]
+        return self._block.pop()
 
     def uniforms(self, shape) -> np.ndarray:
-        return self._gen.random(shape)
+        out = np.empty(shape)
+        flat = out.reshape(-1)
+        head = [self.uniform() for _ in range(min(flat.size, len(self._block)))]
+        flat[:len(head)] = head
+        self._gen.random(out=flat[len(head):])
+        return out
 
     def split(self, n: int) -> list:
         """n independent child streams derived from this stream's seed sequence.
@@ -197,18 +211,17 @@ class RandomSource:
         return [RandomSource(self.seed, _seq=c) for c in seq.spawn(n)]
 
 
-def sample(dist: np.ndarray, rng: RandomSource, cdf: Optional[np.ndarray] = None) -> int:
+def sample(dist: np.ndarray, rng: RandomSource, cdf: Optional[Sequence[float]] = None) -> int:
     """Inverse-CDF sample over ascending token-id order.
 
-    `cdf`, if given, must be `dist.cumsum()`, kept by a caller that samples
-    one row many times.  A draw at or past the last CDF value (a row summing
-    to just under 1) lands on the last token with positive mass, never on a
-    zero-mass one.
+    `cdf`, if given, is any ascending sequence of the row's cumulative sums
+    (`dist.cumsum()`) that `bisect` can search, kept by a caller that samples
+    one row many times; without it numpy sums and searches the row.  A draw
+    at or past the last CDF value (a row summing to just under 1) lands on
+    the last token with positive mass, never on a zero-mass one.
     """
     u = rng.uniform()
-    if cdf is None:
-        cdf = dist.cumsum()
-    idx = int(cdf.searchsorted(u, side="right"))
+    idx = int(dist.cumsum().searchsorted(u, side="right")) if cdf is None else bisect_right(cdf, u)
     if idx < len(dist):
         return idx
     return int(np.flatnonzero(dist > 0)[-1])
@@ -268,9 +281,9 @@ class LanguageModel(ABC):
                 f"start={start} out of bounds for sequence of length {len(tokens)}"
             )
 
-    def _cdf(self, row: np.ndarray) -> Optional[np.ndarray]:
-        """`row.cumsum()` if this model keeps it, else None (then `sample`
-        sums the row)."""
+    def _cdf(self, row: np.ndarray) -> Optional[Sequence[float]]:
+        """The row's kept cumulative sums, ascending, for `sample` to bisect;
+        None if this model keeps none (then `sample` sums the row)."""
         return None
 
     def propose(self, tokens: Sequence[int], budget: int, rng: RandomSource,

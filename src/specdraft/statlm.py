@@ -11,6 +11,7 @@ bit-faithfully.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import Counter, defaultdict
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -67,7 +68,8 @@ class NGramModel(LanguageModel):
     built and cached per tabled context, and every context whose longest
     tabled suffix it is shares that array.  Drafting reads rows straight from
     that cache, and sampled drafting keeps each shared row's cumulative sums
-    once (`_cdf`), keyed by the identity of a row the cache keeps alive.
+    once (`_cdf`), as an `array('d')` that `bisect` searches, keyed by the
+    identity of a row the cache keeps alive.
     `evaluate`'s rows read that cache through `_row`, as `distribution` does.
     """
 
@@ -85,7 +87,7 @@ class NGramModel(LanguageModel):
         self.tables = tables
         self.interpolation = float(interpolation)
         self._cache: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._cdfs: Dict[int, np.ndarray] = {}
+        self._cdfs: Dict[int, array] = {}
         n_entries = sum(len(t) for t in tables.values())
         if cost_weight is None:
             cost_weight = float(max(n_entries, 1))
@@ -116,10 +118,10 @@ class NGramModel(LanguageModel):
     def distribution(self, context: Sequence[int]) -> np.ndarray:
         return self._row(tuple(context[max(0, len(context) - self.window):]))
 
-    def _cdf(self, row: np.ndarray) -> np.ndarray:
+    def _cdf(self, row: np.ndarray) -> array:
         cdf = self._cdfs.get(id(row))
-        if cdf is None:
-            cdf = self._cdfs[id(row)] = row.cumsum()
+        if cdf is None:  # 8 bytes a sum, as in numpy; a list of floats takes 4x
+            cdf = self._cdfs[id(row)] = array("d", row.cumsum().tobytes())
         return cdf
 
 

@@ -232,6 +232,25 @@ def test_generate_zero_budget():
     assert trace.calls_per_model == {}
 
 
+V6 = Vocab(tuple(f"<{i}>" for i in range(6)))
+
+
+@pytest.mark.parametrize("prompt,bad", [([1, 99], 99), ([1, -1, 7], -1), ([1, 2000000], 2000000)])
+@pytest.mark.parametrize("with_mag", [False, True], ids=["target-alone", "mag-draft"])
+def test_generate_refuses_prompt_ids_outside_the_targets_vocabulary(prompt, bad, with_mag):
+    # a target alone decoded these without error; a mag draft failed with a
+    # bare IndexError in the review or a ValueError from chr()
+    seqs = [[1, 2, 3, 1, 2, 4, 5, 0]]
+    target = train_ngram(seqs, 3, V6)
+    drafts = [MagModel(BigramTable.from_corpus(seqs, V6), span=4)] if with_mag else []
+    cfg = CascadeConfig(target, drafts, KMatrix([[4]] if with_mag else []),
+                        DecodeMode.SAMPLING, max_new_tokens=8, seed=0)
+    trace = GenerationTrace()
+    with pytest.raises(ContractViolation, match=rf"prompt token id {bad} out of range \[0, 6\)"):
+        generate(cfg, prompt, trace)
+    assert trace.calls_per_model == {} and trace.steps == []
+
+
 def test_generate_without_drafts_equals_autoregressive():
     target, _ = synthetic_pair([0.5, 0.3, 0.2], 0.8)
     cfg = CascadeConfig(target, [], KMatrix([]), DecodeMode.SAMPLING,

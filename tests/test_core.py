@@ -1,6 +1,7 @@
 """Vocabulary, distribution arithmetic, randomness, the model contract, and
 the decode's token buffer."""
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from specdraft.core import (
     residual,
     sample,
 )
+from specdraft.statlm import NGramModel
 
 
 class _FixedRng:
@@ -134,6 +136,47 @@ def test_sample_with_the_rows_cdf_equals_sample(dist):
     a, b = RandomSource(4), RandomSource(4)
     assert ([sample(dist, a, dist.cumsum()) for _ in range(200)]
             == [sample(dist, b) for _ in range(200)])
+    # an n-gram's kept sums bisect to the same token as numpy's search of
+    # the row, at every CDF value and at both its neighbours
+    _assert_kept_sums_sample_as_the_row(_keeper(len(dist)), [dist])
+
+
+def _keeper(size):
+    """A model that keeps sums, for rows of `size` tokens."""
+    return NGramModel(1, Vocab(tuple(f"<{i}>" for i in range(size))), {})
+
+
+def _assert_kept_sums_sample_as_the_row(model, rows):
+    for row in rows:
+        kept = model._cdf(row)
+        assert list(kept) == row.cumsum().tolist()
+        for c in row.cumsum():
+            for u in map(float, (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0))):
+                if 0.0 <= u < 1.0:
+                    assert sample(row, _FixedRng([u]), kept) == sample(row, _FixedRng([u]))
+
+
+def test_kept_sums_of_shipped_n3_rows_sample_as_the_row(models, eval_prompts):
+    n3 = models["n3"]
+    rows = list({id(r): r for p in eval_prompts[:8] for r in n3.evaluate(p, 1)}.values())
+    assert len(rows) > 20
+    _assert_kept_sums_sample_as_the_row(n3, rows)
+
+
+def test_a_kept_sum_takes_no_more_bytes_than_its_row():
+    # 8 bytes a sum, as in numpy: a list would hold a 24-byte float object
+    # and an 8-byte pointer for each
+    model = _keeper(259)
+    rows = [normalize(np.arange(1.0, 260.0) ** k) for k in (1, 2)]
+    model._cdf(rows[0])  # the dict's first table
+    tracemalloc.start()
+    try:
+        kept = model._cdf(rows[1])
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 259
+    assert grown <= rows[1].nbytes + 512
 
 
 def test_sample_empirical_frequencies():
@@ -166,6 +209,36 @@ def test_greedy_tie_break_lowest_id():
 
 def test_random_source_repeatable():
     assert RandomSource(42).uniforms(16).tolist() == RandomSource(42).uniforms(16).tolist()
+
+
+#: one step of a draw schedule: a uniform(), a uniforms(shape), or a split(2)
+_draw_steps = st.one_of(st.just("uniform"), st.just("split"), st.integers(0, 150),
+                        st.tuples(st.integers(0, 9), st.integers(0, 9)))
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(_draw_steps, max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_random_source_is_the_generators_one_at_a_time_stream(seed, steps):
+    # draws are served from blocks; any interleaving of uniform and
+    # uniforms, around splits, reads the generator's stream in order
+    rng, kids = RandomSource(seed), RandomSource(seed).split(2)
+    got = []
+    for step in steps:
+        if step == "uniform":
+            got.append(rng.uniform())
+        elif step == "split":  # reads only the seed sequence, not the stream
+            assert [k.uniforms(3).tolist() for k in rng.split(2)] == [
+                k.uniforms(3).tolist() for k in RandomSource(seed).split(2)]
+        else:
+            draws = rng.uniforms(step)
+            assert draws.shape == np.empty(step).shape
+            got.extend(draws.ravel().tolist())
+    got.append(rng.uniform())
+    want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).random(len(got))
+    assert got == want.tolist()
+    # children split before any draw read their own sequences' streams
+    assert [k.uniform() for k in kids] == [float(np.random.Generator(np.random.PCG64(s)).random())
+                                           for s in np.random.SeedSequence(seed).spawn(2)]
 
 
 def test_random_source_split_stable():
