@@ -17,7 +17,6 @@ from .core import (
 )
 from .kernel import (
     DecodeMode,
-    acceptance_probability,
     speculative_review,
 )
 from .cascade import (

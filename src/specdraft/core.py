@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 from abc import ABC, abstractmethod
+from array import array
 from bisect import bisect_right
 from collections import abc
 from contextlib import contextmanager
@@ -29,6 +30,8 @@ UNK_PIECE = "<unk>"
 
 #: the most pieces a vocabulary holds: a `Context` mirrors token id t as chr(t)
 MAX_VOCAB_SIZE = sys.maxunicode + 1
+#: the codec that reads an `array("I")` of code points in native byte order
+_UTF32 = f"utf-32-{sys.byteorder[0]}e"
 
 
 class DegenerateDistribution(ValueError):
@@ -158,7 +161,7 @@ def residual(p_target: np.ndarray, p_draft: np.ndarray) -> np.ndarray:
     """normalize(max(0, p_target - p_draft)) elementwise.
 
     Raises DegenerateDistribution when the clipped difference has no mass
-    (p_target == p_draft); callers fall back to sampling p_target directly.
+    (p_target == p_draft); `rejection_row` then falls back to p_target.
     """
     p = np.asarray(p_target, dtype=np.float64)
     q = np.asarray(p_draft, dtype=np.float64)
@@ -170,6 +173,15 @@ def residual(p_target: np.ndarray, p_draft: np.ndarray) -> np.ndarray:
     if total <= 0.0:
         raise DegenerateDistribution("zero residual: target equals draft")
     return np.divide(diff, total, out=diff)
+
+
+def rejection_row(p_target: np.ndarray, p_draft: np.ndarray) -> np.ndarray:
+    """The row a rejected draft is redrawn from: the residual, or p_target
+    when the rows are equal, since any draw from it is then exact."""
+    try:
+        return residual(p_target, p_draft)
+    except DegenerateDistribution:
+        return p_target
 
 
 class RandomSource:
@@ -286,6 +298,12 @@ class LanguageModel(ABC):
         None if this model keeps none (then `sample` sums the row)."""
         return None
 
+    def _residual_draw(self, p: np.ndarray, q: np.ndarray, rng: RandomSource) -> Optional[int]:
+        """A token drawn with one uniform from `rejection_row(p, q)` (`p` this
+        model's row, `q` a proposal row) through sums this model keeps for the
+        pair; None, drawing nothing, if it keeps none."""
+        return None
+
     def propose(self, tokens: Sequence[int], budget: int, rng: RandomSource,
                 greedy: bool):
         """Autoregressively extend `tokens` by `budget` tokens, one
@@ -369,6 +387,8 @@ class Context(list):
     @property
     def text(self) -> str:
         if not self._valid == len(self) == len(self._text):
-            self._text = self._text[:self._valid] + "".join(map(chr, self[self._valid:]))
+            new = self[self._valid:]  # a first mirror decodes faster than it joins
+            self._text = (self._text[:self._valid] + "".join(map(chr, new)) if self._valid else
+                          array("I", new).tobytes().decode(_UTF32, "surrogatepass"))
             self._valid = len(self)
         return self._text

@@ -8,18 +8,11 @@ accepted prefix plus either a correction token (on rejection) or a bonus token
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    ContractViolation,
-    DegenerateDistribution,
-    RandomSource,
-    greedy_token,
-    residual,
-    sample,
-)
+from .core import ContractViolation, RandomSource, greedy_token, rejection_row, sample
 
 
 class DecodeMode(enum.Enum):
@@ -41,6 +34,7 @@ def speculative_review(
     mode: DecodeMode = DecodeMode.SAMPLING,
     rng: Optional[RandomSource] = None,
     argmax_only: bool = False,
+    residual_draw: Optional[Callable] = None,
 ) -> Tuple[list, list]:
     """Review drafted `tokens` against the reviewer's distributions.
 
@@ -50,11 +44,13 @@ def speculative_review(
 
     `proposal_dists` holds the proposer's row at each draft position; the
     proposal probability q(x) of a token is its entry in that row, and the
-    row itself gives the residual on a sampled rejection.  `reviewer_dists`
-    holds one distribution per draft position plus one for the bonus
-    position.  `argmax_only` restricts greedy acceptance to exact argmax
-    matches; it is what the outermost target review uses so that greedy
-    output is byte-identical to target-only decoding.
+    row itself gives the residual on a sampled rejection: a token from
+    `residual_draw(p, q, rng)` (a reviewer's `_residual_draw`) unless it is
+    None or returns None, else one sampled from `rejection_row(p, q)`.
+    `reviewer_dists` holds one distribution per draft position plus one for
+    the bonus position.  `argmax_only` restricts greedy acceptance to exact
+    argmax matches; it is what the outermost target review uses so that
+    greedy output is byte-identical to target-only decoding.
     """
     l = check_lenience(lenience)
     k = len(tokens)
@@ -95,11 +91,9 @@ def speculative_review(
         if accept:
             emitted.append(tok)
             continue
-        try:
-            res = residual(p, proposal_dists[i])
-        except DegenerateDistribution:
-            res = p  # identical distributions: any draw from p is exact
-        emitted.append(sample(res, rng))
+        q_row = proposal_dists[i]
+        drawn = residual_draw(p, q_row, rng) if residual_draw else None
+        emitted.append(sample(rejection_row(p, q_row), rng) if drawn is None else drawn)
         return emitted, rows
 
     # full acceptance: bonus token from the trailing distribution
@@ -108,15 +102,3 @@ def speculative_review(
     emitted.append(greedy_token(bonus_dist) if mode is DecodeMode.GREEDY
                    else sample(bonus_dist, rng))
     return emitted, rows
-
-
-def acceptance_probability(p_target: np.ndarray, p_draft: np.ndarray,
-                           lenience: float = 1.0) -> float:
-    """Probability that one drafted token passes review: sum_x min(q, l*p)."""
-    l = check_lenience(lenience)
-    p = np.asarray(p_target, dtype=np.float64)
-    q = np.asarray(p_draft, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ContractViolation("distributions live on different vocabularies")
-    return min(1.0, float(np.minimum(q, l * p).sum()))
-

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,6 +31,7 @@ from .core import (
     greedy_token,
     integer,
     reading,
+    rejection_row,
     sample,
 )
 
@@ -71,6 +73,11 @@ class NGramModel(LanguageModel):
     once (`_cdf`), as an `array('d')` that `bisect` searches, keyed by the
     identity of a row the cache keeps alive.
     `evaluate`'s rows read that cache through `_row`, as `distribution` does.
+    A sampled review's rejection under a row `p` of a draft from a read-only
+    row `q` is drawn from a table kept per pair (`_residual_draw`): the sums
+    of the rejection row's one `cumsum` at its positive entries, their token
+    ids (the last twice, for a draw past the last sum) and both rows, so no
+    other row takes their ids.  A writeable row may be new on every call.
     """
 
     def __init__(self, order: int, vocab: Vocab,
@@ -88,6 +95,7 @@ class NGramModel(LanguageModel):
         self.interpolation = float(interpolation)
         self._cache: Dict[Tuple[int, ...], np.ndarray] = {}
         self._cdfs: Dict[int, array] = {}
+        self._residuals: Dict[Tuple[int, int], tuple] = {}
         n_entries = sum(len(t) for t in tables.values())
         if cost_weight is None:
             cost_weight = float(max(n_entries, 1))
@@ -123,6 +131,17 @@ class NGramModel(LanguageModel):
         if cdf is None:  # 8 bytes a sum, as in numpy; a list of floats takes 4x
             cdf = self._cdfs[id(row)] = array("d", row.cumsum().tobytes())
         return cdf
+
+    def _residual_draw(self, p: np.ndarray, q: np.ndarray, rng: RandomSource) -> Optional[int]:
+        kept = self._residuals.get((id(p), id(q)))
+        if kept is None:
+            if p.flags.writeable or q.flags.writeable:  # may be new on every call
+                return None
+            row = rejection_row(p, q)
+            at = np.flatnonzero(row)  # the full CDF is flat elsewhere
+            kept = self._residuals[id(p), id(q)] = (
+                row.cumsum()[at].tolist(), at.tolist() + [int(at[-1])], p, q)
+        return kept[1][bisect_right(kept[0], rng.uniform())]
 
 
 def _counted(seqs: List[List[int]], lengths) -> Dict[Tuple[int, ...], Dict[int, float]]:

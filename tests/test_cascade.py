@@ -18,10 +18,10 @@ from specdraft.cascade import (
     generate,
     sd_generate,
 )
-from specdraft.core import (ConfigError, Context, ContractViolation, RandomSource, Vocab,
-                            normalize)
+from specdraft.core import (ConfigError, Context, ContractViolation, LanguageModel, RandomSource,
+                            Vocab, normalize)
 from specdraft.kernel import DecodeMode
-from specdraft.statlm import BigramTable, MagModel, train_ngram
+from specdraft.statlm import BigramTable, MagModel, NGramModel, train_ngram
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +365,32 @@ def test_sampled_sd_output_is_pinned(models, eval_prompts):
                         DecodeMode.SAMPLING, RandomSource(seed))[0]
             for seed, prompt in enumerate(eval_prompts[:8])]
     assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == SAMPLED_SD_SHA256
+
+
+class _FreshRows(LanguageModel):
+    """`model`'s rows, each a new writeable copy, as a remote model's are."""
+
+    def __init__(self, model):
+        super().__init__(model.vocab, model.cost_weight, "fresh-" + model.descriptor)
+        self.model, self.window = model, model.window
+
+    def distribution(self, context):
+        return self.model.distribution(context).copy()
+
+
+def test_fresh_proposal_rows_are_drawn_as_kept_ones(models, eval_prompts):
+    # an n-gram reviewer keeps a residual table only for read-only proposal
+    # rows; fresh ones are drawn from the residual row, with the same tokens
+    n7 = models["n7"]
+    reviewer = NGramModel(7, n7.vocab, n7.tables, descriptor="n7")
+    outs = [sd_generate(reviewer, _FreshRows(models["n3"]), 6, 1.0, prompt, 64,
+                        DecodeMode.SAMPLING, RandomSource(seed))[0]
+            for seed, prompt in enumerate(eval_prompts[:8])]
+    assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == SAMPLED_SD_SHA256
+    assert reviewer._residuals == {}
+    sd_generate(reviewer, models["n3"], 6, 1.0, eval_prompts[0], 64, DecodeMode.SAMPLING,
+                RandomSource(0))
+    assert reviewer._residuals  # the shipped n3's rows are kept
 
 
 def test_autoregressive_call_accounting():

@@ -22,6 +22,7 @@ from specdraft.core import (
     residual,
     sample,
 )
+from specdraft.kernel import speculative_review
 from specdraft.statlm import NGramModel
 
 
@@ -161,6 +162,70 @@ def test_kept_sums_of_shipped_n3_rows_sample_as_the_row(models, eval_prompts):
     rows = list({id(r): r for p in eval_prompts[:8] for r in n3.evaluate(p, 1)}.values())
     assert len(rows) > 20
     _assert_kept_sums_sample_as_the_row(n3, rows)
+
+
+def _read_only(weights):
+    row = normalize(weights)
+    row.flags.writeable = False
+    return row
+
+
+def _assert_kept_draw_is_the_rejection_draw(model, p, q):
+    """`model._residual_draw(p, q, rng)` draws what `sample` draws from
+    `residual(p, q)`, or from `p` where that has no mass, at every sum the
+    model keeps, at both its neighbours and at or past the last one; and a
+    review that rejects a draft from `q` emits the same token with the kept
+    draw as without it.  Returns the rejection row."""
+    try:
+        row = residual(p, q)
+    except DegenerateDistribution:
+        row = p
+    sums = row.cumsum()[row > 0]
+    draws = {float(u) for c in sums for u in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0))}
+    draws = sorted(u for u in draws | {1 - 2**-53} if 0.0 <= u < 1.0)
+    tok = int(np.argmax(q - p))  # q over p: a draw of 0.0 rejects it
+    for u in draws:
+        assert model._residual_draw(p, q, _FixedRng([u])) == sample(row, _FixedRng([u]))
+        if q[tok] > p[tok]:
+            assert (speculative_review([p, p], [tok], [q], rng=_FixedRng([0.0, u]),
+                                       residual_draw=model._residual_draw)
+                    == speculative_review([p, p], [tok], [q], rng=_FixedRng([0.0, u])))
+    return row
+
+
+@pytest.mark.parametrize("p,q,support", [
+    ([0.5, 0.5, 0, 0], [0.2, 0.8, 0, 0], 1),
+    ([0.4, 0.4, 0.2, 0], [0.1, 0.1, 0.8, 0], 2),
+    ([0.3, 0.1, 0.3, 0, 0.3], [0.1, 0.5, 0.1, 0.2, 0.1], 3),
+    ([1] * 10 + [0], [0] * 10 + [1], 10),  # the residual sums to just under 1
+    ([1] * 10 + [0], [1] * 10 + [0], 10),  # p == q: the draw falls back to p
+], ids=["one", "two", "three-between-zeros", "ten-just-under-one", "p-equals-q"])
+def test_kept_residual_draw_is_the_rejection_draw(p, q, support):
+    model, p, q = _keeper(len(p)), _read_only(p), _read_only(q)
+    row = _assert_kept_draw_is_the_rejection_draw(model, p, q)
+    assert np.count_nonzero(row) == support
+    if support == 10:  # so the largest draws pass the last sum
+        assert row.cumsum()[-1] < 1.0
+    sums, ids, kept_p, kept_q = model._residuals[id(p), id(q)]
+    assert len(sums) + 1 == len(ids) == support + 1 and kept_p is p and kept_q is q
+
+
+def test_kept_residual_draw_under_a_mag_one_hot_row(models, eval_prompts):
+    n7, mag = models["n7"], models["mag"]
+    p = n7.distribution(eval_prompts[0])
+    q = mag._copy_row(int(np.argmax(p)))
+    row = _assert_kept_draw_is_the_rejection_draw(n7, p, q)
+    assert np.count_nonzero(row) >= 250
+
+
+def test_fresh_proposal_rows_keep_no_residual_table():
+    # a writeable row may be new on every call, and a freed row's id taken
+    # by the next, so a table for it could serve another row's draws
+    model = _keeper(4)
+    p, q = _read_only([0.4, 0.4, 0.2, 0]), normalize([0.1, 0.1, 0.8, 0])
+    assert model._residual_draw(p, q, _FixedRng([0.5])) is None
+    assert model._residual_draw(q, p, _FixedRng([0.5])) is None
+    assert model._residuals == {}
 
 
 def test_a_kept_sum_takes_no_more_bytes_than_its_row():
@@ -477,6 +542,22 @@ def test_context_text_mirrors_its_tokens(start, ops):
         if op == "read":  # a read between changes syncs the mirror part way
             assert buf.text == "".join(map(chr, ref))
     assert buf.text == "".join(map(chr, buf))
+
+
+@pytest.mark.parametrize("ids", [[7], list(range(0xD7FE, 0xE001)), [sys.maxunicode, 0, 0xDFFF]],
+                         ids=["one", "surrogates", "extremes"])
+def test_context_text_decodes_as_it_joins(ids):
+    # a first mirror is decoded from the ids' bytes; later syncs join
+    buf = Context(ids)
+    assert buf.text == "".join(map(chr, ids))
+    buf.extend([0xDC00, sys.maxunicode])
+    buf.append(65)
+    assert buf.text == "".join(map(chr, ids + [0xDC00, sys.maxunicode, 65]))
+    del buf[1:]
+    assert buf.text == chr(ids[0])
+    del buf[:]
+    buf.extend(ids[::-1])
+    assert buf.text == "".join(map(chr, ids[::-1]))
 
 
 def test_context_refuses_changes_its_mirror_cannot_follow():

@@ -16,8 +16,11 @@ from specdraft.core import (
     TrainingError,
     Vocab,
     greedy_token,
+    rejection_row,
     sample,
 )
+from specdraft.cascade import sd_generate
+from specdraft.kernel import DecodeMode
 from specdraft.statlm import (
     DEFAULT_INTERPOLATION,
     BigramTable,
@@ -328,6 +331,25 @@ def test_ngram_propose_matches_per_token_evaluate_loop(data):
     assert all(np.array_equal(a, b) for a, b in zip(dists, ref_dists))
     # the same number of uniform draws was consumed
     assert rng.uniform() == ref_rng.uniform()
+
+
+def test_kept_sums_and_residual_tables_are_their_rows(models, eval_prompts):
+    # after a sampled n7 <- n3 decode, every kept sum is its row's, and
+    # every kept residual table is the one its row pair builds now
+    for seed, prompt in enumerate(eval_prompts[:8]):
+        sd_generate(models["n7"], models["n3"], 6, 1.0, prompt, 64, DecodeMode.SAMPLING,
+                    RandomSource(seed))
+    assert models["n3"]._cdfs and models["n7"]._residuals
+    for name in ("n7", "n3", "n2", "bigram"):
+        model = models[name]
+        rows = {id(r): r for r in model._cache.values()}
+        for key, cdf in model._cdfs.items():
+            assert list(cdf) == rows[key].cumsum().tolist()
+        for (p_id, q_id), (sums, ids, p, q) in model._residuals.items():
+            assert rows[p_id] is p and id(q) == q_id
+            row = rejection_row(p, q)
+            at = np.flatnonzero(row)
+            assert sums == row.cumsum()[at].tolist() and ids == [*at.tolist(), at[-1]]
 
 
 def test_ngram_keeps_one_cdf_per_shared_row(corpus):
