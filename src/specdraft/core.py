@@ -298,6 +298,11 @@ class LanguageModel(ABC):
         None if this model keeps none (then `sample` sums the row)."""
         return None
 
+    def _argmax(self, row: np.ndarray) -> int:
+        """The row's greedy token, `greedy_token(row)`, read from a value this
+        model keeps for the row if it keeps one; the greedy twin of `_cdf`."""
+        return greedy_token(row)
+
     def _residual_draw(self, p: np.ndarray, q: np.ndarray, rng: RandomSource) -> Optional[int]:
         """A token drawn with one uniform from `rejection_row(p, q)` (`p` this
         model's row, `q` a proposal row) through sums this model keeps for the
@@ -308,7 +313,8 @@ class LanguageModel(ABC):
                 greedy: bool):
         """Autoregressively extend `tokens` by `budget` tokens, one
         `distribution` row per token; this is the one token-by-token
-        drafting loop.  A sampled token reads the row's sums from `_cdf`.
+        drafting loop.  A greedy token is the row's `_argmax`, a sampled one
+        reads the row's sums from `_cdf`.
 
         Returns (new_tokens, dists): the drafted tokens and this model's
         distribution row at each (its proposal probability for a token is the
@@ -320,7 +326,7 @@ class LanguageModel(ABC):
         out, dists = [], []
         for _ in range(budget):
             d = self.distribution(cur)
-            tok = greedy_token(d) if greedy else sample(d, rng, self._cdf(d))
+            tok = self._argmax(d) if greedy else sample(d, rng, self._cdf(d))
             out.append(tok)
             dists.append(d)
             cur.append(tok)

@@ -8,6 +8,7 @@ accepted prefix plus either a correction token (on rejection) or a bonus token
 from __future__ import annotations
 
 import enum
+from operator import getitem
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +36,7 @@ def speculative_review(
     rng: Optional[RandomSource] = None,
     argmax_only: bool = False,
     residual_draw: Optional[Callable] = None,
+    argmax: Callable = greedy_token,
 ) -> Tuple[list, list]:
     """Review drafted `tokens` against the reviewer's distributions.
 
@@ -43,14 +45,19 @@ def speculative_review(
     token, and `rows`, the reviewer row read at each emitted token.
 
     `proposal_dists` holds the proposer's row at each draft position; the
-    proposal probability q(x) of a token is its entry in that row, and the
-    row itself gives the residual on a sampled rejection: a token from
-    `residual_draw(p, q, rng)` (a reviewer's `_residual_draw`) unless it is
-    None or returns None, else one sampled from `rejection_row(p, q)`.
+    proposal probability q(x) of a token is its entry in that row, and every
+    q(x) must lie in (0, 1].  The row itself gives the residual on a sampled
+    rejection: a token from `residual_draw(p, q, rng)` (a reviewer's
+    `_residual_draw`) unless it is None or returns None, else one sampled
+    from `rejection_row(p, q)`.  A greedy review's argmax of a reviewer row
+    is `argmax(row)` (a reviewer's `_argmax`), which must equal
+    `greedy_token(row)`.
     `reviewer_dists` holds one distribution per draft position plus one for
-    the bonus position.  `argmax_only` restricts greedy acceptance to exact
-    argmax matches; it is what the outermost target review uses so that
-    greedy output is byte-identical to target-only decoding.
+    the bonus position; they are read in order by iteration, so a lazy
+    sequence builds no row past the first rejection.  `argmax_only` restricts
+    greedy acceptance to exact argmax matches, so it never reads p(x); it is
+    what the outermost target review uses so that greedy output is
+    byte-identical to target-only decoding.
     """
     l = check_lenience(lenience)
     k = len(tokens)
@@ -62,26 +69,26 @@ def speculative_review(
         raise ContractViolation(
             f"need {k + 1} reviewer distributions for {k} draft tokens, got {len(reviewer_dists)}"
         )
-    q = [float(row[tok]) for row, tok in zip(proposal_dists, tokens)]
+    q = list(map(float, map(getitem, proposal_dists, tokens)))
     for q_tok in q:
         if not 0.0 < q_tok <= 1.0:
             raise ContractViolation(f"proposal probability {q_tok} outside (0, 1]")
 
+    greedy = mode is DecodeMode.GREEDY
     emitted: list = []
     rows: list = []
-    for i, (tok, q_tok) in enumerate(zip(tokens, q)):
-        p = reviewer_dists[i]
+    reviewed = iter(reviewer_dists)
+    for i, (tok, q_tok, p) in enumerate(zip(tokens, q, reviewed)):
         rows.append(p)
-        p_tok = float(p[tok])
-        if mode is DecodeMode.GREEDY:
-            am = greedy_token(p)
-            ok = tok == am or (not argmax_only and q_tok <= l * p_tok)
-            if ok:
+        if greedy:
+            am = argmax(p)
+            if tok == am or (not argmax_only and q_tok <= l * float(p[tok])):
                 emitted.append(tok)
                 continue
             emitted.append(am)
             return emitted, rows
         # sampling mode
+        p_tok = float(p[tok])
         if q_tok <= l * p_tok:
             accept = True
         else:
@@ -96,9 +103,9 @@ def speculative_review(
         emitted.append(sample(rejection_row(p, q_row), rng) if drawn is None else drawn)
         return emitted, rows
 
-    # full acceptance: bonus token from the trailing distribution
-    bonus_dist = reviewer_dists[k]
+    # full acceptance: bonus token from the trailing distribution (zip
+    # stops at the last token before it takes a row)
+    bonus_dist = next(reviewed)
     rows.append(bonus_dist)
-    emitted.append(greedy_token(bonus_dist) if mode is DecodeMode.GREEDY
-                   else sample(bonus_dist, rng))
+    emitted.append(argmax(bonus_dist) if greedy else sample(bonus_dist, rng))
     return emitted, rows

@@ -78,6 +78,11 @@ class NGramModel(LanguageModel):
     of the rejection row's one `cumsum` at its positive entries, their token
     ids (the last twice, for a draw past the last sum) and both rows, so no
     other row takes their ids.  A writeable row may be new on every call.
+    Each row `_row` builds keeps its argmax (`_argmax`), keyed by its
+    identity, so a greedy draft or review of a cached row runs no `argmax`.
+    The kept sums and argmaxes are bounded by the distinct rows, the
+    residual tables by the row pairs, and the context-keyed `_cache` is
+    the one table that grows with the distinct contexts read.
     """
 
     def __init__(self, order: int, vocab: Vocab,
@@ -95,6 +100,7 @@ class NGramModel(LanguageModel):
         self.interpolation = float(interpolation)
         self._cache: Dict[Tuple[int, ...], np.ndarray] = {}
         self._cdfs: Dict[int, array] = {}
+        self._argmaxes: Dict[int, int] = {}
         self._residuals: Dict[Tuple[int, int], tuple] = {}
         n_entries = sum(len(t) for t in tables.values())
         if cost_weight is None:
@@ -120,6 +126,7 @@ class NGramModel(LanguageModel):
                     row = w * _dense(self.vocab.size, ml) + (1.0 - w) * row
             row.flags.writeable = False
             self._cache[key] = row
+            self._argmaxes[id(row)] = greedy_token(row)
         self._cache[ctx] = row
         return row
 
@@ -131,6 +138,10 @@ class NGramModel(LanguageModel):
         if cdf is None:  # 8 bytes a sum, as in numpy; a list of floats takes 4x
             cdf = self._cdfs[id(row)] = array("d", row.cumsum().tobytes())
         return cdf
+
+    def _argmax(self, row: np.ndarray) -> int:
+        am = self._argmaxes.get(id(row))
+        return greedy_token(row) if am is None else am
 
     def _residual_draw(self, p: np.ndarray, q: np.ndarray, rng: RandomSource) -> Optional[int]:
         kept = self._residuals.get((id(p), id(q)))
@@ -244,6 +255,18 @@ def mag_propose(generated: Sequence[int], corpus: Sequence[int], n: int = 1,
     return None if pos is None else list(corpus[pos:pos + n])
 
 
+class _OneHotRows(dict):
+    """Token id -> its read-only one-hot row over `size` tokens, built on first read."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def __missing__(self, token: int) -> np.ndarray:
+        row = self[token] = _dense(self.size, {token: 1.0})
+        return row
+
+
 class MagModel(LanguageModel):
     """Suffix-copy drafter: point mass on the token that followed the first
     occurrence of the context's longest suffix earlier in the context (prompt
@@ -259,21 +282,15 @@ class MagModel(LanguageModel):
             raise ConstructionError("span must be >= 1")
         self.fallback = fallback
         self.span = span
-        self._one_hot: Dict[int, np.ndarray] = {}
+        self._one_hot = _OneHotRows(fallback.vocab.size)
         super().__init__(fallback.vocab, cost_weight, descriptor)
-
-    def _copy_row(self, token: int) -> np.ndarray:
-        row = self._one_hot.get(token)
-        if row is None:
-            row = self._one_hot[token] = _dense(self.vocab.size, {token: 1.0})
-        return row
 
     def distribution(self, context: Sequence[int]) -> np.ndarray:
         text = _mirror(context)
         pos = _copy_start(text, text, len(text) - 1)
         if pos is None:
             return self.fallback.distribution(context)
-        return self._copy_row(context[pos])
+        return self._one_hot[context[pos]]
 
     def propose(self, tokens: Sequence[int], budget: int, rng: RandomSource,
                 greedy: bool):
@@ -300,13 +317,13 @@ class MagModel(LanguageModel):
                 head = text[pos:pos + left]  # one period, or the whole copy if shorter
                 copied = list(map(ord, (head * (left // len(head) + 1))[:left]))
                 out += copied
-                dists += map(self._copy_row, copied)
+                dists += map(self._one_hot.__getitem__, copied)
                 if not greedy:
                     for _ in copied:
                         rng.uniform()
                 break
             d = self.fallback.distribution(out or tokens)  # reads the last token only
-            tok = greedy_token(d) if greedy else sample(d, rng, self.fallback._cdf(d))
+            tok = self.fallback._argmax(d) if greedy else sample(d, rng, self.fallback._cdf(d))
             out.append(tok)
             dists.append(d)
             text += chr(tok)

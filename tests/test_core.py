@@ -22,7 +22,7 @@ from specdraft.core import (
     residual,
     sample,
 )
-from specdraft.kernel import speculative_review
+from specdraft.kernel import DecodeMode, speculative_review
 from specdraft.statlm import NGramModel
 
 
@@ -213,7 +213,7 @@ def test_kept_residual_draw_is_the_rejection_draw(p, q, support):
 def test_kept_residual_draw_under_a_mag_one_hot_row(models, eval_prompts):
     n7, mag = models["n7"], models["mag"]
     p = n7.distribution(eval_prompts[0])
-    q = mag._copy_row(int(np.argmax(p)))
+    q = mag._one_hot[int(np.argmax(p))]
     row = _assert_kept_draw_is_the_rejection_draw(n7, p, q)
     assert np.count_nonzero(row) >= 250
 
@@ -432,6 +432,49 @@ def test_whole_context_rows_are_built_when_read():
     # each row reads every token before its position, not a window of them
     list(rows)
     assert m.contexts[1:] == [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)]
+
+
+def _one_hot(size, tok):
+    row = np.zeros(size)
+    row[tok] = 1.0
+    return row
+
+
+@pytest.mark.parametrize("mode", list(DecodeMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("rejected", [0, 1, 3, None], ids=lambda j: f"reject-{j}")
+def test_a_review_builds_its_rows_in_order_up_to_the_first_rejection(mode, rejected):
+    # a review reads its lazy rows by iteration: one that rejects at j builds
+    # rows 0..j only, one that accepts all k tokens builds k + 1
+    m, prefix, k = _CountingCycleModel(), [0], 4
+    tokens = [(prefix[-1] + 1 + i) % 4 for i in range(k)]  # each the row's argmax
+    proposals = [m.distribution(prefix + tokens[:i]) for i in range(k)]  # q == p: accepted
+    if rejected is not None:  # a one-hot proposal of a token the row gives 0.01
+        tokens[rejected] = (tokens[rejected] + 2) % 4
+        proposals[rejected] = _one_hot(4, tokens[rejected])
+    m.contexts.clear()
+    rows = m.evaluate(prefix + tokens, len(prefix) + 1)
+    emitted, read = speculative_review(rows, tokens, proposals, mode=mode,
+                                       rng=_FixedRng([0.0, 0.5]))
+    built = k + 1 if rejected is None else rejected + 1
+    assert len(emitted) == len(read) == built
+    assert m.contexts == [tuple(prefix + tokens[:i]) for i in range(built)]
+
+
+@pytest.mark.parametrize("mode", list(DecodeMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("at", [0, 2], ids=["first", "after-the-rejection"])
+@pytest.mark.parametrize("bad", [0.0, 1.5, float("nan")], ids=str)
+def test_every_proposal_probability_is_checked(mode, at, bad):
+    # every q(x) is checked before the review reads any row: at the first
+    # draft, and past the first rejection (at 0, of a one-hot draft the row
+    # gives 0.01), and a NaN anywhere
+    m, prefix = _CountingCycleModel(), [0]
+    tokens = [3, 3, 0]
+    proposals = [_one_hot(4, tok) for tok in tokens]
+    proposals[at] *= bad
+    with pytest.raises(ContractViolation, match=f"proposal probability {bad} outside"):
+        speculative_review(m.evaluate(prefix + tokens, 2), tokens, proposals, mode=mode,
+                           rng=_FixedRng([0.0, 0.5]))
+    assert m.contexts == []
 
 
 def test_appending_to_the_tokens_after_evaluate_changes_no_row():

@@ -19,7 +19,7 @@ from specdraft.core import (
     rejection_row,
     sample,
 )
-from specdraft.cascade import sd_generate
+from specdraft.cascade import CascadeConfig, KMatrix, generate, sd_generate
 from specdraft.kernel import DecodeMode
 from specdraft.statlm import (
     DEFAULT_INTERPOLATION,
@@ -352,6 +352,31 @@ def test_kept_sums_and_residual_tables_are_their_rows(models, eval_prompts):
             assert sums == row.cumsum()[at].tolist() and ids == [*at.tolist(), at[-1]]
 
 
+def test_kept_argmaxes_are_their_rows_greedy_tokens(models, eval_prompts):
+    # after a greedy n7 <- [n3, n2, mag] decode, every kept argmax is the
+    # greedy token of the cached row with its id, one at most per row
+    n7, n3, n2, mag = (models[name] for name in ("n7", "n3", "n2", "mag"))
+    config = CascadeConfig(n7, [n3, n2, mag], KMatrix([[3, 2, 10], [0, 2, 10], [0, 0, 10]]),
+                           DecodeMode.GREEDY, 64, 0)
+    for prompt in eval_prompts[:8]:
+        generate(config, prompt)
+    for model in (n7, n3, n2, mag.fallback):
+        rows = {id(r): r for r in model._cache.values()}
+        assert model._argmaxes and len(model._argmaxes) <= len(rows)
+        for key, am in model._argmaxes.items():
+            assert am == greedy_token(rows[key])
+
+
+def test_a_tied_row_keeps_its_lowest_id_and_a_writeable_row_keeps_nothing():
+    model = NGramModel(2, V6, {(0,): {2: 0.5, 4: 0.5}}, interpolation=1.0)
+    tied, uniform = model.distribution([0]), model.distribution([3])
+    assert model._argmaxes == {id(tied): 2, id(uniform): 0}
+    assert model._argmax(tied) == 2 and model._argmax(uniform) == 0
+    fresh = np.array([0.1, 0.2, 0.0, 0.0, 0.7, 0.0])  # may be new on every call
+    assert model._argmax(fresh) == 4
+    assert model._argmaxes == {id(tied): 2, id(uniform): 0}
+
+
 def test_ngram_keeps_one_cdf_per_shared_row(corpus):
     train_seqs, eval_seqs, vocab, _ = corpus
     model = train_ngram(train_seqs, 3, vocab)
@@ -570,7 +595,7 @@ def test_mag_model_on_a_context_matches_oracle_on_ids_that_are_not_bytes(data):
     # a match that ends the search corpus, context[:-1], copies the last token
     copied = _brute_force_mag(context, context[:-1], 1)
     expected = (table.distribution(tokens) if copied is None
-                else model._copy_row(ids[(copied or context[-1:])[0]]))
+                else model._one_hot[ids[(copied or context[-1:])[0]]])
     buf = Context(tokens)
     assert np.array_equal(model.distribution(buf), expected)
     assert np.array_equal(model.distribution(tokens), expected)
