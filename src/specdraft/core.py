@@ -244,6 +244,16 @@ def greedy_token(dist: np.ndarray) -> int:
     return int(dist.argmax())
 
 
+def pick(p: np.ndarray, rng: Optional[RandomSource], greedy: bool,
+         q: Optional[np.ndarray] = None) -> int:
+    """The one rule every emitted token is chosen by: `greedy_token(p)` when
+    `greedy`, drawing no uniform; else one uniform's draw from `p`, or from
+    `rejection_row(p, q)` when a proposal row `q` is given."""
+    if greedy:
+        return greedy_token(p)
+    return sample(p if q is None else rejection_row(p, q), rng)
+
+
 class LanguageModel(ABC):
     """Parallel next-token scorer over a fixed vocabulary.
 
@@ -293,28 +303,17 @@ class LanguageModel(ABC):
                 f"start={start} out of bounds for sequence of length {len(tokens)}"
             )
 
-    def _cdf(self, row: np.ndarray) -> Optional[Sequence[float]]:
-        """The row's kept cumulative sums, ascending, for `sample` to bisect;
-        None if this model keeps none (then `sample` sums the row)."""
-        return None
-
-    def _argmax(self, row: np.ndarray) -> int:
-        """The row's greedy token, `greedy_token(row)`, read from a value this
-        model keeps for the row if it keeps one; the greedy twin of `_cdf`."""
-        return greedy_token(row)
-
-    def _residual_draw(self, p: np.ndarray, q: np.ndarray, rng: RandomSource) -> Optional[int]:
-        """A token drawn with one uniform from `rejection_row(p, q)` (`p` this
-        model's row, `q` a proposal row) through sums this model keeps for the
-        pair; None, drawing nothing, if it keeps none."""
-        return None
+    def _pick(self, p: np.ndarray, rng: Optional[RandomSource], greedy: bool,
+              q: Optional[np.ndarray] = None) -> int:
+        """A token from this model's row `p` as `pick` chooses it, read from
+        values this model keeps for the row if it keeps any."""
+        return pick(p, rng, greedy, q)
 
     def propose(self, tokens: Sequence[int], budget: int, rng: RandomSource,
                 greedy: bool):
         """Autoregressively extend `tokens` by `budget` tokens, one
         `distribution` row per token; this is the one token-by-token
-        drafting loop.  A greedy token is the row's `_argmax`, a sampled one
-        reads the row's sums from `_cdf`.
+        drafting loop.  Each token is the row's `_pick`.
 
         Returns (new_tokens, dists): the drafted tokens and this model's
         distribution row at each (its proposal probability for a token is the
@@ -326,7 +325,7 @@ class LanguageModel(ABC):
         out, dists = [], []
         for _ in range(budget):
             d = self.distribution(cur)
-            tok = self._argmax(d) if greedy else sample(d, rng, self._cdf(d))
+            tok = self._pick(d, rng, greedy)
             out.append(tok)
             dists.append(d)
             cur.append(tok)

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ContractViolation, RandomSource, greedy_token, rejection_row, sample
+from .core import ContractViolation, RandomSource, pick, sample
 
 
 class DecodeMode(enum.Enum):
@@ -35,8 +35,7 @@ def speculative_review(
     mode: DecodeMode = DecodeMode.SAMPLING,
     rng: Optional[RandomSource] = None,
     argmax_only: bool = False,
-    residual_draw: Optional[Callable] = None,
-    argmax: Callable = greedy_token,
+    pick: Callable = pick,
 ) -> Tuple[list, list]:
     """Review drafted `tokens` against the reviewer's distributions.
 
@@ -46,12 +45,10 @@ def speculative_review(
 
     `proposal_dists` holds the proposer's row at each draft position; the
     proposal probability q(x) of a token is its entry in that row, and every
-    q(x) must lie in (0, 1].  The row itself gives the residual on a sampled
-    rejection: a token from `residual_draw(p, q, rng)` (a reviewer's
-    `_residual_draw`) unless it is None or returns None, else one sampled
-    from `rejection_row(p, q)`.  A greedy review's argmax of a reviewer row
-    is `argmax(row)` (a reviewer's `_argmax`), which must equal
-    `greedy_token(row)`.
+    q(x) must lie in (0, 1].  A greedy review's argmax of a reviewer row `p`
+    is `pick(p, rng, True)`, and a sampled rejection of a draft from row `q`
+    emits `pick(p, rng, False, q)`: `pick` is a reviewer's `_pick`, which
+    must choose as `core.pick` does.  A sampled review needs `rng`.
     `reviewer_dists` holds one distribution per draft position plus one for
     the bonus position; they are read in order by iteration, so a lazy
     sequence builds no row past the first rejection.  `argmax_only` restricts
@@ -60,6 +57,9 @@ def speculative_review(
     byte-identical to target-only decoding.
     """
     l = check_lenience(lenience)
+    greedy = mode is DecodeMode.GREEDY
+    if not greedy and rng is None:
+        raise ContractViolation("a sampled review needs an rng")
     k = len(tokens)
     if len(proposal_dists) != k:
         raise ContractViolation(
@@ -74,14 +74,13 @@ def speculative_review(
         if not 0.0 < q_tok <= 1.0:
             raise ContractViolation(f"proposal probability {q_tok} outside (0, 1]")
 
-    greedy = mode is DecodeMode.GREEDY
     emitted: list = []
     rows: list = []
     reviewed = iter(reviewer_dists)
     for i, (tok, q_tok, p) in enumerate(zip(tokens, q, reviewed)):
         rows.append(p)
         if greedy:
-            am = argmax(p)
+            am = pick(p, rng, True)
             if tok == am or (not argmax_only and q_tok <= l * float(p[tok])):
                 emitted.append(tok)
                 continue
@@ -98,14 +97,13 @@ def speculative_review(
         if accept:
             emitted.append(tok)
             continue
-        q_row = proposal_dists[i]
-        drawn = residual_draw(p, q_row, rng) if residual_draw else None
-        emitted.append(sample(rejection_row(p, q_row), rng) if drawn is None else drawn)
+        emitted.append(pick(p, rng, False, proposal_dists[i]))
         return emitted, rows
 
     # full acceptance: bonus token from the trailing distribution (zip
-    # stops at the last token before it takes a row)
+    # stops at the last token before it takes a row); a sampled one is not
+    # the reviewer's `_pick`, so no model keeps sums for its bonus rows
     bonus_dist = next(reviewed)
     rows.append(bonus_dist)
-    emitted.append(argmax(bonus_dist) if greedy else sample(bonus_dist, rng))
+    emitted.append(pick(bonus_dist, rng, True) if greedy else sample(bonus_dist, rng))
     return emitted, rows

@@ -30,6 +30,7 @@ from .core import (
     Vocab,
     greedy_token,
     integer,
+    pick,
     reading,
     rejection_row,
     sample,
@@ -69,20 +70,20 @@ class NGramModel(LanguageModel):
     untabled suffixes skip their interpolation step.  So one read-only row is
     built and cached per tabled context, and every context whose longest
     tabled suffix it is shares that array.  Drafting reads rows straight from
-    that cache, and sampled drafting keeps each shared row's cumulative sums
-    once (`_cdf`), as an `array('d')` that `bisect` searches, keyed by the
-    identity of a row the cache keeps alive.
-    `evaluate`'s rows read that cache through `_row`, as `distribution` does.
-    A sampled review's rejection under a row `p` of a draft from a read-only
-    row `q` is drawn from a table kept per pair (`_residual_draw`): the sums
-    of the rejection row's one `cumsum` at its positive entries, their token
-    ids (the last twice, for a draw past the last sum) and both rows, so no
-    other row takes their ids.  A writeable row may be new on every call.
-    Each row `_row` builds keeps its argmax (`_argmax`), keyed by its
-    identity, so a greedy draft or review of a cached row runs no `argmax`.
-    The kept sums and argmaxes are bounded by the distinct rows, the
-    residual tables by the row pairs, and the context-keyed `_cache` is
-    the one table that grows with the distinct contexts read.
+    that cache, and `evaluate`'s rows read it through `_row`, as
+    `distribution` does.  Each row `_row` builds has one record, keyed by
+    the row's identity, which the cache keeps alive; `_pick` reads it:
+    - the row's argmax, made when the row is built, for greedy picks;
+    - its cumulative sums, an `array('d')` that `bisect` searches, made on
+      the first sampled draw;
+    - one table per read-only proposal row `q` that a rejection under the
+      row redraws for: the sums of the rejection row's one `cumsum` at its
+      positive entries, their token ids (the last twice, for a draw past the
+      last sum) and `q`, so no other row takes its id.
+    Any other row, or a writeable `q`, which may be new on every call, is
+    picked by `core.pick`.  The records are bounded by the distinct rows and
+    their `q`s; the context-keyed `_cache` is the one table that grows with
+    the distinct contexts read.
     """
 
     def __init__(self, order: int, vocab: Vocab,
@@ -99,9 +100,7 @@ class NGramModel(LanguageModel):
         self.tables = tables
         self.interpolation = float(interpolation)
         self._cache: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._cdfs: Dict[int, array] = {}
-        self._argmaxes: Dict[int, int] = {}
-        self._residuals: Dict[Tuple[int, int], tuple] = {}
+        self._records: Dict[int, list] = {}  # id(row): [argmax, sums, {id(q): table}], None unmade
         n_entries = sum(len(t) for t in tables.values())
         if cost_weight is None:
             cost_weight = float(max(n_entries, 1))
@@ -126,32 +125,30 @@ class NGramModel(LanguageModel):
                     row = w * _dense(self.vocab.size, ml) + (1.0 - w) * row
             row.flags.writeable = False
             self._cache[key] = row
-            self._argmaxes[id(row)] = greedy_token(row)
+            self._records[id(row)] = [greedy_token(row), None, None]
         self._cache[ctx] = row
         return row
 
     def distribution(self, context: Sequence[int]) -> np.ndarray:
         return self._row(tuple(context[max(0, len(context) - self.window):]))
 
-    def _cdf(self, row: np.ndarray) -> array:
-        cdf = self._cdfs.get(id(row))
-        if cdf is None:  # 8 bytes a sum, as in numpy; a list of floats takes 4x
-            cdf = self._cdfs[id(row)] = array("d", row.cumsum().tobytes())
-        return cdf
-
-    def _argmax(self, row: np.ndarray) -> int:
-        am = self._argmaxes.get(id(row))
-        return greedy_token(row) if am is None else am
-
-    def _residual_draw(self, p: np.ndarray, q: np.ndarray, rng: RandomSource) -> Optional[int]:
-        kept = self._residuals.get((id(p), id(q)))
+    def _pick(self, p: np.ndarray, rng: Optional[RandomSource], greedy: bool,
+              q: Optional[np.ndarray] = None) -> int:
+        record = self._records.get(id(p))
+        if record is None or (q is not None and q.flags.writeable):
+            return pick(p, rng, greedy, q)
+        if greedy:
+            return record[0]
+        if q is None:
+            if record[1] is None:  # 8 bytes a sum, as in numpy; a list of floats takes 4x
+                record[1] = array("d", p.cumsum().tobytes())
+            return sample(p, rng, record[1])
+        tables = record[2] = record[2] or {}
+        kept = tables.get(id(q))
         if kept is None:
-            if p.flags.writeable or q.flags.writeable:  # may be new on every call
-                return None
             row = rejection_row(p, q)
             at = np.flatnonzero(row)  # the full CDF is flat elsewhere
-            kept = self._residuals[id(p), id(q)] = (
-                row.cumsum()[at].tolist(), at.tolist() + [int(at[-1])], p, q)
+            kept = tables[id(q)] = (row.cumsum()[at].tolist(), at.tolist() + [int(at[-1])], q)
         return kept[1][bisect_right(kept[0], rng.uniform())]
 
 
@@ -305,8 +302,8 @@ class MagModel(LanguageModel):
         token at `pos` after the first longest match is copied, that match
         grown by one is the new first longest match, so the rest of the span
         is the context from `pos` on, repeated with period `len - pos`.  A
-        sampled fallback token reads the bigram row's kept sums; a sampled
-        copy still consumes one uniform draw, which its one-hot row maps to it.
+        fallback token is the bigram table's `_pick`; a sampled copy still
+        consumes one uniform draw, which its one-hot row maps to it.
         """
         text = _mirror(tokens)
         out, dists = [], []
@@ -323,7 +320,7 @@ class MagModel(LanguageModel):
                         rng.uniform()
                 break
             d = self.fallback.distribution(out or tokens)  # reads the last token only
-            tok = self.fallback._argmax(d) if greedy else sample(d, rng, self.fallback._cdf(d))
+            tok = self.fallback._pick(d, rng, greedy)
             out.append(tok)
             dists.append(d)
             text += chr(tok)

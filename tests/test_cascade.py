@@ -367,6 +367,30 @@ def test_sampled_sd_output_is_pinned(models, eval_prompts):
     assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == SAMPLED_SD_SHA256
 
 
+#: sha256 of the outputs below, recorded before `_pick` replaced the three
+#: hooks `_cdf`, `_argmax` and `_residual_draw`
+SAMPLED_CASCADE_SHA256 = "d4b2ad39a18fd5c1b86aaa3a02bddea157e4c906b1317d84c292c94d86d93dac"
+
+
+def test_sampled_cascade_output_is_pinned(models, eval_prompts):
+    # n7 <- [n3, mag] samples what n7 <- n3 never does: `mag`'s fallback
+    # draws from the bigram table's kept sums, and rejections of `mag`'s
+    # one-hot rows; models that share the shipped tables start with no record
+    n7, n3, bigram = (models[name] for name in ("n7", "n3", "bigram"))
+    n7 = NGramModel(7, n7.vocab, n7.tables, descriptor="n7")
+    n3 = NGramModel(3, n3.vocab, n3.tables, descriptor="n3")
+    table = BigramTable(bigram.vocab, bigram.tables)
+    ladder = [n3, MagModel(table, span=10, descriptor="mag")]
+    outs = [generate(CascadeConfig(n7, ladder, KMatrix([[2, 10], [0, 10]]), DecodeMode.SAMPLING,
+                                   64, seed), prompt)[0]
+            for seed, prompt in enumerate(eval_prompts[:8])]
+    assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == SAMPLED_CASCADE_SHA256
+    assert any(r[1] is not None for r in table._records.values())
+    for reviewer in (n7, n3):
+        qs = [q for r in reviewer._records.values() for _, _, q in (r[2] or {}).values()]
+        assert any(q.max() == 1.0 for q in qs) and any(q.max() < 1.0 for q in qs)
+
+
 class _FreshRows(LanguageModel):
     """`model`'s rows, each a new writeable copy, as a remote model's are."""
 
@@ -387,10 +411,10 @@ def test_fresh_proposal_rows_are_drawn_as_kept_ones(models, eval_prompts):
                         DecodeMode.SAMPLING, RandomSource(seed))[0]
             for seed, prompt in enumerate(eval_prompts[:8])]
     assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == SAMPLED_SD_SHA256
-    assert reviewer._residuals == {}
+    assert reviewer._records and not any(r[2] for r in reviewer._records.values())
     sd_generate(reviewer, models["n3"], 6, 1.0, eval_prompts[0], 64, DecodeMode.SAMPLING,
                 RandomSource(0))
-    assert reviewer._residuals  # the shipped n3's rows are kept
+    assert any(r[2] for r in reviewer._records.values())  # the shipped n3's rows are kept
 
 
 def test_autoregressive_call_accounting():

@@ -139,29 +139,38 @@ def test_sample_with_the_rows_cdf_equals_sample(dist):
             == [sample(dist, b) for _ in range(200)])
     # an n-gram's kept sums bisect to the same token as numpy's search of
     # the row, at every CDF value and at both its neighbours
-    _assert_kept_sums_sample_as_the_row(_keeper(len(dist)), [dist])
+    _assert_kept_sums_sample_as_the_row(*_keeper(dist))
 
 
-def _keeper(size):
-    """A model that keeps sums, for rows of `size` tokens."""
-    return NGramModel(1, Vocab(tuple(f"<{i}>" for i in range(size))), {})
+def _keeper(dist):
+    """(model, row): an order-1 n-gram at interpolation 1 whose `()` table is
+    `dist`, and its one row, built by the model and bit-equal to `dist`."""
+    dist = np.asarray(dist, dtype=np.float64)
+    model = NGramModel(1, Vocab(tuple(f"<{i}>" for i in range(len(dist)))),
+                       {(): dict(enumerate(map(float, dist)))}, interpolation=1.0)
+    row = model.distribution([])
+    assert row.tobytes() == dist.tobytes() and not row.flags.writeable
+    return model, row
 
 
-def _assert_kept_sums_sample_as_the_row(model, rows):
+def _neighbours(sums):
+    """Every value in `sums` and both its `nextafter` neighbours, in [0, 1)."""
+    draws = {float(u) for c in sums for u in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0))}
+    return sorted(u for u in draws if 0.0 <= u < 1.0)
+
+
+def _assert_kept_sums_sample_as_the_row(model, *rows):
     for row in rows:
-        kept = model._cdf(row)
-        assert list(kept) == row.cumsum().tolist()
-        for c in row.cumsum():
-            for u in map(float, (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0))):
-                if 0.0 <= u < 1.0:
-                    assert sample(row, _FixedRng([u]), kept) == sample(row, _FixedRng([u]))
+        for u in _neighbours(row.cumsum()):
+            assert model._pick(row, _FixedRng([u]), False) == core.pick(row, _FixedRng([u]), False)
+        assert list(model._records[id(row)][1]) == row.cumsum().tolist()
 
 
 def test_kept_sums_of_shipped_n3_rows_sample_as_the_row(models, eval_prompts):
     n3 = models["n3"]
     rows = list({id(r): r for p in eval_prompts[:8] for r in n3.evaluate(p, 1)}.values())
     assert len(rows) > 20
-    _assert_kept_sums_sample_as_the_row(n3, rows)
+    _assert_kept_sums_sample_as_the_row(n3, *rows)
 
 
 def _read_only(weights):
@@ -171,24 +180,21 @@ def _read_only(weights):
 
 
 def _assert_kept_draw_is_the_rejection_draw(model, p, q):
-    """`model._residual_draw(p, q, rng)` draws what `sample` draws from
+    """`model._pick(p, rng, False, q)` draws what `sample` draws from
     `residual(p, q)`, or from `p` where that has no mass, at every sum the
     model keeps, at both its neighbours and at or past the last one; and a
-    review that rejects a draft from `q` emits the same token with the kept
-    draw as without it.  Returns the rejection row."""
+    review that rejects a draft from `q` emits the same token through the
+    model's `_pick` as through `core.pick`.  Returns the rejection row."""
     try:
         row = residual(p, q)
     except DegenerateDistribution:
         row = p
-    sums = row.cumsum()[row > 0]
-    draws = {float(u) for c in sums for u in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0))}
-    draws = sorted(u for u in draws | {1 - 2**-53} if 0.0 <= u < 1.0)
     tok = int(np.argmax(q - p))  # q over p: a draw of 0.0 rejects it
-    for u in draws:
-        assert model._residual_draw(p, q, _FixedRng([u])) == sample(row, _FixedRng([u]))
+    for u in sorted(set(_neighbours(row.cumsum()[row > 0])) | {1 - 2**-53}):
+        assert model._pick(p, _FixedRng([u]), False, q) == sample(row, _FixedRng([u]))
         if q[tok] > p[tok]:
             assert (speculative_review([p, p], [tok], [q], rng=_FixedRng([0.0, u]),
-                                       residual_draw=model._residual_draw)
+                                       pick=model._pick)
                     == speculative_review([p, p], [tok], [q], rng=_FixedRng([0.0, u])))
     return row
 
@@ -201,13 +207,13 @@ def _assert_kept_draw_is_the_rejection_draw(model, p, q):
     ([1] * 10 + [0], [1] * 10 + [0], 10),  # p == q: the draw falls back to p
 ], ids=["one", "two", "three-between-zeros", "ten-just-under-one", "p-equals-q"])
 def test_kept_residual_draw_is_the_rejection_draw(p, q, support):
-    model, p, q = _keeper(len(p)), _read_only(p), _read_only(q)
+    (model, p), q = _keeper(normalize(p)), _read_only(q)
     row = _assert_kept_draw_is_the_rejection_draw(model, p, q)
     assert np.count_nonzero(row) == support
     if support == 10:  # so the largest draws pass the last sum
         assert row.cumsum()[-1] < 1.0
-    sums, ids, kept_p, kept_q = model._residuals[id(p), id(q)]
-    assert len(sums) + 1 == len(ids) == support + 1 and kept_p is p and kept_q is q
+    sums, ids, kept_q = model._records[id(p)][2][id(q)]
+    assert len(sums) + 1 == len(ids) == support + 1 and kept_q is q
 
 
 def test_kept_residual_draw_under_a_mag_one_hot_row(models, eval_prompts):
@@ -221,27 +227,42 @@ def test_kept_residual_draw_under_a_mag_one_hot_row(models, eval_prompts):
 def test_fresh_proposal_rows_keep_no_residual_table():
     # a writeable row may be new on every call, and a freed row's id taken
     # by the next, so a table for it could serve another row's draws
-    model = _keeper(4)
-    p, q = _read_only([0.4, 0.4, 0.2, 0]), normalize([0.1, 0.1, 0.8, 0])
-    assert model._residual_draw(p, q, _FixedRng([0.5])) is None
-    assert model._residual_draw(q, p, _FixedRng([0.5])) is None
-    assert model._residuals == {}
+    model, p = _keeper(normalize([0.4, 0.4, 0.2, 0]))
+    q = normalize([0.1, 0.1, 0.8, 0])
+    for a, b in ((p, q), (q, p)):
+        assert model._pick(a, _FixedRng([0.5]), False, b) == core.pick(a, _FixedRng([0.5]), False, b)
+    assert list(model._records) == [id(p)] and model._records[id(p)][2] is None
+
+
+@pytest.mark.parametrize("writeable", [False, True], ids=["read-only", "writeable"])
+def test_a_foreign_row_is_picked_as_core_picks_it_and_keeps_nothing(writeable):
+    # sums were once kept under the id of any row picked, which a freed row
+    # hands on to the next, so a row could bisect another's sums: [0, 0, 0, 1]
+    # drew token 0 from [0.5, 0.5, 0.5, 1.0] in about half the tries
+    model, own = _keeper(normalize([1, 2, 3, 4]))
+    for _ in range(200):
+        for weights in ([1, 0, 0, 1], [0, 0, 0, 1]):
+            row = normalize(weights)
+            row.flags.writeable = writeable
+            for u in _neighbours(row.cumsum()):
+                assert model._pick(row, _FixedRng([u]), False) == core.pick(row, _FixedRng([u]), False)
+            assert model._pick(row, None, True) == greedy_token(row)
+            del row
+    assert list(model._records) == [id(own)] and model._records[id(own)][1:] == [None, None]
 
 
 def test_a_kept_sum_takes_no_more_bytes_than_its_row():
     # 8 bytes a sum, as in numpy: a list would hold a 24-byte float object
     # and an 8-byte pointer for each
-    model = _keeper(259)
-    rows = [normalize(np.arange(1.0, 260.0) ** k) for k in (1, 2)]
-    model._cdf(rows[0])  # the dict's first table
+    model, row = _keeper(normalize(np.arange(1.0, 260.0) ** 2))
     tracemalloc.start()
     try:
-        kept = model._cdf(rows[1])
+        model._pick(row, _FixedRng([0.5]), False)
         grown = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(kept) == 259
-    assert grown <= rows[1].nbytes + 512
+    assert len(model._records[id(row)][1]) == 259
+    assert grown <= row.nbytes + 512
 
 
 def test_sample_empirical_frequencies():

@@ -76,6 +76,18 @@ def test_sampling_requires_proposal_dists():
         speculative_review(dists, [0], [], rng=RandomSource(0))
 
 
+def test_a_sampled_review_without_an_rng_reads_no_row():
+    # the default mode samples, and `sample` once failed on a None rng with
+    # an AttributeError when the first draw was needed
+    model = _CountingModel([0.5, 0.5], "m")
+    for k in (0, 2):
+        with pytest.raises(ContractViolation, match="rng"):
+            speculative_review(model.evaluate([0] * (k + 1), 2), [0] * k, [model._dist] * k)
+    assert model.n_distribution == 0
+    # a greedy review draws nothing, so it needs none
+    assert speculative_review(model.evaluate([0], 2), [], [], mode=DecodeMode.GREEDY)[0] == [0]
+
+
 def test_greedy_full_acceptance():
     # every draft token equals the reviewer argmax -> k accepted + bonus
     p = np.array([0.1, 0.8, 0.1])

@@ -333,48 +333,61 @@ def test_ngram_propose_matches_per_token_evaluate_loop(data):
     assert rng.uniform() == ref_rng.uniform()
 
 
+def _assert_records_are_their_rows(model):
+    """One record per row the cache keeps alive, holding what the row gives
+    now: its greedy token, its sums if kept, and each residual table as its
+    row and its read-only `q` build it."""
+    rows = {id(r): r for r in model._cache.values()}
+    assert set(model._records) == set(rows)
+    for key, (am, sums, tables) in model._records.items():
+        p = rows[key]
+        assert am == greedy_token(p)
+        assert sums is None or list(sums) == p.cumsum().tolist()
+        for q_id, (cut, ids, q) in (tables or {}).items():
+            assert id(q) == q_id and not q.flags.writeable
+            row = rejection_row(p, q)
+            at = np.flatnonzero(row)
+            assert cut == row.cumsum()[at].tolist() and ids == [*at.tolist(), at[-1]]
+
+
 def test_kept_sums_and_residual_tables_are_their_rows(models, eval_prompts):
     # after a sampled n7 <- n3 decode, every kept sum is its row's, and
     # every kept residual table is the one its row pair builds now
     for seed, prompt in enumerate(eval_prompts[:8]):
         sd_generate(models["n7"], models["n3"], 6, 1.0, prompt, 64, DecodeMode.SAMPLING,
                     RandomSource(seed))
-    assert models["n3"]._cdfs and models["n7"]._residuals
+    assert any(r[1] is not None for r in models["n3"]._records.values())
+    assert any(r[2] for r in models["n7"]._records.values())
     for name in ("n7", "n3", "n2", "bigram"):
-        model = models[name]
-        rows = {id(r): r for r in model._cache.values()}
-        for key, cdf in model._cdfs.items():
-            assert list(cdf) == rows[key].cumsum().tolist()
-        for (p_id, q_id), (sums, ids, p, q) in model._residuals.items():
-            assert rows[p_id] is p and id(q) == q_id
-            row = rejection_row(p, q)
-            at = np.flatnonzero(row)
-            assert sums == row.cumsum()[at].tolist() and ids == [*at.tolist(), at[-1]]
+        _assert_records_are_their_rows(models[name])
 
 
 def test_kept_argmaxes_are_their_rows_greedy_tokens(models, eval_prompts):
     # after a greedy n7 <- [n3, n2, mag] decode, every kept argmax is the
-    # greedy token of the cached row with its id, one at most per row
+    # greedy token of the cached row with its id, one per row
     n7, n3, n2, mag = (models[name] for name in ("n7", "n3", "n2", "mag"))
     config = CascadeConfig(n7, [n3, n2, mag], KMatrix([[3, 2, 10], [0, 2, 10], [0, 0, 10]]),
                            DecodeMode.GREEDY, 64, 0)
     for prompt in eval_prompts[:8]:
         generate(config, prompt)
     for model in (n7, n3, n2, mag.fallback):
-        rows = {id(r): r for r in model._cache.values()}
-        assert model._argmaxes and len(model._argmaxes) <= len(rows)
-        for key, am in model._argmaxes.items():
-            assert am == greedy_token(rows[key])
+        assert model._records
+        _assert_records_are_their_rows(model)
 
 
 def test_a_tied_row_keeps_its_lowest_id_and_a_writeable_row_keeps_nothing():
     model = NGramModel(2, V6, {(0,): {2: 0.5, 4: 0.5}}, interpolation=1.0)
     tied, uniform = model.distribution([0]), model.distribution([3])
-    assert model._argmaxes == {id(tied): 2, id(uniform): 0}
-    assert model._argmax(tied) == 2 and model._argmax(uniform) == 0
+    assert {key: r[0] for key, r in model._records.items()} == {id(tied): 2, id(uniform): 0}
+    assert model._pick(tied, None, True) == 2 and model._pick(uniform, None, True) == 0
     fresh = np.array([0.1, 0.2, 0.0, 0.0, 0.7, 0.0])  # may be new on every call
-    assert model._argmax(fresh) == 4
-    assert model._argmaxes == {id(tied): 2, id(uniform): 0}
+    assert model._pick(fresh, None, True) == 4
+    assert model._pick(fresh, RandomSource(0), False) == sample(fresh, RandomSource(0))
+    assert set(model._records) == {id(tied), id(uniform)}
+
+
+def _kept_sums(model):
+    return {key: r[1] for key, r in model._records.items() if r[1] is not None}
 
 
 def test_ngram_keeps_one_cdf_per_shared_row(corpus):
@@ -385,14 +398,15 @@ def test_ngram_keeps_one_cdf_per_shared_row(corpus):
         _, dists = model.propose(seq[:32], 48, RandomSource(j), greedy=False)
         drafted.update((id(d), d) for d in dists)
     # keyed by row, not by context: many contexts share a row and its sums
-    assert set(model._cdfs) == set(drafted)
-    assert len(model._cdfs) < len(model._cache)
-    for key, cdf in model._cdfs.items():
+    kept = _kept_sums(model)
+    assert set(kept) == set(drafted)
+    assert len(kept) < len(model._cache)
+    for key, cdf in kept.items():
         assert np.array_equal(cdf, drafted[key].cumsum())
     # greedy drafting reads no sums, so it keeps none
     greedy = train_ngram(train_seqs, 3, vocab)
     greedy.propose(eval_seqs[0][:32], 48, RandomSource(0), greedy=True)
-    assert greedy._cdfs == {}
+    assert greedy._records and _kept_sums(greedy) == {}
 
 
 def test_ngram_rows_are_read_only():
@@ -665,8 +679,9 @@ def test_sampled_mag_fallback_keeps_the_bigram_rows_sums():
     # token 5 occurs nowhere before, so the span starts with a fallback token
     out, dists = model.propose([5], 1, RandomSource(0), greedy=False)
     fallback = {id(d): d for d in dists if any(d is row for row in table._cache.values())}
-    assert fallback and set(table._cdfs) == set(fallback)
-    for key, cdf in table._cdfs.items():
+    kept = _kept_sums(table)
+    assert fallback and set(kept) == set(fallback)
+    for key, cdf in kept.items():
         assert np.array_equal(cdf, fallback[key].cumsum())
 
 
