@@ -157,7 +157,7 @@ def csd_step(config: CascadeConfig, prefix: Sequence[int], rng: RandomSource,
     trace.record_call(reviewer)
     emitted, rows = speculative_review(reviewer_dists, cur[entry:], dists,
                                        config.lenience if rank else 1.0, config.mode, rng,
-                                       argmax_only=greedy and not rank, pick=reviewer._pick)
+                                       argmax_only=greedy and not rank)
     del cur[entry:]
     trace.add_review(level, reviewer, len(dists), len(emitted) - 1)
     return emitted, rows

@@ -7,7 +7,7 @@ Every model is a :class:`LanguageModel`, defined by its `distribution`, which
 A decode owns one :class:`Context` that every model reads and none changes: a
 cascade step appends its drafts and cuts them off after its review.  Its `text`
 mirrors it as one code point per token id, `chr(t)`, for searches at C speed.
-Any index of the live context lives there, so models stay immutable and shareable.
+Any index of the live context lives there, so models hold no per-decode state.
 """
 from __future__ import annotations
 
@@ -244,21 +244,65 @@ def greedy_token(dist: np.ndarray) -> int:
     return int(dist.argmax())
 
 
+class KeptRow(np.ndarray):
+    """A read-only row with what `pick` reads to choose from it: `top`, its
+    greedy token; `sums`, its cumulative sums as an `array('d')` that `bisect`
+    searches, made on the first sampled draw; and `residuals`, made on the
+    first rejection, keyed `id(q)` for each read-only proposal row `q`: the
+    sums of `rejection_row(p, q)` at its positive entries, their token ids
+    (the last twice, for a draw past the last sum) and `q`, kept so no other
+    row takes its id.  A copy, view or arithmetic result of a kept row is a
+    `KeptRow` with no slot set, which `pick` reads as any other array."""
+
+    __slots__ = ("top", "sums", "residuals")
+
+    @classmethod
+    def of(cls, row: np.ndarray) -> "KeptRow":
+        row.flags.writeable = False
+        kept = row.view(cls)
+        kept.top, kept.sums, kept.residuals = greedy_token(row), None, None
+        return kept
+
+
 def pick(p: np.ndarray, rng: Optional[RandomSource], greedy: bool,
          q: Optional[np.ndarray] = None) -> int:
     """The one rule every emitted token is chosen by: `greedy_token(p)` when
     `greedy`, drawing no uniform; else one uniform's draw from `p`, or from
-    `rejection_row(p, q)` when a proposal row `q` is given."""
+    `rejection_row(p, q)` when a proposal row `q` is given.  A `KeptRow` is
+    picked from the values it keeps, with the same token, unless `q` is
+    writeable and so may be new on every call."""
+    top = getattr(p, "top", None)  # None for any other array
+    if top is None or (q is not None and q.flags.writeable):
+        if greedy:
+            return greedy_token(p)
+        return sample(p if q is None else rejection_row(p, q), rng)
     if greedy:
-        return greedy_token(p)
-    return sample(p if q is None else rejection_row(p, q), rng)
+        return top
+    if q is None:
+        if p.sums is None:
+            p.sums = array("d", p.cumsum().tobytes())
+        return sample(p, rng, p.sums)
+    if p.residuals is None:
+        p.residuals = {}
+    kept = p.residuals.get(id(q))
+    if kept is None:
+        row = rejection_row(p, q)
+        at = np.flatnonzero(row)  # the full CDF is flat elsewhere
+        kept = p.residuals[id(q)] = (row.cumsum()[at].tolist(), at.tolist() + [int(at[-1])], q)
+    return kept[1][bisect_right(kept[0], rng.uniform())]
 
 
 class LanguageModel(ABC):
     """Parallel next-token scorer over a fixed vocabulary.
 
-    Implementations are immutable after construction and safe to share
-    across concurrent readers.  `distribution` and `evaluate` must be pure.
+    `distribution` and `evaluate` must be pure: a row depends on its context
+    alone.  A model may still fill caches as it is read.  An n-gram caches
+    each row it builds, under its tabled context and under an alias for each
+    distinct context read, which grows with them and is not bounded; and a
+    `KeptRow` makes its sums and residual tables on first use.  Concurrent
+    readers stay safe: each value is a function of its row, a reader that
+    loses a race builds an equal value, the first row stored wins, and each
+    dict operation is atomic under the GIL.
     """
 
     def __init__(self, vocab: Vocab, cost_weight: float, descriptor: str):
@@ -303,17 +347,11 @@ class LanguageModel(ABC):
                 f"start={start} out of bounds for sequence of length {len(tokens)}"
             )
 
-    def _pick(self, p: np.ndarray, rng: Optional[RandomSource], greedy: bool,
-              q: Optional[np.ndarray] = None) -> int:
-        """A token from this model's row `p` as `pick` chooses it, read from
-        values this model keeps for the row if it keeps any."""
-        return pick(p, rng, greedy, q)
-
     def propose(self, tokens: Sequence[int], budget: int, rng: RandomSource,
                 greedy: bool):
         """Autoregressively extend `tokens` by `budget` tokens, one
         `distribution` row per token; this is the one token-by-token
-        drafting loop.  Each token is the row's `_pick`.
+        drafting loop.  Each token is the row's `pick`.
 
         Returns (new_tokens, dists): the drafted tokens and this model's
         distribution row at each (its proposal probability for a token is the
@@ -321,11 +359,11 @@ class LanguageModel(ABC):
         tokens.  Overridden by drafters that emit a whole span per call.
         Only the last `window` tokens are copied, not the whole context.
         """
-        cur = list(tokens[-self.window:] if self.window else tokens)
+        cur = list(tokens if self.window is None else tokens[max(0, len(tokens) - self.window):])
         out, dists = [], []
         for _ in range(budget):
             d = self.distribution(cur)
-            tok = self._pick(d, rng, greedy)
+            tok = pick(d, rng, greedy)
             out.append(tok)
             dists.append(d)
             cur.append(tok)

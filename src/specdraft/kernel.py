@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from operator import getitem
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ def speculative_review(
     mode: DecodeMode = DecodeMode.SAMPLING,
     rng: Optional[RandomSource] = None,
     argmax_only: bool = False,
-    pick: Callable = pick,
 ) -> Tuple[list, list]:
     """Review drafted `tokens` against the reviewer's distributions.
 
@@ -46,9 +45,8 @@ def speculative_review(
     `proposal_dists` holds the proposer's row at each draft position; the
     proposal probability q(x) of a token is its entry in that row, and every
     q(x) must lie in (0, 1].  A greedy review's argmax of a reviewer row `p`
-    is `pick(p, rng, True)`, and a sampled rejection of a draft from row `q`
-    emits `pick(p, rng, False, q)`: `pick` is a reviewer's `_pick`, which
-    must choose as `core.pick` does.  A sampled review needs `rng`.
+    is `core.pick(p, rng, True)`, and a sampled rejection of a draft from row
+    `q` emits `core.pick(p, rng, False, q)`.  A sampled review needs `rng`.
     `reviewer_dists` holds one distribution per draft position plus one for
     the bonus position; they are read in order by iteration, so a lazy
     sequence builds no row past the first rejection.  `argmax_only` restricts
@@ -102,7 +100,7 @@ def speculative_review(
 
     # full acceptance: bonus token from the trailing distribution (zip
     # stops at the last token before it takes a row); a sampled one is not
-    # the reviewer's `_pick`, so no model keeps sums for its bonus rows
+    # `pick`ed, so no row keeps sums for a bonus draw
     bonus_dist = next(reviewed)
     rows.append(bonus_dist)
     emitted.append(pick(bonus_dist, rng, True) if greedy else sample(bonus_dist, rng))

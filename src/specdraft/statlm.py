@@ -4,15 +4,13 @@ drafter, which copies from the context and falls back to the bigram table.
 Each is a `LanguageModel`, defined by its `distribution`; an n-gram's rows
 read a `window` of `order - 1` tokens, from its row cache.
 
-All models here are deterministic, immutable after training, and serialize to
-a single JSON document (format_version 1) whose probabilities round-trip
-bit-faithfully.
+All models here are deterministic, change only their caches after training
+(see `LanguageModel`), and serialize to a single JSON document
+(format_version 1) whose probabilities round-trip bit-faithfully.
 """
 from __future__ import annotations
 
 import json
-from array import array
-from bisect import bisect_right
 from collections import Counter, defaultdict
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,16 +22,14 @@ from .core import (
     ConstructionError,
     Context,
     ContractViolation,
+    KeptRow,
     LanguageModel,
     RandomSource,
     TrainingError,
     Vocab,
-    greedy_token,
     integer,
     pick,
     reading,
-    rejection_row,
-    sample,
 )
 
 FORMAT_VERSION = 1
@@ -67,23 +63,13 @@ class NGramModel(LanguageModel):
     w < 1: at w = 1 a row is the counted row of the longest tabled suffix.
 
     A context's row depends only on its longest tabled suffix, since shorter
-    untabled suffixes skip their interpolation step.  So one read-only row is
+    untabled suffixes skip their interpolation step.  So one `KeptRow` is
     built and cached per tabled context, and every context whose longest
-    tabled suffix it is shares that array.  Drafting reads rows straight from
-    that cache, and `evaluate`'s rows read it through `_row`, as
-    `distribution` does.  Each row `_row` builds has one record, keyed by
-    the row's identity, which the cache keeps alive; `_pick` reads it:
-    - the row's argmax, made when the row is built, for greedy picks;
-    - its cumulative sums, an `array('d')` that `bisect` searches, made on
-      the first sampled draw;
-    - one table per read-only proposal row `q` that a rejection under the
-      row redraws for: the sums of the rejection row's one `cumsum` at its
-      positive entries, their token ids (the last twice, for a draw past the
-      last sum) and `q`, so no other row takes its id.
-    Any other row, or a writeable `q`, which may be new on every call, is
-    picked by `core.pick`.  The records are bounded by the distinct rows and
-    their `q`s; the context-keyed `_cache` is the one table that grows with
-    the distinct contexts read.
+    tabled suffix it is shares that array, cached under the context too;
+    those aliases grow with the distinct contexts read.  Drafting reads rows
+    straight from that cache, and `evaluate`'s rows read it through `_row`,
+    as `distribution` does.  The first row stored for a context wins, so
+    concurrent readers of one context all get one row.
     """
 
     def __init__(self, order: int, vocab: Vocab,
@@ -100,7 +86,6 @@ class NGramModel(LanguageModel):
         self.tables = tables
         self.interpolation = float(interpolation)
         self._cache: Dict[Tuple[int, ...], np.ndarray] = {}
-        self._records: Dict[int, list] = {}  # id(row): [argmax, sums, {id(q): table}], None unmade
         n_entries = sum(len(t) for t in tables.values())
         if cost_weight is None:
             cost_weight = float(max(n_entries, 1))
@@ -123,33 +108,11 @@ class NGramModel(LanguageModel):
                 ml = self.tables.get(key[len(key) - n:])
                 if ml is not None:
                     row = w * _dense(self.vocab.size, ml) + (1.0 - w) * row
-            row.flags.writeable = False
-            self._cache[key] = row
-            self._records[id(row)] = [greedy_token(row), None, None]
-        self._cache[ctx] = row
-        return row
+            row = self._cache.setdefault(key, KeptRow.of(row))
+        return self._cache.setdefault(ctx, row)
 
     def distribution(self, context: Sequence[int]) -> np.ndarray:
         return self._row(tuple(context[max(0, len(context) - self.window):]))
-
-    def _pick(self, p: np.ndarray, rng: Optional[RandomSource], greedy: bool,
-              q: Optional[np.ndarray] = None) -> int:
-        record = self._records.get(id(p))
-        if record is None or (q is not None and q.flags.writeable):
-            return pick(p, rng, greedy, q)
-        if greedy:
-            return record[0]
-        if q is None:
-            if record[1] is None:  # 8 bytes a sum, as in numpy; a list of floats takes 4x
-                record[1] = array("d", p.cumsum().tobytes())
-            return sample(p, rng, record[1])
-        tables = record[2] = record[2] or {}
-        kept = tables.get(id(q))
-        if kept is None:
-            row = rejection_row(p, q)
-            at = np.flatnonzero(row)  # the full CDF is flat elsewhere
-            kept = tables[id(q)] = (row.cumsum()[at].tolist(), at.tolist() + [int(at[-1])], q)
-        return kept[1][bisect_right(kept[0], rng.uniform())]
 
 
 def _counted(seqs: List[List[int]], lengths) -> Dict[Tuple[int, ...], Dict[int, float]]:
@@ -302,7 +265,7 @@ class MagModel(LanguageModel):
         token at `pos` after the first longest match is copied, that match
         grown by one is the new first longest match, so the rest of the span
         is the context from `pos` on, repeated with period `len - pos`.  A
-        fallback token is the bigram table's `_pick`; a sampled copy still
+        fallback token is the `pick` of the bigram row; a sampled copy still
         consumes one uniform draw, which its one-hot row maps to it.
         """
         text = _mirror(tokens)
@@ -320,7 +283,7 @@ class MagModel(LanguageModel):
                         rng.uniform()
                 break
             d = self.fallback.distribution(out or tokens)  # reads the last token only
-            tok = self.fallback._pick(d, rng, greedy)
+            tok = pick(d, rng, greedy)
             out.append(tok)
             dists.append(d)
             text += chr(tok)

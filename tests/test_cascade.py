@@ -367,7 +367,7 @@ def test_sampled_sd_output_is_pinned(models, eval_prompts):
     assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == SAMPLED_SD_SHA256
 
 
-#: sha256 of the outputs below, recorded before `_pick` replaced the three
+#: sha256 of the outputs below, recorded before one pick rule replaced the three
 #: hooks `_cdf`, `_argmax` and `_residual_draw`
 SAMPLED_CASCADE_SHA256 = "d4b2ad39a18fd5c1b86aaa3a02bddea157e4c906b1317d84c292c94d86d93dac"
 
@@ -375,7 +375,7 @@ SAMPLED_CASCADE_SHA256 = "d4b2ad39a18fd5c1b86aaa3a02bddea157e4c906b1317d84c292c9
 def test_sampled_cascade_output_is_pinned(models, eval_prompts):
     # n7 <- [n3, mag] samples what n7 <- n3 never does: `mag`'s fallback
     # draws from the bigram table's kept sums, and rejections of `mag`'s
-    # one-hot rows; models that share the shipped tables start with no record
+    # one-hot rows; models that share the shipped tables start with no row kept
     n7, n3, bigram = (models[name] for name in ("n7", "n3", "bigram"))
     n7 = NGramModel(7, n7.vocab, n7.tables, descriptor="n7")
     n3 = NGramModel(3, n3.vocab, n3.tables, descriptor="n3")
@@ -385,10 +385,31 @@ def test_sampled_cascade_output_is_pinned(models, eval_prompts):
                                    64, seed), prompt)[0]
             for seed, prompt in enumerate(eval_prompts[:8])]
     assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == SAMPLED_CASCADE_SHA256
-    assert any(r[1] is not None for r in table._records.values())
+    assert any(r.sums is not None for r in table._cache.values())
     for reviewer in (n7, n3):
-        qs = [q for r in reviewer._records.values() for _, _, q in (r[2] or {}).values()]
+        qs = [q for r in reviewer._cache.values() for _, _, q in (r.residuals or {}).values()]
         assert any(q.max() == 1.0 for q in qs) and any(q.max() < 1.0 for q in qs)
+
+
+#: sha256 of the outputs below, recorded while a reviewer's kept values
+#: still lived in an id-keyed table of its model
+SAMPLED_INNER_BONUS_SHA256 = "f49f6b5d86ec3cd570c0839e00f175a75cd4b8e57bef2636fd18f2d198116271"
+
+
+def test_sampled_inner_bonus_output_is_pinned(models, eval_prompts):
+    # n3 reviewing n2's two tokens accepts them all and draws a bonus token
+    # from its own row, which no other pin reaches: n7 <- [n3, mag] at span
+    # 10 has no inner review that accepts its whole draft
+    n7, n3, n2 = (NGramModel(m.order, m.vocab, m.tables, descriptor=m.descriptor)
+                  for m in (models[name] for name in ("n7", "n3", "n2")))
+    outs, whole = [], 0
+    for seed, prompt in enumerate(eval_prompts[:8]):
+        out, trace = generate(CascadeConfig(n7, [n3, n2], KMatrix([[2, 2], [0, 2]]),
+                                            DecodeMode.SAMPLING, 64, seed), prompt)
+        outs.append(out)
+        whole += sum(s.level >= 1 and s.accepted == s.proposed for s in trace.steps)
+    assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == SAMPLED_INNER_BONUS_SHA256
+    assert whole > 0
 
 
 class _FreshRows(LanguageModel):
@@ -411,10 +432,10 @@ def test_fresh_proposal_rows_are_drawn_as_kept_ones(models, eval_prompts):
                         DecodeMode.SAMPLING, RandomSource(seed))[0]
             for seed, prompt in enumerate(eval_prompts[:8])]
     assert hashlib.sha256(json.dumps(outs).encode()).hexdigest() == SAMPLED_SD_SHA256
-    assert reviewer._records and not any(r[2] for r in reviewer._records.values())
+    assert reviewer._cache and not any(r.residuals for r in reviewer._cache.values())
     sd_generate(reviewer, models["n3"], 6, 1.0, eval_prompts[0], 64, DecodeMode.SAMPLING,
                 RandomSource(0))
-    assert any(r[2] for r in reviewer._records.values())  # the shipped n3's rows are kept
+    assert any(r.residuals for r in reviewer._cache.values())  # the shipped n3's rows are kept
 
 
 def test_autoregressive_call_accounting():

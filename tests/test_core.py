@@ -15,6 +15,7 @@ from specdraft.core import (
     LanguageModel,
     ContractViolation,
     DegenerateDistribution,
+    KeptRow,
     RandomSource,
     Vocab,
     greedy_token,
@@ -137,20 +138,25 @@ def test_sample_with_the_rows_cdf_equals_sample(dist):
     a, b = RandomSource(4), RandomSource(4)
     assert ([sample(dist, a, dist.cumsum()) for _ in range(200)]
             == [sample(dist, b) for _ in range(200)])
-    # an n-gram's kept sums bisect to the same token as numpy's search of
-    # the row, at every CDF value and at both its neighbours
-    _assert_kept_sums_sample_as_the_row(*_keeper(dist))
+    # a kept row's sums bisect to the same token as numpy's search of the
+    # row, at every CDF value and at both its neighbours
+    _assert_kept_sums_sample_as_the_row(_kept(dist))
 
 
-def _keeper(dist):
-    """(model, row): an order-1 n-gram at interpolation 1 whose `()` table is
-    `dist`, and its one row, built by the model and bit-equal to `dist`."""
+def _kept(dist):
+    """The one row of an order-1 n-gram at interpolation 1 whose `()` table is
+    `dist`: a `KeptRow`, built by the model and bit-equal to `dist`."""
     dist = np.asarray(dist, dtype=np.float64)
     model = NGramModel(1, Vocab(tuple(f"<{i}>" for i in range(len(dist)))),
                        {(): dict(enumerate(map(float, dist)))}, interpolation=1.0)
     row = model.distribution([])
-    assert row.tobytes() == dist.tobytes() and not row.flags.writeable
-    return model, row
+    assert type(row) is KeptRow and row.tobytes() == dist.tobytes() and not row.flags.writeable
+    return row
+
+
+def _plain(row):
+    """A copy of `row` as a plain array, which keeps nothing."""
+    return np.array(row)
 
 
 def _neighbours(sums):
@@ -159,18 +165,27 @@ def _neighbours(sums):
     return sorted(u for u in draws if 0.0 <= u < 1.0)
 
 
-def _assert_kept_sums_sample_as_the_row(model, *rows):
+def _assert_picked_as_a_plain_copy(row, q=None):
+    """`core.pick` chooses from `row` what it chooses from a plain copy of it:
+    greedily, and sampled at every sum and both its neighbours."""
+    plain = _plain(row)
+    assert core.pick(row, None, True) == core.pick(plain, None, True) == greedy_token(plain)
+    for u in _neighbours(plain.cumsum()):
+        assert (core.pick(row, _FixedRng([u]), False, q)
+                == core.pick(plain, _FixedRng([u]), False, q))
+
+
+def _assert_kept_sums_sample_as_the_row(*rows):
     for row in rows:
-        for u in _neighbours(row.cumsum()):
-            assert model._pick(row, _FixedRng([u]), False) == core.pick(row, _FixedRng([u]), False)
-        assert list(model._records[id(row)][1]) == row.cumsum().tolist()
+        _assert_picked_as_a_plain_copy(row)
+        assert list(row.sums) == row.cumsum().tolist()
 
 
 def test_kept_sums_of_shipped_n3_rows_sample_as_the_row(models, eval_prompts):
     n3 = models["n3"]
     rows = list({id(r): r for p in eval_prompts[:8] for r in n3.evaluate(p, 1)}.values())
     assert len(rows) > 20
-    _assert_kept_sums_sample_as_the_row(n3, *rows)
+    _assert_kept_sums_sample_as_the_row(*rows)
 
 
 def _read_only(weights):
@@ -179,23 +194,23 @@ def _read_only(weights):
     return row
 
 
-def _assert_kept_draw_is_the_rejection_draw(model, p, q):
-    """`model._pick(p, rng, False, q)` draws what `sample` draws from
-    `residual(p, q)`, or from `p` where that has no mass, at every sum the
-    model keeps, at both its neighbours and at or past the last one; and a
-    review that rejects a draft from `q` emits the same token through the
-    model's `_pick` as through `core.pick`.  Returns the rejection row."""
+def _assert_kept_draw_is_the_rejection_draw(p, q):
+    """`core.pick(p, rng, False, q)` of a kept row `p` draws what `sample`
+    draws from `residual(p, q)`, or from `p` where that has no mass, at every
+    sum `p` keeps, at both its neighbours and at or past the last one; and a
+    review that rejects a draft from `q` emits the same token under `p` as
+    under a plain copy of it.  Returns the rejection row."""
     try:
         row = residual(p, q)
     except DegenerateDistribution:
         row = p
+    plain = _plain(p)
     tok = int(np.argmax(q - p))  # q over p: a draw of 0.0 rejects it
     for u in sorted(set(_neighbours(row.cumsum()[row > 0])) | {1 - 2**-53}):
-        assert model._pick(p, _FixedRng([u]), False, q) == sample(row, _FixedRng([u]))
+        assert core.pick(p, _FixedRng([u]), False, q) == sample(row, _FixedRng([u]))
         if q[tok] > p[tok]:
-            assert (speculative_review([p, p], [tok], [q], rng=_FixedRng([0.0, u]),
-                                       pick=model._pick)
-                    == speculative_review([p, p], [tok], [q], rng=_FixedRng([0.0, u])))
+            assert (speculative_review([p, p], [tok], [q], rng=_FixedRng([0.0, u]))[0]
+                    == speculative_review([plain, plain], [tok], [q], rng=_FixedRng([0.0, u]))[0])
     return row
 
 
@@ -207,12 +222,13 @@ def _assert_kept_draw_is_the_rejection_draw(model, p, q):
     ([1] * 10 + [0], [1] * 10 + [0], 10),  # p == q: the draw falls back to p
 ], ids=["one", "two", "three-between-zeros", "ten-just-under-one", "p-equals-q"])
 def test_kept_residual_draw_is_the_rejection_draw(p, q, support):
-    (model, p), q = _keeper(normalize(p)), _read_only(q)
-    row = _assert_kept_draw_is_the_rejection_draw(model, p, q)
+    p, q = _kept(normalize(p)), _read_only(q)
+    row = _assert_kept_draw_is_the_rejection_draw(p, q)
     assert np.count_nonzero(row) == support
     if support == 10:  # so the largest draws pass the last sum
         assert row.cumsum()[-1] < 1.0
-    sums, ids, kept_q = model._records[id(p)][2][id(q)]
+    assert list(p.residuals) == [id(q)]
+    sums, ids, kept_q = p.residuals[id(q)]
     assert len(sums) + 1 == len(ids) == support + 1 and kept_q is q
 
 
@@ -220,18 +236,19 @@ def test_kept_residual_draw_under_a_mag_one_hot_row(models, eval_prompts):
     n7, mag = models["n7"], models["mag"]
     p = n7.distribution(eval_prompts[0])
     q = mag._one_hot[int(np.argmax(p))]
-    row = _assert_kept_draw_is_the_rejection_draw(n7, p, q)
+    row = _assert_kept_draw_is_the_rejection_draw(p, q)
     assert np.count_nonzero(row) >= 250
 
 
 def test_fresh_proposal_rows_keep_no_residual_table():
     # a writeable row may be new on every call, and a freed row's id taken
     # by the next, so a table for it could serve another row's draws
-    model, p = _keeper(normalize([0.4, 0.4, 0.2, 0]))
+    p = _kept(normalize([0.4, 0.4, 0.2, 0]))
     q = normalize([0.1, 0.1, 0.8, 0])
     for a, b in ((p, q), (q, p)):
-        assert model._pick(a, _FixedRng([0.5]), False, b) == core.pick(a, _FixedRng([0.5]), False, b)
-    assert list(model._records) == [id(p)] and model._records[id(p)][2] is None
+        assert (core.pick(a, _FixedRng([0.5]), False, b)
+                == core.pick(_plain(a), _FixedRng([0.5]), False, b))
+    assert p.sums is None and p.residuals is None
 
 
 @pytest.mark.parametrize("writeable", [False, True], ids=["read-only", "writeable"])
@@ -239,29 +256,45 @@ def test_a_foreign_row_is_picked_as_core_picks_it_and_keeps_nothing(writeable):
     # sums were once kept under the id of any row picked, which a freed row
     # hands on to the next, so a row could bisect another's sums: [0, 0, 0, 1]
     # drew token 0 from [0.5, 0.5, 0.5, 1.0] in about half the tries
-    model, own = _keeper(normalize([1, 2, 3, 4]))
+    own = _kept(normalize([1, 2, 3, 4]))
     for _ in range(200):
         for weights in ([1, 0, 0, 1], [0, 0, 0, 1]):
             row = normalize(weights)
             row.flags.writeable = writeable
             for u in _neighbours(row.cumsum()):
-                assert model._pick(row, _FixedRng([u]), False) == core.pick(row, _FixedRng([u]), False)
-            assert model._pick(row, None, True) == greedy_token(row)
+                assert core.pick(row, _FixedRng([u]), False) == sample(row, _FixedRng([u]))
+            assert core.pick(row, None, True) == greedy_token(row)
+            assert not hasattr(row, "top")
             del row
-    assert list(model._records) == [id(own)] and model._records[id(own)][1:] == [None, None]
+    assert own.sums is None and own.residuals is None
+
+
+@pytest.mark.parametrize("derive", [lambda r: r.copy(), lambda r: r[:], lambda r: r * 1.0],
+                         ids=["copy", "slice", "product"])
+def test_an_array_derived_from_a_kept_row_keeps_nothing(derive):
+    # numpy gives a copy, slice or product of a kept row its type, with no
+    # slot set: it is picked as any array, and picking it keeps nothing
+    weights = [[1, 2, 3, 4], [4, 3, 3, 0], [1] * 10 + [0]]
+    for p, q in zip(map(_kept, map(normalize, weights)), [None, _read_only([0, 1, 2, 1]), None]):
+        derived = derive(p)
+        assert type(derived) is KeptRow and derived.tobytes() == p.tobytes()
+        _assert_picked_as_a_plain_copy(derived, q)
+        for name in ("top", "sums", "residuals"):
+            assert not hasattr(derived, name)
+        assert p.sums is None and p.residuals is None
 
 
 def test_a_kept_sum_takes_no_more_bytes_than_its_row():
     # 8 bytes a sum, as in numpy: a list would hold a 24-byte float object
     # and an 8-byte pointer for each
-    model, row = _keeper(normalize(np.arange(1.0, 260.0) ** 2))
+    row = _kept(normalize(np.arange(1.0, 260.0) ** 2))
     tracemalloc.start()
     try:
-        model._pick(row, _FixedRng([0.5]), False)
+        core.pick(row, _FixedRng([0.5]), False)
         grown = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(model._records[id(row)][1]) == 259
+    assert len(row.sums) == 259
     assert grown <= row.nbytes + 512
 
 
@@ -561,6 +594,24 @@ def test_propose_copies_only_the_window_of_the_context():
     out, _ = m.propose(Context([3, 0, 1, 2]), 3, RandomSource(0), greedy=True)
     assert out == [3, 0, 1]
     assert m.contexts == [(2,), (2, 3), (2, 3, 0)]
+
+
+class _LengthsNGram(NGramModel):
+    """An n-gram recording the length of every context `distribution` reads."""
+
+    def distribution(self, context):
+        self.lengths = getattr(self, "lengths", []) + [len(context)]
+        return super().distribution(context)
+
+
+@pytest.mark.parametrize("order,given,lengths", [(1, 100_000, [0, 1, 2]), (4, 2, [2, 3, 4])],
+                         ids=["window-0", "window-past-the-context"])
+def test_propose_copies_at_most_the_window_of_a_long_context(order, given, lengths):
+    # `tokens[-0:]` is the whole list, so an order-1 n-gram's propose copied
+    # all 100,000 tokens and handed each row a context of 100,000 or more
+    model = _LengthsNGram(order, Vocab(("<0>", "<1>")), {(): {0: 0.5, 1: 0.5}})
+    model.propose(Context([0] * given), 3, RandomSource(0), greedy=True)
+    assert model.lengths == lengths
 
 
 def test_propose_budget_and_probs():

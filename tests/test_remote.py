@@ -9,6 +9,7 @@ import statistics
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
@@ -19,7 +20,7 @@ import requests
 import urllib3
 
 from specdraft.analytics import ConstantModel
-from specdraft.cascade import CascadeConfig, KMatrix, generate
+from specdraft.cascade import CascadeConfig, KMatrix, autoregressive_generate, generate, sd_generate
 from specdraft.core import ConfigError, ContractViolation, RandomSource, Vocab, normalize
 from specdraft.kernel import DecodeMode
 from specdraft.remote import (
@@ -30,7 +31,7 @@ from specdraft.remote import (
     ScoringServer,
     serve_model,
 )
-from specdraft.statlm import train_ngram
+from specdraft.statlm import NGramModel, train_ngram
 
 V = Vocab(tuple(f"<{i}>" for i in range(8)))
 
@@ -275,6 +276,27 @@ def test_wire_transparency_generation():
     assert trace_remote.calls_per_model == trace_local.calls_per_model
     assert [(s.level, s.proposed, s.accepted) for s in trace_remote.steps] == \
            [(s.level, s.proposed, s.accepted) for s in trace_local.steps]
+
+
+def test_concurrent_clients_decode_as_the_in_process_target(models, eval_prompts):
+    # the server reads one fresh n7 from a thread per connection, and the
+    # clients share one fresh n3: four greedy decodes at once each give
+    # target-only greedy output
+    n7, n3 = models["n7"], models["n3"]
+    prompts = eval_prompts[:8]
+    want = [autoregressive_generate(n7, prompt, 32)[0] for prompt in prompts]
+    draft = NGramModel(3, n3.vocab, n3.tables, descriptor="n3")
+    start = threading.Barrier(4, timeout=60)
+    with serve_model(NGramModel(7, n7.vocab, n7.tables, descriptor="n7")) as server:
+        def decode(t):
+            remote = RemoteModel(RemoteModelSpec(server.url, vocab_size=n7.vocab.size), n7.vocab)
+            start.wait()
+            return [sd_generate(remote, draft, 4, 1.0, prompt, 32, DecodeMode.GREEDY)[0]
+                    for prompt in prompts[t:] + prompts[:t]]
+
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(decode, range(4)))
+    assert got == [want[t:] + want[:t] for t in range(4)]
 
 
 @contextmanager

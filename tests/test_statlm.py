@@ -2,6 +2,8 @@
 import hashlib
 import json
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,10 +14,12 @@ from specdraft.core import (
     ConstructionError,
     Context,
     ContractViolation,
+    KeptRow,
     RandomSource,
     TrainingError,
     Vocab,
     greedy_token,
+    pick,
     rejection_row,
     sample,
 )
@@ -333,17 +337,14 @@ def test_ngram_propose_matches_per_token_evaluate_loop(data):
     assert rng.uniform() == ref_rng.uniform()
 
 
-def _assert_records_are_their_rows(model):
-    """One record per row the cache keeps alive, holding what the row gives
-    now: its greedy token, its sums if kept, and each residual table as its
-    row and its read-only `q` build it."""
-    rows = {id(r): r for r in model._cache.values()}
-    assert set(model._records) == set(rows)
-    for key, (am, sums, tables) in model._records.items():
-        p = rows[key]
-        assert am == greedy_token(p)
-        assert sums is None or list(sums) == p.cumsum().tolist()
-        for q_id, (cut, ids, q) in (tables or {}).items():
+def _assert_kept_values_are_their_rows(model):
+    """Every cached row is kept, holding what it gives now: its greedy token,
+    its sums if kept, and each residual table as the row and its read-only
+    `q` build it."""
+    for p in model._cache.values():
+        assert type(p) is KeptRow and p.top == greedy_token(p)
+        assert p.sums is None or list(p.sums) == p.cumsum().tolist()
+        for q_id, (cut, ids, q) in (p.residuals or {}).items():
             assert id(q) == q_id and not q.flags.writeable
             row = rejection_row(p, q)
             at = np.flatnonzero(row)
@@ -356,38 +357,65 @@ def test_kept_sums_and_residual_tables_are_their_rows(models, eval_prompts):
     for seed, prompt in enumerate(eval_prompts[:8]):
         sd_generate(models["n7"], models["n3"], 6, 1.0, prompt, 64, DecodeMode.SAMPLING,
                     RandomSource(seed))
-    assert any(r[1] is not None for r in models["n3"]._records.values())
-    assert any(r[2] for r in models["n7"]._records.values())
+    assert any(r.sums is not None for r in models["n3"]._cache.values())
+    assert any(r.residuals for r in models["n7"]._cache.values())
     for name in ("n7", "n3", "n2", "bigram"):
-        _assert_records_are_their_rows(models[name])
+        _assert_kept_values_are_their_rows(models[name])
 
 
 def test_kept_argmaxes_are_their_rows_greedy_tokens(models, eval_prompts):
-    # after a greedy n7 <- [n3, n2, mag] decode, every kept argmax is the
-    # greedy token of the cached row with its id, one per row
+    # after a greedy n7 <- [n3, n2, mag] decode, every cached row keeps the
+    # greedy token of its own values
     n7, n3, n2, mag = (models[name] for name in ("n7", "n3", "n2", "mag"))
     config = CascadeConfig(n7, [n3, n2, mag], KMatrix([[3, 2, 10], [0, 2, 10], [0, 0, 10]]),
                            DecodeMode.GREEDY, 64, 0)
     for prompt in eval_prompts[:8]:
         generate(config, prompt)
     for model in (n7, n3, n2, mag.fallback):
-        assert model._records
-        _assert_records_are_their_rows(model)
+        assert model._cache
+        _assert_kept_values_are_their_rows(model)
 
 
 def test_a_tied_row_keeps_its_lowest_id_and_a_writeable_row_keeps_nothing():
     model = NGramModel(2, V6, {(0,): {2: 0.5, 4: 0.5}}, interpolation=1.0)
     tied, uniform = model.distribution([0]), model.distribution([3])
-    assert {key: r[0] for key, r in model._records.items()} == {id(tied): 2, id(uniform): 0}
-    assert model._pick(tied, None, True) == 2 and model._pick(uniform, None, True) == 0
+    assert (tied.top, uniform.top) == (2, 0)
+    assert {id(r) for r in model._cache.values()} == {id(tied), id(uniform)}
+    assert pick(tied, None, True) == 2 and pick(uniform, None, True) == 0
     fresh = np.array([0.1, 0.2, 0.0, 0.0, 0.7, 0.0])  # may be new on every call
-    assert model._pick(fresh, None, True) == 4
-    assert model._pick(fresh, RandomSource(0), False) == sample(fresh, RandomSource(0))
-    assert set(model._records) == {id(tied), id(uniform)}
+    assert pick(fresh, None, True) == 4
+    assert pick(fresh, RandomSource(0), False) == sample(fresh, RandomSource(0))
+    assert not hasattr(fresh, "top") and tied.sums is None and uniform.sums is None
+
+
+def test_concurrent_readers_get_the_row_the_cache_holds(models, corpus):
+    # four readers that miss one tabled context each build its row; the first
+    # row stored wins, under the tabled context and under each alias, so every
+    # reader gets the one row the cache holds, which keeps its own argmax
+    _, eval_seqs, _, _ = corpus
+    contexts = list(dict.fromkeys(tuple(seq[i:i + 6]) for seq in eval_seqs
+                                  for i in range(len(seq) - 6)))
+    assert len(contexts) == 710
+    n7 = models["n7"]
+    for _ in range(10):
+        model = NGramModel(7, n7.vocab, n7.tables, descriptor="n7")
+        start = threading.Barrier(4, timeout=60)
+
+        def read(t):
+            cut = t * len(contexts) // 4  # staggered starts
+            start.wait()
+            return [(ctx, model._row(ctx)) for ctx in contexts[cut:] + contexts[:cut]]
+
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(read, range(4)))
+        for ctx, row in (pair for rows in got for pair in rows):
+            key = next((ctx[i:] for i in range(len(ctx)) if ctx[i:] in model.tables), ())
+            assert row is model._cache[ctx] is model._cache[key]
+        assert all(row.top == greedy_token(row) for row in model._cache.values())
 
 
 def _kept_sums(model):
-    return {key: r[1] for key, r in model._records.items() if r[1] is not None}
+    return {id(r): r.sums for r in model._cache.values() if r.sums is not None}
 
 
 def test_ngram_keeps_one_cdf_per_shared_row(corpus):
@@ -406,7 +434,7 @@ def test_ngram_keeps_one_cdf_per_shared_row(corpus):
     # greedy drafting reads no sums, so it keeps none
     greedy = train_ngram(train_seqs, 3, vocab)
     greedy.propose(eval_seqs[0][:32], 48, RandomSource(0), greedy=True)
-    assert greedy._records and _kept_sums(greedy) == {}
+    assert greedy._cache and _kept_sums(greedy) == {}
 
 
 def test_ngram_rows_are_read_only():
